@@ -12,9 +12,8 @@ from .basis import (Basis, Configuration, SimParams, TrapLevel,
 from .cache import (CacheCorruptError, CacheError, CacheMismatchError,
                     cache_filename, cache_load, cache_store)
 from .rates import (EmissionQuadrature, PhysicsValidityError, RateMatrix,
-                    absorption_structure, build_absorption_rates,
-                    build_spontaneous_rates, emission_quadrature,
-                    franck_condon_1d, pulse_spectrum_sq)
+                    absorption_structure, build_spontaneous_rates,
+                    emission_quadrature, franck_condon_1d, pulse_spectrum_sq)
 from .schedule import (PulseSpec, Ramp, Schedule, confinement_pulse,
                        figure_schedule, interference_pulse,
                        pseudo_confinement_pulses, resolve_cycle,
@@ -41,9 +40,8 @@ __all__ = [
     "CacheCorruptError", "CacheError", "CacheMismatchError",
     "cache_filename", "cache_load", "cache_store",
     "EmissionQuadrature", "PhysicsValidityError", "RateMatrix",
-    "absorption_structure", "build_absorption_rates",
-    "build_spontaneous_rates", "emission_quadrature", "franck_condon_1d",
-    "pulse_spectrum_sq",
+    "absorption_structure", "build_spontaneous_rates", "emission_quadrature",
+    "franck_condon_1d", "pulse_spectrum_sq",
     "PulseSpec", "Ramp", "Schedule", "confinement_pulse", "figure_schedule",
     "interference_pulse", "pseudo_confinement_pulses", "resolve_cycle",
     "sideband_pulse",

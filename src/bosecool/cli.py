@@ -123,15 +123,19 @@ def _prepare(cfg: RunConfig, extra_watched=()) -> _Prepared:
                      omega0_was_auto=was_auto)
 
 
-def _run(prep: _Prepared, threads: int) -> EnsembleResult:
+def _run(prep: _Prepared, threads: int) -> tuple[EnsembleResult, float]:
+    """The ensemble and its wall time; matrices load or build untimed."""
     cfg = prep.cfg
     recorder = RecorderSpec(watched_ids=prep.watched_ids,
                             stride=cfg.recorder.stride,
                             record_events=cfg.recorder.events)
-    return run_ensemble(prep.basis, prep.params, prep.schedule,
-                        prep.distribution, cfg.n_atoms, cfg.n_traj,
-                        cfg.seed, recorder, provider=prep.provider,
-                        threads=threads)
+    prep.provider.prepare(prep.schedule)
+    start = time.monotonic()
+    result = run_ensemble(prep.basis, prep.params, prep.schedule,
+                          prep.distribution, cfg.n_atoms, cfg.n_traj,
+                          cfg.seed, recorder, provider=prep.provider,
+                          threads=threads)
+    return result, time.monotonic() - start
 
 
 def _observables_csv(prep: _Prepared, result: EnsembleResult) -> str:
@@ -189,12 +193,13 @@ def _summary_text(prep: _Prepared, result: EnsembleResult, command: str,
         f"cycles_to_0.9: {to_90}",
         f"p_max: {_fmt(result.p_max)}",
         f"pulses_above_p_0.5: {result.n_warn_pulses}",
-        f"events_total: {sum(ev.shape[0] for ev in result.events)}",
+        "events_total: " + (str(sum(ev.shape[0] for ev in result.events))
+                            if cfg.recorder.events else "not recorded"),
         f"abs_builds: {counters['abs_builds']}",
         f"sp_builds: {counters['sp_builds']}",
         f"structure_builds: {counters['structure_builds']}",
         f"disk_loads: {counters['disk_loads']}",
-        f"ramp_evals: {counters['ramp_evals']}",
+        f"ramp_evals: {result.ramp_evals}",
         f"wall_seconds: {wall:.3f}",
     ]
     lines += list(extra_lines)
@@ -205,9 +210,7 @@ def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     threads = _threads(args)
     prep = _prepare(cfg)
-    start = time.monotonic()
-    result = _run(prep, threads)
-    wall = time.monotonic() - start
+    result, wall = _run(prep, threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "observables.csv"),
                   _observables_csv(prep, result))
@@ -284,9 +287,7 @@ def cmd_hysteresis(args) -> int:
                                         *cfg.hysteresis.targets))
     if not prep.schedule.ramps:
         raise ConfigError("no ramp declared in the schedule")
-    start = time.monotonic()
-    result = _run(prep, threads)
-    wall = time.monotonic() - start
+    result, wall = _run(prep, threads)
 
     ramp = result.ramp_values[:, 0]
     frac = result.watched_mean / cfg.n_atoms

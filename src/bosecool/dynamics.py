@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,10 +37,10 @@ import numpy as np
 
 from .basis import Basis, Configuration, SimParams, sample_initial_configuration
 from .cache import (CacheError, cache_filename, cache_load, cache_store)
-from .rates import (PhysicsValidityError, RateMatrix, absorption_fingerprint,
-                    absorption_structure, build_spontaneous_rates,
-                    emission_quadrature, spontaneous_fingerprint,
-                    EmissionQuadrature)
+from .rates import (AbsorptionStructure, PhysicsValidityError, RateMatrix,
+                    absorption_fingerprint, absorption_structure,
+                    build_spontaneous_rates, emission_quadrature,
+                    spontaneous_fingerprint, EmissionQuadrature)
 from .schedule import PulseSpec, Schedule, resolve_cycle
 
 P_WARN = 0.5  # single-pulse excitation probability worth a warning
@@ -82,12 +81,12 @@ class PulseRates:
 class MatrixProvider:
     """Builds, caches and serves the rate matrices a schedule needs.
 
-    Static pulses are built once (and persisted to ``cache_dir`` when
-    given); ramped pulses reuse an amplitude-independent structure, so a
-    per-cycle amplitude only costs an O(size) evaluation.
+    A static pulse (``persist=True``) is loaded from ``cache_dir`` or
+    built and stored there, once, and then served from memory. Any other
+    pulse is evaluated from its memoized amplitude-independent structure
+    on every call and kept nowhere, so a per-cycle amplitude only costs
+    an O(size) evaluation.
     """
-
-    LRU_SIZE = 128
 
     def __init__(self, basis: Basis, params: SimParams,
                  cache_dir: str | None = None,
@@ -96,80 +95,53 @@ class MatrixProvider:
         self.params = params
         self.cache_dir = cache_dir
         self.quadrature = quadrature or emission_quadrature(basis.dim)
-        self._structures: dict = {}
-        self._rates: OrderedDict[tuple, PulseRates] = OrderedDict()
-        self._persistent: set[tuple] = set()
+        self._structures: dict[tuple, AbsorptionStructure] = {}
+        self._static: dict[tuple, PulseRates] = {}
         self._sp_matrix: RateMatrix | None = None
         self._sp_dense: np.ndarray | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
-                         "ramp_evals": 0, "structure_builds": 0}
+                         "structure_builds": 0}
 
     # -- absorption ----------------------------------------------------
 
-    def _structure(self, pulse: PulseSpec):
-        wtau = (pulse.omega_tau_abs if pulse.omega_tau_abs is not None
-                else self.params.omega_tau_abs)
-        skey = (pulse.s, wtau)
+    def _structure(self, pulse: PulseSpec) -> AbsorptionStructure:
+        skey = (pulse.s, pulse.omega_tau_abs)
         st = self._structures.get(skey)
         if st is None:
-            st = absorption_structure(self.basis, self.params, pulse.s, wtau)
+            st = absorption_structure(self.basis, self.params, pulse.s,
+                                      pulse.omega_tau_abs)
             self._structures[skey] = st
             self.counters["structure_builds"] += 1
         return st
 
-    def _resolved_area(self, pulse: PulseSpec) -> float:
-        otau = (pulse.omega0_tau_abs if pulse.omega0_tau_abs is not None
-                else self.params.omega0_tau_abs)
-        if not 0 < otau < 1:
-            raise PhysicsValidityError(
-                f"pulse area omega0_tau_abs={otau} outside the perturbative "
-                "range (0, 1)")
-        return otau
+    def _evaluate(self, pulse: PulseSpec) -> RateMatrix:
+        return self._structure(pulse).evaluate(pulse.amps, pulse.omega0_tau_abs)
 
-    def _pulse_fingerprint(self, pulse: PulseSpec) -> str:
-        wtau = (pulse.omega_tau_abs if pulse.omega_tau_abs is not None
-                else self.params.omega_tau_abs)
-        return absorption_fingerprint(self.basis, pulse.s, self.params.eta,
-                                      pulse.amps, self._resolved_area(pulse),
-                                      wtau, self.params.resonance_window)
+    def _load_or_build(self, pulse: PulseSpec) -> RateMatrix:
+        fp = absorption_fingerprint(self.basis, pulse.s, self.params.eta,
+                                    pulse.amps, pulse.omega0_tau_abs,
+                                    pulse.omega_tau_abs, self.params.resonance_window)
+        path = (os.path.join(self.cache_dir, cache_filename(fp))
+                if self.cache_dir is not None else None)
+        if path is not None and os.path.exists(path):
+            matrix = cache_load(path, fp)
+            self.counters["disk_loads"] += 1
+            return matrix
+        matrix = self._evaluate(pulse)
+        self.counters["abs_builds"] += 1
+        if path is not None:
+            cache_store(matrix, path)
+        return matrix
 
     def absorption(self, pulse: PulseSpec, persist: bool = False) -> PulseRates:
-        otau = self._resolved_area(pulse)
-        wtau = (pulse.omega_tau_abs if pulse.omega_tau_abs is not None
-                else self.params.omega_tau_abs)
-        key = (pulse.s, pulse.amps, otau, wtau)
-        hit = self._rates.get(key)
-        if hit is not None:
-            self._rates.move_to_end(key)
-            return hit
-
-        matrix = None
-        path = None
-        if persist and self.cache_dir is not None:
-            path = os.path.join(self.cache_dir,
-                                cache_filename(self._pulse_fingerprint(pulse)))
-            if os.path.exists(path):
-                matrix = cache_load(path, self._pulse_fingerprint(pulse))
-                self.counters["disk_loads"] += 1
-        if matrix is None:
-            matrix = self._structure(pulse).evaluate(pulse.amps, otau)
-            if persist:
-                self.counters["abs_builds"] += 1
-                if path is not None:
-                    cache_store(matrix, path)
-            else:
-                self.counters["ramp_evals"] += 1
-
-        rates = PulseRates.from_matrix(key, matrix)
-        self._rates[key] = rates
-        if persist:
-            self._persistent.add(key)
-        while len(self._rates) > self.LRU_SIZE:
-            victim = next((k for k in self._rates
-                           if k not in self._persistent), None)
-            if victim is None:  # everything is pinned; let the dict grow
-                break
-            del self._rates[victim]
+        pulse = pulse.resolved(self.params)
+        key = pulse.key()
+        if not persist:
+            return PulseRates.from_matrix(key, self._evaluate(pulse))
+        rates = self._static.get(key)
+        if rates is None:
+            rates = PulseRates.from_matrix(key, self._load_or_build(pulse))
+            self._static[key] = rates
         return rates
 
     # -- spontaneous ---------------------------------------------------
@@ -199,8 +171,8 @@ class MatrixProvider:
         """Build everything a run needs up front (parent process side)."""
         self.spontaneous_dense()
         for i, pulse in enumerate(schedule.cycle):
-            if schedule.is_ramped(i):
-                self._structure(pulse)  # amplitudes change; matrix cannot
+            if schedule.is_ramped(i):  # amplitudes change; matrix cannot
+                self._structure(pulse.resolved(self.params))
             else:
                 self.absorption(pulse, persist=True)
 
@@ -320,29 +292,11 @@ class TrajectoryRecord:
     p_max: float
     n_warn_pulses: int
     seed_key: tuple
+    ramp_evals: int             # absorption evaluations for ramped pulses
 
 
 def _ramp_fields(schedule: Schedule) -> list[tuple[int, str]]:
-    seen: list[tuple[int, str]] = []
-    for r in schedule.ramps:
-        key = (r.pulse_index, r.field)
-        if key not in seen:
-            seen.append(key)
-    return seen
-
-
-def _ramp_value(schedule: Schedule, pulse_index: int, fld: str, cycle: int) -> float:
-    pulse = schedule.cycle[pulse_index]
-    axis = {"a_x": 0, "a_y": 1, "a_z": 2}.get(fld)
-    value = pulse.amps[axis] if axis is not None else getattr(pulse, fld)
-    matching = [r for r in schedule.ramps
-                if (r.pulse_index, r.field) == (pulse_index, fld)]
-    for r in matching:
-        if r.active_at(cycle):
-            value = r.value_at(cycle)
-    if value is None and matching:  # base value deferred to params default
-        value = matching[-1].value_at(cycle)
-    return float(value)
+    return list(dict.fromkeys((r.pulse_index, r.field) for r in schedule.ramps))
 
 
 def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
@@ -378,11 +332,13 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     watched = np.asarray(recorder.watched_ids, dtype=np.int64)
     fields = _ramp_fields(schedule)
 
-    has_ramps = bool(schedule.ramps)
-    base_pulses = resolve_cycle(schedule, 0) if schedule.total_cycles else []
-    static_rates = [None if schedule.is_ramped(i)
-                    else provider.absorption(p, persist=True)
-                    for i, p in enumerate(schedule.cycle)]
+    # a ramped pulse is re-evaluated only when its resolved form changes
+    schedule = schedule.resolved(params)
+    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
+    pulses = resolve_cycle(schedule, 0)
+    rates = [provider.absorption(p, persist=i not in ramped)
+             for i, p in enumerate(pulses)]
+    ramp_evals = len(ramped)
 
     rows_cycles: list[int] = []
     rows_watch: list[np.ndarray] = []
@@ -396,18 +352,20 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
         rows_cycles.append(done)
         rows_watch.append(occ[watched].copy())
         rows_shell.append(float(shells_f @ occf / n_total))
-        at = max(0, done - 1)
-        rows_ramp.append([_ramp_value(schedule, pi, fl, at) for pi, fl in fields])
+        rows_ramp.append([pulses[pi].field_value(fl) for pi, fl in fields])
 
     record(0)
     warned = False
     for c in range(schedule.total_cycles):
-        pulses = resolve_cycle(schedule, c) if has_ramps else base_pulses
+        if ramped and c:
+            current = resolve_cycle(schedule, c)
+            for i in ramped:
+                if current[i] != pulses[i]:
+                    rates[i] = provider.absorption(current[i])
+                    ramp_evals += 1
+            pulses = current
         for i in range(schedule.n_pulses):
-            rates = static_rates[i]
-            if rates is None:
-                rates = provider.absorption(pulses[i])
-            pulse_events, p = _step(occ, occf, rates, sp_dense, rng)
+            pulse_events, p = _step(occ, occf, rates[i], sp_dense, rng)
             if p > p_max:
                 p_max = p
             if p > P_WARN:
@@ -424,8 +382,7 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
         if (recorder.stride and done % recorder.stride == 0
                 and done < schedule.total_cycles):
             record(done)
-    if schedule.total_cycles:
-        record(schedule.total_cycles)
+    record(schedule.total_cycles)
 
     return TrajectoryRecord(
         cycles=np.asarray(rows_cycles, dtype=np.int64),
@@ -437,7 +394,8 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
         final_occ=occ.copy(),
         p_max=p_max,
         n_warn_pulses=n_warn,
-        seed_key=seed_key)
+        seed_key=seed_key,
+        ramp_evals=ramp_evals)
 
 
 # ------------------------------------------------------------- ensemble
@@ -460,6 +418,7 @@ class EnsembleResult:
     seed: int
     p_max: float
     n_warn_pulses: int
+    ramp_evals: int
 
     def watched_fraction_mean(self) -> np.ndarray:
         return self.watched_mean / self.n_atoms
@@ -540,7 +499,8 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
         n_traj=n_traj,
         seed=seed,
         p_max=max(r.p_max for r in records),
-        n_warn_pulses=sum(r.n_warn_pulses for r in records))
+        n_warn_pulses=sum(r.n_warn_pulses for r in records),
+        ramp_evals=sum(r.ramp_evals for r in records))
 
 
 # ------------------------------------------------------- exact reference
@@ -681,6 +641,7 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     of configurations, so it only suits small bases and atom numbers.
     Ramped schedules are supported but rebuild matrices per distinct pulse.
     """
+    schedule = schedule.resolved(params)
     if provider is None:
         provider = MatrixProvider(basis, params)
         provider.prepare(schedule)
@@ -692,11 +653,11 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     probs = state.probs.copy()
     for c in range(schedule.total_cycles):
         for pulse in resolve_cycle(schedule, c):
-            rates = provider.absorption(pulse)
-            T = matrices.get(rates.key)
+            T = matrices.get(pulse.key())
             if T is None:
-                T = _exact_pulse_matrix(state, rates, sp_dense)
-                matrices[rates.key] = T
+                T = _exact_pulse_matrix(state, provider.absorption(pulse),
+                                        sp_dense)
+                matrices[pulse.key()] = T
             probs = T @ probs
     return ExactState(configs=state.configs, probs=probs, index=state.index)
 
@@ -752,10 +713,8 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
     worst_any = 0.0
-    for pulse in resolve_cycle(schedule, 0):
-        wtau = (pulse.omega_tau_abs if pulse.omega_tau_abs is not None
-                else params.omega_tau_abs)
-        struct = absorption_structure(basis, params, pulse.s, wtau)
+    for pulse in resolve_cycle(schedule.resolved(params), 0):
+        struct = absorption_structure(basis, params, pulse.s, pulse.omega_tau_abs)
         m = struct.evaluate(pulse.amps, omega0_tau_abs=0.5)
         dep = m.column_sums()
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .basis import Basis, SimParams
 
@@ -151,7 +150,6 @@ class RateMatrix:
     from_ids: np.ndarray
     rates: np.ndarray
     fingerprint: str = ""
-    _csc: sparse.csc_array | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.to_ids = np.asarray(self.to_ids, dtype=np.uint32)
@@ -170,14 +168,6 @@ class RateMatrix:
 
     def max_rate(self) -> float:
         return float(self.rates.max()) if self.nnz else 0.0
-
-    def to_csc(self) -> sparse.csc_array:
-        if self._csc is None:
-            self._csc = sparse.csc_array(
-                (self.rates, (self.to_ids.astype(np.int64),
-                              self.from_ids.astype(np.int64))),
-                shape=self.shape)
-        return self._csc
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -263,15 +253,15 @@ def absorption_fingerprint(basis: Basis, s: int, eta: float, amps,
 
 
 def absorption_structure(basis: Basis, params: SimParams, s: int,
-                         omega_tau_abs: float | None = None) -> AbsorptionStructure:
+                         omega_tau_abs: float) -> AbsorptionStructure:
     """Precompute the amplitude-independent pieces of a pulse matrix.
 
     Keeps (to, from) pairs whose shell change is within
-    ``params.resonance_window`` of the pulse's shell target ``s``. A beam
-    moves quantum numbers on its own axis only, so pairs differing on two
-    or more axes never appear.
+    ``params.resonance_window`` of the pulse's shell target ``s``;
+    ``omega_tau_abs`` is the pulse's resolved width. A beam moves quantum
+    numbers on its own axis only, so pairs differing on two or more axes
+    never appear.
     """
-    wtau = params.omega_tau_abs if omega_tau_abs is None else omega_tau_abs
     window = params.resonance_window
     nq = basis.max_shell
     eta = params.eta
@@ -281,7 +271,7 @@ def absorption_structure(basis: Basis, params: SimParams, s: int,
     if abs(s) <= window:
         d = fc_diag(nq, eta)
         diag_amp = d[basis.levels]  # (size, dim) gather per axis
-        diag_spec = pulse_spectrum_sq(float(s), wtau)
+        diag_spec = pulse_spectrum_sq(float(s), omega_tau_abs)
 
     blocks = []
     deltas = [d for d in range(s - window, s + window + 1) if d != 0]
@@ -296,28 +286,12 @@ def absorption_structure(basis: Basis, params: SimParams, s: int,
             from_ids = np.nonzero(ok)[0].astype(np.uint32)
             to_ids = basis.lut[tuple(target[ok].T)].astype(np.uint32)
             fc2 = fc_abs2_shift(nq, delta, eta)[q[ok]]
-            spec = pulse_spectrum_sq(float(s - delta), wtau)
+            spec = pulse_spectrum_sq(float(s - delta), omega_tau_abs)
             blocks.append((axis, from_ids, to_ids, fc2 * spec))
-    return AbsorptionStructure(basis=basis, s=s, eta=eta, omega_tau_abs=wtau,
+    return AbsorptionStructure(basis=basis, s=s, eta=eta,
+                               omega_tau_abs=omega_tau_abs,
                                window=window, diag_amp=diag_amp,
                                diag_spectrum=diag_spec, blocks=tuple(blocks))
-
-
-def build_absorption_rates(basis: Basis, params: SimParams, pulse,
-                           rel_cutoff: float = REL_CUTOFF) -> RateMatrix:
-    """Per-pulse excitation rate matrix for one stimulated pulse.
-
-    ``pulse`` provides ``s``, ``amps`` and optional per-pulse overrides of
-    the widths; see schedule.PulseSpec.
-    """
-    wtau = pulse.omega_tau_abs if pulse.omega_tau_abs is not None else params.omega_tau_abs
-    otau = (pulse.omega0_tau_abs if pulse.omega0_tau_abs is not None
-            else params.omega0_tau_abs)
-    if not 0 < otau < 1:
-        raise PhysicsValidityError(
-            f"pulse area omega0_tau_abs={otau} outside the perturbative range (0, 1)")
-    struct = absorption_structure(basis, params, pulse.s, wtau)
-    return struct.evaluate(tuple(pulse.amps), otau, rel_cutoff)
 
 
 # ------------------------------------------------------------- emission

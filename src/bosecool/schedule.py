@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .basis import SimParams
+
 _RAMPABLE = ("a_x", "a_y", "a_z", "omega0_tau_abs")
+_AXES = {"a_x": 0, "a_y": 1, "a_z": 2}
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,25 @@ class PulseSpec:
         amps = list(self.amps)
         amps[axis] = float(value)
         return replace(self, amps=tuple(amps))
+
+    def with_field(self, name: str, value: float) -> "PulseSpec":
+        """This pulse with one rampable field set to ``value``."""
+        axis = _AXES.get(name)
+        if axis is None:
+            return replace(self, **{name: value})
+        return self.with_amp(axis, value)
+
+    def field_value(self, name: str) -> float | None:
+        axis = _AXES.get(name)
+        return getattr(self, name) if axis is None else self.amps[axis]
+
+    def resolved(self, params: SimParams) -> "PulseSpec":
+        """This pulse with unset widths taken from ``params``. Rates depend
+        on the resolved pulse only, so its key() is their memo key."""
+        otau, wtau = self.omega0_tau_abs, self.omega_tau_abs
+        return replace(
+            self, omega0_tau_abs=params.omega0_tau_abs if otau is None else otau,
+            omega_tau_abs=params.omega_tau_abs if wtau is None else wtau)
 
     def key(self) -> tuple:
         return (self.s, self.amps, self.omega0_tau_abs, self.omega_tau_abs)
@@ -108,12 +130,17 @@ class Schedule:
             if not 0 <= r.pulse_index < len(self.cycle):
                 raise ValueError(f"ramp targets pulse {r.pulse_index}, "
                                  f"cycle has {len(self.cycle)} pulses")
-            axis = {"a_x": 0, "a_y": 1, "a_z": 2}.get(r.field)
+            axis = _AXES.get(r.field)
             if axis is not None and axis >= dim:
                 raise ValueError(f"ramp field {r.field!r} needs a {axis + 1}D+ pulse")
             if not (0 <= r.start_cycle < self.total_cycles
                     and r.end_cycle <= self.total_cycles):
                 raise ValueError("ramp window must lie within the run")
+            for value in (r.start_value, r.end_value):
+                try:
+                    self.cycle[r.pulse_index].with_field(r.field, value)
+                except ValueError as exc:
+                    raise ValueError(f"ramp of {r.field!r} to {value}: {exc}") from exc
 
     @property
     def dim(self) -> int:
@@ -126,6 +153,10 @@ class Schedule:
     def is_ramped(self, pulse_index: int) -> bool:
         return any(r.pulse_index == pulse_index for r in self.ramps)
 
+    def resolved(self, params: SimParams) -> "Schedule":
+        """This schedule with every pulse resolved against ``params``."""
+        return replace(self, cycle=tuple(p.resolved(params) for p in self.cycle))
+
 
 def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
     """Concrete pulse list for one cycle, with ramped fields interpolated."""
@@ -136,13 +167,8 @@ def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
     for ramp in schedule.ramps:
         if not ramp.active_at(cycle_index):
             continue
-        value = ramp.value_at(cycle_index)
-        p = pulses[ramp.pulse_index]
-        axis = {"a_x": 0, "a_y": 1, "a_z": 2}.get(ramp.field)
-        if axis is not None:
-            pulses[ramp.pulse_index] = p.with_amp(axis, value)
-        else:
-            pulses[ramp.pulse_index] = replace(p, **{ramp.field: value})
+        pulses[ramp.pulse_index] = pulses[ramp.pulse_index].with_field(
+            ramp.field, ramp.value_at(cycle_index))
     return pulses
 
 

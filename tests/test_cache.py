@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bosecool import (CacheCorruptError, CacheMismatchError, PulseSpec,
-                      SimParams, build_absorption_rates, cache_filename,
-                      cache_load, cache_store, enumerate_levels)
+from bosecool import (CacheCorruptError, CacheMismatchError, MatrixProvider,
+                      PulseSpec, SimParams, cache_filename, cache_load,
+                      cache_store, enumerate_levels)
 from bosecool.rates import RateMatrix
 
 
 def small_matrix(eta=1.1):
     basis = enumerate_levels(1, 5)
     params = SimParams(eta=eta, omega0_tau_abs=0.3)
-    return build_absorption_rates(basis, params, PulseSpec(s=-1, amps=(1.0,)))
+    return MatrixProvider(basis, params).absorption(PulseSpec(s=-1, amps=(1.0,))).matrix
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -136,6 +136,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, sim_doc(out), "seed.yaml")
     assert run_cli(["simulate", "--config", cfg, "--seed", "-1"]) == 2
 
+    doc = sim_doc(out)  # a ramp whose end value no pulse can take
+    doc["schedule"]["ramps"] = [{"pulse": 0, "field": "omega0_tau_abs",
+                                 "start": 0.4, "end": 1.5,
+                                 "start_cycle": 10, "end_cycle": 40}]
+    cfg = write_doc(tmp_path, doc, "ramp.yaml")
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "omega0_tau_abs" in err
+
 
 def test_overdriven_pulse_exits_3(tmp_path, capsys):
     # 3-beam diagonal on a hot level pushes per-atom probability past 1
@@ -252,6 +262,15 @@ def test_hysteresis_command_end_to_end(tmp_path):
     }
     cfg = write_doc(tmp_path, doc)
     assert run_cli(["hysteresis", "--config", cfg, "--threads", "1"]) == 0
+    assert run_cli(["hysteresis", "--config", cfg, "--threads", "2",
+                    "--out", str(tmp_path / "out2")]) == 0
+    summaries = [read(d, "summary.txt").splitlines()
+                 for d in (out, str(tmp_path / "out2"))]
+    evals = [[ln for ln in lines if ln.startswith("ramp_evals:")]
+             for lines in summaries]
+    # worker-side evaluations count: every cycle moves the amplitude
+    assert evals[0] == evals[1] == ["ramp_evals: 1200"]
+    assert "events_total: not recorded" in summaries[0]
     text = read(out, "hysteresis.txt")
     assert "up_transfer_value: 0.70666666666666667" in text
     assert "up_transfer_cycle: 12" in text

@@ -7,14 +7,16 @@ checked against the exact reference propagator.
 """
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
-                      PulseSpec, RecorderSpec, Schedule, SimParams,
+                      PulseSpec, Ramp, RecorderSpec, Schedule, SimParams,
                       calibrate_pulse_area, emission_counts,
                       enumerate_configurations, enumerate_levels,
                       exact_initial_state, exact_propagate, franck_condon_1d,
@@ -456,24 +458,54 @@ def test_provider_ramp_evaluations_share_structure():
     provider = MatrixProvider(basis, params)
     for amp in (1.0, 0.9, 0.8, 0.7):
         provider.absorption(base.with_amp(0, amp))
-    assert provider.counters["ramp_evals"] == 4
     assert provider.counters["structure_builds"] == 1
+    assert provider.counters["abs_builds"] == 0  # evaluations are not builds
     # rates scale with the squared amplitude on a single-beam pulse
     full = provider.absorption(base).matrix.to_dense()
     half = provider.absorption(base.with_amp(0, 0.5)).matrix.to_dense()
     assert_allclose(half, 0.25 * full, rtol=1e-13)
 
 
-def test_provider_eviction_keeps_pinned_entries():
+def test_provider_serves_persisted_pulses_once():
     basis = enumerate_levels(1, 3)
     params = SimParams(eta=0.9, omega0_tau_abs=0.4)
     provider = MatrixProvider(basis, params)
-    provider.LRU_SIZE = 4
-    pinned = PulseSpec(s=-1, amps=(1.0,))
-    provider.absorption(pinned, persist=True)
-    base = PulseSpec(s=-1, amps=(1.0,))
-    for k in range(10):
-        provider.absorption(base.with_amp(0, 0.5 + 0.01 * k))
-    assert len(provider._rates) <= 4
-    key = (pinned.s, pinned.amps, 0.4, 4.0)
-    assert key in provider._rates
+    pulse = PulseSpec(s=-1, amps=(1.0,))
+    first = provider.absorption(pulse, persist=True)
+    # spelling out the default widths resolves to the same pulse
+    same = PulseSpec(s=-1, amps=(1.0,), omega0_tau_abs=0.4, omega_tau_abs=4.0)
+    assert provider.absorption(same, persist=True) is first
+    assert provider.counters["abs_builds"] == 1
+    assert provider.counters["structure_builds"] == 1
+
+    # an unpersisted evaluation is fresh on every call and kept nowhere
+    fresh = provider.absorption(pulse)
+    assert fresh is not first
+    assert_array_equal(fresh.matrix.rates, first.matrix.rates)
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
+    assert provider.absorption(pulse, persist=True) is first
+    assert provider.counters["abs_builds"] == 1
+
+
+def test_ramp_columns_record_the_area_in_effect():
+    # the pulse defers its area to params until the ramp starts at cycle 5
+    basis = enumerate_levels(1, 3)
+    params = SimParams(eta=0.9, omega0_tau_abs=0.4)
+    ramp = Ramp(pulse_index=0, field="omega0_tau_abs", start_value=0.2,
+                end_value=0.4, start_cycle=5, end_cycle=15)
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=20,
+                        ramps=(ramp,))
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[3] = 1
+    rec = run_trajectory(basis, params, schedule, Configuration(occ), None, 3,
+                         RecorderSpec(watched_ids=(0,), stride=1))
+    values = rec.ramp_values[:, 0]  # row k holds cycle max(0, k - 1)
+    assert_array_equal(values[:6], 0.4)
+    assert values[6] == 0.2
+    assert_allclose(values[7], 0.22, rtol=1e-14)
+    assert values[-1] == 0.4
+    # evaluated at cycle 0, then at each of the ten changing cycles 5..15
+    assert rec.ramp_evals == 12
