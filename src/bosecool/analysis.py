@@ -14,14 +14,12 @@ import numpy as np
 
 from .basis import Basis, SimParams
 from .dynamics import MatrixProvider
-from .rates import RateMatrix
-from .schedule import PulseSpec
 
 
-def _cycle_matrices(pulses, basis, params, provider=None):
+def _cycle_rates(pulses, basis, params, provider=None):
     if provider is None:
         provider = MatrixProvider(basis, params)
-    return [provider.absorption(p).matrix for p in pulses], provider
+    return [provider.absorption(p) for p in pulses], provider
 
 
 def depletion_profile(pulses, basis: Basis, params: SimParams,
@@ -29,10 +27,10 @@ def depletion_profile(pulses, basis: Basis, params: SimParams,
     """Total per-level emptying probability summed over the given pulses."""
     if not pulses:
         raise ValueError("at least one pulse is required")
-    matrices, _ = _cycle_matrices(pulses, basis, params, provider)
+    rates, _ = _cycle_rates(pulses, basis, params, provider)
     out = np.zeros(basis.size)
-    for m in matrices:
-        out += m.column_sums()
+    for r in rates:
+        out += r.depletion
     return out
 
 
@@ -95,15 +93,15 @@ def condensation_criterion(pulses, basis: Basis, params: SimParams,
         raise ValueError("at least one pulse is required")
     target_id = target if isinstance(target, (int, np.integer)) \
         else basis.id_of(tuple(target))
-    matrices, provider = _cycle_matrices(pulses, basis, params, provider)
+    rates, provider = _cycle_rates(pulses, basis, params, provider)
 
     n0 = int(target_id)
     first = np.zeros(basis.size)          # cycle absorption out of each level
     from_target = np.zeros(basis.size)    # cycle absorption out of the target,
-    for m in matrices:                    # resolved per excited level
-        first += m.column_sums()
-        sel = m.from_ids == n0
-        np.add.at(from_target, m.to_ids[sel].astype(np.int64), m.rates[sel])
+    for r in rates:                       # resolved per excited level
+        first += r.depletion
+        lo, hi = r.chan_indptr[n0], r.chan_indptr[n0 + 1]
+        np.add.at(from_target, r.chan_to[lo:hi], r.chan_rate[lo:hi])
 
     sp = provider.spontaneous_dense()
     sources = np.flatnonzero(from_target > 0.0)

@@ -103,8 +103,10 @@ class SimParams:
     All energies are in units of the trap frequency, all times in units
     of the absorption pulse width. ``eta`` is the Lamb-Dicke parameter of
     the stimulated beams, ``eta_sp_ratio`` rescales it for the emitted
-    photon. ``gamma`` (excited-state linewidth over trap frequency) only
-    enters wall-clock conversions; branching ratios are gamma-free.
+    photon. ``gamma`` (excited-state linewidth over trap frequency) is
+    validated and kept, but no computation reads it: branching ratios are
+    gamma-free and ``cycles_to_seconds`` takes the repump length as
+    ``sp_ratio`` instead.
     ``resonance_window`` is the number of shells around exact resonance
     kept in absorption matrices; the default 0 keeps only resonant terms,
     which the pulse widths (omega_tau_abs > 1) are chosen to justify.

@@ -36,46 +36,15 @@ import multiprocessing as mp
 import numpy as np
 
 from .basis import Basis, Configuration, SimParams, sample_initial_configuration
-from .cache import (CacheError, cache_filename, cache_load, cache_store)
-from .rates import (AbsorptionStructure, PhysicsValidityError, RateMatrix,
-                    absorption_fingerprint, absorption_structure,
+from .cache import cache_filename, cache_load, cache_store
+from .rates import (AbsorptionStructure, PhysicsValidityError, PulseRates,
+                    RateMatrix, absorption_fingerprint, absorption_structure,
                     build_spontaneous_rates, emission_quadrature,
                     spontaneous_fingerprint, EmissionQuadrature)
 from .schedule import PulseSpec, Schedule, resolve_cycle
 
 P_WARN = 0.5  # single-pulse excitation probability worth a warning
 P_HARD = 1.0  # and the value at which the step law stops being a probability
-
-
-@dataclass
-class PulseRates:
-    """Absorption matrix unpacked for the sampler.
-
-    Entries are regrouped by source level (CSC-style) so that, per
-    absorbed atom, the excited-level draw is a slice lookup: channels of
-    source m live at ``chan_indptr[m]:chan_indptr[m+1]``.
-    """
-
-    key: tuple
-    depletion: np.ndarray
-    chan_indptr: np.ndarray
-    chan_to: np.ndarray
-    chan_rate: np.ndarray
-    matrix: RateMatrix
-
-    @classmethod
-    def from_matrix(cls, key: tuple, matrix: RateMatrix) -> "PulseRates":
-        n = matrix.shape[1]
-        frm = matrix.from_ids.astype(np.int64)
-        order = np.argsort(frm, kind="stable")
-        sorted_from = frm[order]
-        indptr = np.searchsorted(sorted_from, np.arange(n + 1))
-        return cls(key=key,
-                   depletion=matrix.column_sums(),
-                   chan_indptr=indptr,
-                   chan_to=matrix.to_ids.astype(np.int64)[order],
-                   chan_rate=matrix.rates[order],
-                   matrix=matrix)
 
 
 class MatrixProvider:
@@ -114,35 +83,35 @@ class MatrixProvider:
             self.counters["structure_builds"] += 1
         return st
 
-    def _evaluate(self, pulse: PulseSpec) -> RateMatrix:
+    def _evaluate(self, pulse: PulseSpec) -> PulseRates:
         return self._structure(pulse).evaluate(pulse.amps, pulse.omega0_tau_abs)
 
-    def _load_or_build(self, pulse: PulseSpec) -> RateMatrix:
+    def _load_or_build(self, pulse: PulseSpec) -> PulseRates:
         fp = absorption_fingerprint(self.basis, pulse.s, self.params.eta,
                                     pulse.amps, pulse.omega0_tau_abs,
                                     pulse.omega_tau_abs, self.params.resonance_window)
         path = (os.path.join(self.cache_dir, cache_filename(fp))
                 if self.cache_dir is not None else None)
         if path is not None and os.path.exists(path):
-            matrix = cache_load(path, fp)
+            rates = PulseRates.from_matrix(cache_load(path, fp))
             self.counters["disk_loads"] += 1
-            return matrix
-        matrix = self._evaluate(pulse)
+            return rates
+        rates = self._evaluate(pulse)
         self.counters["abs_builds"] += 1
         if path is not None:
-            cache_store(matrix, path)
-        return matrix
+            record = rates.matrix
+            record.fingerprint = fp
+            cache_store(record, path)
+        return rates
 
     def absorption(self, pulse: PulseSpec, persist: bool = False) -> PulseRates:
         pulse = pulse.resolved(self.params)
-        key = pulse.key()
         if not persist:
-            return PulseRates.from_matrix(key, self._evaluate(pulse))
-        rates = self._static.get(key)
-        if rates is None:
-            rates = PulseRates.from_matrix(key, self._load_or_build(pulse))
-            self._static[key] = rates
-        return rates
+            return self._evaluate(pulse)
+        key = pulse.key()
+        if key not in self._static:
+            self._static[key] = self._load_or_build(pulse)
+        return self._static[key]
 
     # -- spontaneous ---------------------------------------------------
 
@@ -250,16 +219,13 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     return tuple(events), worst
 
 
-def pulse_step(config: Configuration, gamma_abs: RateMatrix | PulseRates,
-               gamma_sp: RateMatrix | np.ndarray,
+def pulse_step(config: Configuration, rates: PulseRates, sp_dense: np.ndarray,
                rng: np.random.Generator) -> PulseStepOutcome:
-    """One stochastic pulse applied to a copy of ``config``."""
-    rates = (gamma_abs if isinstance(gamma_abs, PulseRates)
-             else PulseRates.from_matrix(("adhoc",), gamma_abs))
-    sp = gamma_sp if isinstance(gamma_sp, np.ndarray) else gamma_sp.to_dense()
+    """One stochastic pulse applied to a copy of ``config``; ``sp_dense``
+    is the dense emission matrix."""
     out = config.copy()
     occf = out.occ.astype(np.float64)
-    events, p = _step(out.occ, occf, rates, sp, rng)
+    events, p = _step(out.occ, occf, rates, sp_dense, rng)
     return PulseStepOutcome(config=out, p_excite=p, events=events)
 
 
@@ -715,8 +681,7 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     worst_any = 0.0
     for pulse in resolve_cycle(schedule.resolved(params), 0):
         struct = absorption_structure(basis, params, pulse.s, pulse.omega_tau_abs)
-        m = struct.evaluate(pulse.amps, omega0_tau_abs=0.5)
-        dep = m.column_sums()
+        dep = struct.evaluate(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))
         worst_any = max(worst_any, 2.0 * float(dep.max()))
     if worst_pop == 0.0:

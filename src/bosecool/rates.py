@@ -1,16 +1,18 @@
 """Rate matrices for stimulated absorption and spontaneous emission.
 
-Absorption entries are dimensionless per-pulse excitation factors: the
+Absorption rates are dimensionless per-pulse excitation factors: the
 second-order pulse-area prefactor pi/8 * (omega0_tau_abs)^2 is folded in,
 so the per-pulse excitation probability of one atom in ground level m is
-2 * sum_l rate[l, m]. Spontaneous entries are branching rates in units of
-the excited-state linewidth; the dynamics renormalizes them per
-configuration, so only ratios matter.
+2 * depletion[m], the sum of the rates of m's channels. A pulse's
+absorption lives in ``PulseRates``, its channels grouped by source level
+in the order the sampler draws them. Spontaneous entries are branching
+rates in units of the excited-state linewidth; the dynamics renormalizes
+them per configuration, so only ratios matter.
 
-Matrix convention: entry (to_id, from_id), i.e. columns are source
-levels. Column sums of an absorption matrix are depletion rates; column
-sums of a spontaneous matrix approach 1 when the truncation holds the
-full emission band.
+``RateMatrix`` holds (to_id, from_id) triplets, i.e. columns are source
+levels. It is the emission matrix, whose column sums approach 1 when the
+truncation holds the full emission band, and the record a pulse's
+absorption is cached as on disk.
 """
 
 from __future__ import annotations
@@ -176,12 +178,41 @@ class RateMatrix:
         return out
 
 
-def _apply_cutoff(to_ids, from_ids, vals, rel_cutoff):
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.size == 0:
-        return to_ids, from_ids, vals
-    keep = vals >= rel_cutoff * vals.max()
-    return to_ids[keep], from_ids[keep], vals[keep]
+@dataclass
+class PulseRates:
+    """One pulse's absorption, grouped by source level for the sampler.
+
+    Channels of source m live at ``chan_indptr[m]:chan_indptr[m+1]``:
+    excited level ``chan_to`` at rate ``chan_rate``, in the order the
+    structure lists them (the diagonal first, then the one-axis shifts),
+    which is the order the sampler's channel draw walks. ``depletion[m]``
+    sums source m's channel rates.
+    """
+
+    depletion: np.ndarray
+    chan_indptr: np.ndarray
+    chan_to: np.ndarray
+    chan_rate: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, matrix: RateMatrix) -> "PulseRates":
+        """Group a (to, from) record by source, keeping record order
+        within each source."""
+        n = matrix.shape[1]
+        frm = matrix.from_ids.astype(np.int64)
+        order = np.argsort(frm, kind="stable")
+        return cls(depletion=matrix.column_sums(),
+                   chan_indptr=np.searchsorted(frm[order], np.arange(n + 1)),
+                   chan_to=matrix.to_ids.astype(np.int64)[order],
+                   chan_rate=matrix.rates[order])
+
+    @property
+    def matrix(self) -> RateMatrix:
+        """These rates as a (to, from) record, without a fingerprint."""
+        n = self.depletion.shape[0]
+        from_ids = np.repeat(np.arange(n), np.diff(self.chan_indptr))
+        return RateMatrix("absorption", (n, n), self.chan_to, from_ids,
+                          self.chan_rate)
 
 
 # ------------------------------------------------------------ absorption
@@ -189,58 +220,45 @@ def _apply_cutoff(to_ids, from_ids, vals, rel_cutoff):
 
 @dataclass(frozen=True)
 class AbsorptionStructure:
-    """Amplitude-independent skeleton of one pulse's absorption matrix.
+    """Amplitude-independent skeleton of one pulse's absorption.
 
     The coherent beam sum only survives on the diagonal (any off-diagonal
     pair differs on exactly one axis and is reached by that axis' beam
-    alone), so the matrix is a quadratic form in the beam amplitudes:
+    alone), so the rates are a quadratic form in the beam amplitudes:
     diagonal entries |sum_j A_j d_j(m)|^2, one-axis entries A_j^2 f_j.
-    Evaluating at a new amplitude vector is O(size) and is what makes
-    amplitude ramps cheap.
+    Channels are stored grouped by source as ``PulseRates`` holds them,
+    so evaluating at a new amplitude vector is O(channels) with no
+    regrouping, which is what makes amplitude ramps cheap.
     """
 
     basis: Basis
-    s: int
-    eta: float
-    omega_tau_abs: float
-    window: int
     diag_amp: np.ndarray | None       # (size, dim) per-axis diagonal amplitudes
     diag_spectrum: float
-    blocks: tuple                      # (axis, from_ids, to_ids, fc2 * spectrum)
+    indptr: np.ndarray                 # channels of source m: indptr[m]:indptr[m+1]
+    chan_from: np.ndarray
+    chan_to: np.ndarray
+    chan_axis: np.ndarray              # beam axis of a shift, dim on the diagonal
+    chan_fc2s: np.ndarray              # fc2 * spectrum of a shift, 0 on the diagonal
 
-    def evaluate(self, amps: tuple[float, ...], omega0_tau_abs: float,
-                 rel_cutoff: float = REL_CUTOFF) -> RateMatrix:
+    def evaluate(self, amps: tuple[float, ...],
+                 omega0_tau_abs: float) -> PulseRates:
         if len(amps) != self.basis.dim:
             raise ValueError("amplitude tuple length must match basis dim")
         pref = math.pi / 8.0 * omega0_tau_abs ** 2
-        tos, fros, vals = [], [], []
-        if self.diag_amp is not None:
+        # a zero beam opens no channels; the diagonal is always open
+        live = np.array([a != 0.0 for a in amps] + [True])[self.chan_axis]
+        coef = np.array([pref * a * a for a in amps] + [0.0])
+        rate = coef[self.chan_axis] * self.chan_fc2s
+        if self.diag_amp is not None:  # each source's first channel
             m = self.diag_amp @ np.asarray(amps)
-            v = pref * self.diag_spectrum * m * m
-            ids = np.arange(self.basis.size, dtype=np.uint32)
-            tos.append(ids)
-            fros.append(ids)
-            vals.append(v)
-        for axis, from_ids, to_ids, fc2s in self.blocks:
-            a = amps[axis]
-            if a == 0.0:
-                continue
-            tos.append(to_ids)
-            fros.append(from_ids)
-            vals.append(pref * a * a * fc2s)
-        if tos:
-            to_ids = np.concatenate(tos)
-            from_ids = np.concatenate(fros)
-            rates = np.concatenate(vals)
-        else:
-            to_ids = np.empty(0, dtype=np.uint32)
-            from_ids = np.empty(0, dtype=np.uint32)
-            rates = np.empty(0)
-        to_ids, from_ids, rates = _apply_cutoff(to_ids, from_ids, rates, rel_cutoff)
-        fp = absorption_fingerprint(self.basis, self.s, self.eta, amps,
-                                    omega0_tau_abs, self.omega_tau_abs, self.window)
-        n = self.basis.size
-        return RateMatrix("absorption", (n, n), to_ids, from_ids, rates, fp)
+            rate[self.indptr[:-1]] = pref * self.diag_spectrum * m * m
+        keep = live & (rate >= REL_CUTOFF * rate[live].max(initial=0.0))
+        return PulseRates(
+            depletion=np.bincount(self.chan_from[keep], weights=rate[keep],
+                                  minlength=self.basis.size),
+            chan_indptr=np.concatenate(([0], np.cumsum(keep)))[self.indptr],
+            chan_to=self.chan_to[keep],
+            chan_rate=rate[keep])
 
 
 def absorption_fingerprint(basis: Basis, s: int, eta: float, amps,
@@ -254,26 +272,28 @@ def absorption_fingerprint(basis: Basis, s: int, eta: float, amps,
 
 def absorption_structure(basis: Basis, params: SimParams, s: int,
                          omega_tau_abs: float) -> AbsorptionStructure:
-    """Precompute the amplitude-independent pieces of a pulse matrix.
+    """Precompute the amplitude-independent pieces of a pulse's rates.
 
     Keeps (to, from) pairs whose shell change is within
     ``params.resonance_window`` of the pulse's shell target ``s``;
     ``omega_tau_abs`` is the pulse's resolved width. A beam moves quantum
     numbers on its own axis only, so pairs differing on two or more axes
-    never appear.
+    never appear. Channels are listed the diagonal first, then one
+    (axis, delta) block after another, and grouped by source with a
+    stable sort, so each source keeps that order.
     """
     window = params.resonance_window
     nq = basis.max_shell
     eta = params.eta
+    n = basis.size
 
-    diag_amp = None
-    diag_spec = 0.0
-    if abs(s) <= window:
-        d = fc_diag(nq, eta)
-        diag_amp = d[basis.levels]  # (size, dim) gather per axis
-        diag_spec = pulse_spectrum_sq(float(s), omega_tau_abs)
-
-    blocks = []
+    on_diag = abs(s) <= window
+    diag_amp = fc_diag(nq, eta)[basis.levels] if on_diag else None
+    diag_spec = pulse_spectrum_sq(float(s), omega_tau_abs) if on_diag else 0.0
+    # (from_ids, to_ids, axis, fc2 * spectrum): the diagonal, empty off
+    # resonance, then one block per (axis, delta)
+    ids = np.arange(n if on_diag else 0)
+    chans = [(ids, ids, np.full(ids.size, basis.dim), np.zeros(ids.size))]
     deltas = [d for d in range(s - window, s + window + 1) if d != 0]
     for axis in range(basis.dim):
         q = basis.levels[:, axis]
@@ -283,15 +303,19 @@ def absorption_structure(basis: Basis, params: SimParams, s: int,
             ok = (target[:, axis] >= 0) & (basis.shells + delta <= nq)
             if not ok.any():
                 continue
-            from_ids = np.nonzero(ok)[0].astype(np.uint32)
-            to_ids = basis.lut[tuple(target[ok].T)].astype(np.uint32)
+            from_ids = np.nonzero(ok)[0]
+            to_ids = basis.lut[tuple(target[ok].T)].astype(np.int64)
             fc2 = fc_abs2_shift(nq, delta, eta)[q[ok]]
             spec = pulse_spectrum_sq(float(s - delta), omega_tau_abs)
-            blocks.append((axis, from_ids, to_ids, fc2 * spec))
-    return AbsorptionStructure(basis=basis, s=s, eta=eta,
-                               omega_tau_abs=omega_tau_abs,
-                               window=window, diag_amp=diag_amp,
-                               diag_spectrum=diag_spec, blocks=tuple(blocks))
+            chans.append((from_ids, to_ids, np.full(from_ids.size, axis),
+                          fc2 * spec))
+    frm, to, axes, fc2s = (np.concatenate(col) for col in zip(*chans))
+    order = np.argsort(frm, kind="stable")
+    return AbsorptionStructure(
+        basis=basis, diag_amp=diag_amp, diag_spectrum=diag_spec,
+        indptr=np.searchsorted(frm[order], np.arange(n + 1)),
+        chan_from=frm[order], chan_to=to[order], chan_axis=axes[order],
+        chan_fc2s=fc2s[order])
 
 
 # ------------------------------------------------------------- emission

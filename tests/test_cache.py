@@ -7,13 +7,19 @@ from numpy.testing import assert_array_equal
 from bosecool import (CacheCorruptError, CacheMismatchError, MatrixProvider,
                       PulseSpec, SimParams, cache_filename, cache_load,
                       cache_store, enumerate_levels)
-from bosecool.rates import RateMatrix
+from bosecool.rates import RateMatrix, absorption_fingerprint
 
 
 def small_matrix(eta=1.1):
+    """A pulse's absorption record, fingerprinted as the provider stores it."""
     basis = enumerate_levels(1, 5)
     params = SimParams(eta=eta, omega0_tau_abs=0.3)
-    return MatrixProvider(basis, params).absorption(PulseSpec(s=-1, amps=(1.0,))).matrix
+    pulse = PulseSpec(s=-1, amps=(1.0,)).resolved(params)
+    mat = MatrixProvider(basis, params).absorption(pulse).matrix
+    mat.fingerprint = absorption_fingerprint(
+        basis, pulse.s, eta, pulse.amps, pulse.omega0_tau_abs,
+        pulse.omega_tau_abs, params.resonance_window)
+    return mat
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -10,6 +10,7 @@ import warnings
 
 import yaml
 
+import bosecool
 from bosecool.cli import CACHE_ENV, main
 
 OBS_HEADER = "cycle,frac_0_mean,frac_0_std,frac_1_mean,frac_1_std,mean_shell"
@@ -282,8 +283,12 @@ def test_hysteresis_command_end_to_end(tmp_path):
 
 
 def test_module_entry_point_smoke():
+    # the child imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(bosecool.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "bosecool", "--help"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
     assert "hysteresis" in proc.stdout

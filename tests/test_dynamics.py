@@ -38,7 +38,7 @@ def rate_matrix(size, entries, kind="absorption"):
 
 
 def pulse_rates(size, entries):
-    return PulseRates.from_matrix(("test",), rate_matrix(size, entries))
+    return PulseRates.from_matrix(rate_matrix(size, entries))
 
 
 def rng_of(seed):
@@ -61,7 +61,7 @@ def sample_steps(occ0, rates, sp, n_steps, seed):
 
 def test_pulse_rates_grouping():
     mat = rate_matrix(4, [(0, 2, 0.1), (1, 2, 0.3), (0, 3, 0.2)])
-    pr = PulseRates.from_matrix(("k",), mat)
+    pr = PulseRates.from_matrix(mat)
     assert_allclose(pr.depletion, [0.0, 0.0, 0.4, 0.2])
     # channels for level 2 enumerate both destinations
     lo, hi = pr.chan_indptr[2], pr.chan_indptr[3]

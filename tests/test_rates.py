@@ -11,12 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (MatrixProvider, PulseSpec, SimParams,
-                      build_spontaneous_rates, emission_quadrature,
-                      enumerate_levels, franck_condon_1d, pulse_spectrum_sq)
-from bosecool.rates import RateMatrix, absorption_structure
+                      build_spontaneous_rates, cache_filename, cache_store,
+                      emission_quadrature, enumerate_levels, franck_condon_1d,
+                      pulse_spectrum_sq)
+from bosecool.rates import (PulseRates, RateMatrix, absorption_fingerprint,
+                            absorption_structure)
 
 PREF = math.pi / 8.0
 
@@ -153,6 +155,75 @@ def test_structure_amps_length_checked():
                                   -1, 4.0)
     with pytest.raises(ValueError):
         struct.evaluate((1.0, 1.0, 1.0), 0.4)
+
+
+def channel_shifts(basis, rates):
+    """Source, beam axis and quantum-number shift of every channel in
+    layout order; the diagonal has axis -1 and shift 0."""
+    src = np.repeat(np.arange(basis.size), np.diff(rates.chan_indptr))
+    diff = basis.levels[rates.chan_to].astype(np.int64) - basis.levels[src]
+    moved = diff != 0
+    axis = np.where(moved.any(axis=1), moved.argmax(axis=1), -1)
+    return src, axis, diff.sum(axis=1)
+
+
+def assert_same_rates(got, want):
+    for name in ("depletion", "chan_indptr", "chan_to", "chan_rate"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dim, max_shell, window, s, amps", [
+    (1, 8, 2, -1, (1.0,)),
+    (2, 6, 1, 0, (1.0, 0.6)),
+    (3, 5, 2, -1, (1.0, 1.0, 1.0)),
+    (3, 5, 1, 1, (0.0, 1.0, 0.5)),    # a zero beam opens no channels
+    (3, 5, 1, 0, (0.0, 0.0, 0.0)),    # only the all-zero diagonal is left
+    (3, 6, 0, 0, (1.0, 1.0, -2.0)),   # interference: (0,0,0) exactly dark
+])
+def test_pulse_rates_layout(dim, max_shell, window, s, amps):
+    # the sampler draws a source's channels in layout order, so evaluating
+    # must give what regrouping the record by source gives, bit for bit
+    basis = enumerate_levels(dim, max_shell)
+    params = SimParams(eta=2.0, omega0_tau_abs=0.3, resonance_window=window)
+    rates = absorption_structure(basis, params, s, 4.0).evaluate(amps, 0.3)
+    assert rates.chan_to.size > 0
+    assert_same_rates(PulseRates.from_matrix(rates.matrix), rates)
+    # per source: the diagonal first, then (axis, delta) blocks in order
+    src, axis, delta = channel_shifts(basis, rates)
+    assert_array_equal(np.lexsort((delta, axis, src)), np.arange(src.size))
+    if amps[0] == 0.0:
+        assert not (axis == 0).any()
+    if amps == (1.0, 1.0, -2.0):
+        ground = basis.id_of((0, 0, 0))
+        assert rates.depletion[ground] == 0.0
+        assert rates.chan_indptr[ground + 1] == rates.chan_indptr[ground]
+
+
+def test_ungrouped_cache_record_loads_bitwise(tmp_path):
+    # a record listed block by block (the diagonal, then each (axis, delta)
+    # block over ascending sources) is not grouped by source
+    basis = enumerate_levels(2, 5)
+    params = SimParams(eta=1.3, omega0_tau_abs=0.3, resonance_window=1)
+    pulse = PulseSpec(s=0, amps=(1.0, 0.7)).resolved(params)
+    fresh = MatrixProvider(basis, params).absorption(pulse)
+    src, axis, delta = channel_shifts(basis, fresh)
+    order = np.lexsort((src, delta, axis))
+    grouped = fresh.matrix
+    fp = absorption_fingerprint(basis, pulse.s, params.eta, pulse.amps,
+                                pulse.omega0_tau_abs, pulse.omega_tau_abs,
+                                params.resonance_window)
+    record = RateMatrix("absorption", grouped.shape, grouped.to_ids[order],
+                        grouped.from_ids[order], grouped.rates[order], fp)
+    assert (np.diff(record.from_ids.astype(np.int64)) < 0).any()
+    cache_store(record, tmp_path / cache_filename(fp))
+
+    provider = MatrixProvider(basis, params, cache_dir=str(tmp_path))
+    loaded = provider.absorption(pulse, persist=True)
+    assert provider.counters["abs_builds"] == 0
+    assert provider.counters["disk_loads"] == 1
+    assert_same_rates(loaded, fresh)
 
 
 def test_quadrature_normalization():
