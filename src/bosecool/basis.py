@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 TrapLevel = tuple[int, ...]
 
@@ -171,6 +170,49 @@ def _shell_moments(basis: Basis, beta: float) -> float:
     return float((w * s).sum() / w.sum())
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` bracketed by [xa, xb]: Brent's method, step for step
+    as scipy's C ``brentq``, so the root agrees with it to the last bit."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("root finder failed to converge after 100 iterations")
+
+
 def thermal_distribution(basis: Basis, mean_shell: float) -> np.ndarray:
     """Boltzmann weights over levels with the requested mean shell.
 
@@ -190,8 +232,8 @@ def thermal_distribution(basis: Basis, mean_shell: float) -> np.ndarray:
             f"mean_shell={mean_shell} not attainable on this basis "
             f"(reachable range [{lo_mean:.3g}, {hi_mean:.3g}])")
 
-    beta = brentq(lambda b: _shell_moments(basis, b) - mean_shell,
-                  -_BETA_LIMIT, _BETA_LIMIT, xtol=1e-13, rtol=8.882e-16)
+    beta = _brentq(lambda b: _shell_moments(basis, b) - mean_shell,
+                   -_BETA_LIMIT, _BETA_LIMIT, xtol=1e-13, rtol=8.882e-16)
 
     expo = -beta * basis.shells.astype(np.float64)
     expo -= expo.max()

@@ -22,6 +22,14 @@ area legal for one atom is legal for five hundred.
 Trajectories draw from counter-based Philox streams keyed by
 (master seed, trajectory index), so an ensemble is bitwise reproducible
 for any worker count and any execution order.
+
+A trajectory keeps each pulse's draw inputs (the occupied levels it
+couples, their counts and probabilities, the worst probability) from one
+pulse to the next. They stay valid until the next event, which drops
+every pulse's inputs, or until the pulse's rates change, which drops its
+own. A quiet pulse therefore costs only its binomial draws. The draw
+order is the one a fresh computation gives, so reuse changes no random
+number.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ from .schedule import PulseSpec, Schedule, resolve_cycle
 
 P_WARN = 0.5  # single-pulse excitation probability worth a warning
 P_HARD = 1.0  # and the value at which the step law stops being a probability
+# Up to this many coupled levels, one scalar binomial per level is cheaper
+# than one array call; numpy draws an array element by element, so both
+# consume the same stream.
+_SCALAR_DRAWS = 8
 
 
 class MatrixProvider:
@@ -132,6 +144,8 @@ class MatrixProvider:
         return self._sp_matrix
 
     def spontaneous_dense(self) -> np.ndarray:
+        """Dense emission matrix; column-major, so the column an emission
+        draw reads is contiguous."""
         if self._sp_dense is None:
             self._sp_dense = self.spontaneous().to_dense()
         return self._sp_dense
@@ -168,31 +182,61 @@ def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     return k
 
 
-def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
-          sp_dense: np.ndarray, rng: np.random.Generator):
-    """Advance one pulse in place. Returns (events, worst per-atom p).
+# the draw inputs of a pulse that couples no occupied level
+_DARK = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), 0.0)
 
-    Draw order is fixed: one binomial per occupied coupled level in
-    ascending level order, one permutation for the emission order, then
-    per excited atom a channel draw and a destination draw. Fixed order
-    keeps trajectories bitwise reproducible.
-    """
-    occ_ids = np.flatnonzero(occ)
-    pa = 2.0 * rates.depletion[occ_ids]
+
+def _draw_inputs(occ: np.ndarray, occ_ids: np.ndarray, depletion: np.ndarray):
+    """What one pulse's excitation draw reads: the occupied levels the
+    pulse couples (ascending), their counts, their per-atom probabilities
+    2 Gamma_m (counts and probabilities as lists for at most
+    ``_SCALAR_DRAWS`` levels) and the worst of these (0.0 when no occupied
+    level couples). Raises where an occupied level's probability exceeds
+    P_HARD."""
+    pa = 2.0 * depletion[occ_ids]
     hit = pa > 0.0
     if not hit.any():
-        return (), 0.0
+        return _DARK
     worst = float(pa.max())
     if worst > P_HARD:
         raise PhysicsValidityError(
             f"per-atom excitation probability {worst:.4f} exceeds 1 for an "
             "occupied level; the perturbative step law is invalid at this "
             "pulse area")
-    occ_ids = occ_ids[hit]
-    counts = rng.binomial(occ[occ_ids], pa[hit])
+    ids = occ_ids[hit]
+    if ids.size <= _SCALAR_DRAWS:
+        return ids, occ[ids].tolist(), pa[hit].tolist(), worst
+    return ids, occ[ids], pa[hit], worst
+
+
+def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
+          sp_dense: np.ndarray, rng: np.random.Generator, inputs=None):
+    """Advance one pulse in place. Returns (events, worst per-atom p).
+
+    Draw order is fixed: one binomial per occupied coupled level in
+    ascending level order, one permutation for the emission order, then
+    per excited atom a channel draw and a destination draw. Fixed order
+    keeps trajectories bitwise reproducible.
+
+    ``inputs`` is this pulse's ``_draw_inputs`` for the current ``occ``
+    and ``rates``; without it they are computed here. A caller that keeps
+    them must drop them once a step returns events or ``rates`` change.
+    """
+    if inputs is None:
+        inputs = _draw_inputs(occ, np.flatnonzero(occ), rates.depletion)
+    occ_ids, n_occ, pa, worst = inputs
+    if not worst:
+        return (), 0.0
+    if type(pa) is list:
+        counts = [rng.binomial(k, q) for k, q in zip(n_occ, pa)]
+        if not any(counts):
+            return (), worst
+        counts = np.array(counts, dtype=np.int64)
+    else:
+        counts = rng.binomial(n_occ, pa)
+        if not counts.any():
+            return (), worst
     total = int(counts.sum())
-    if total == 0:
-        return (), worst
     absorbed = np.repeat(occ_ids, counts)
     occ[occ_ids] -= counts
     occf[occ_ids] -= counts.astype(np.float64)
@@ -305,6 +349,9 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     rates = [provider.absorption(p, persist=i not in ramped)
              for i, p in enumerate(pulses)]
     ramp_evals = len(ramped)
+    # each pulse's draw inputs, kept until an event or new rates
+    occ_ids = np.flatnonzero(occ)
+    inputs: list = [None] * schedule.n_pulses
 
     rows_cycles: list[int] = []
     rows_watch: list[np.ndarray] = []
@@ -328,10 +375,14 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
             for i in ramped:
                 if current[i] != pulses[i]:
                     rates[i] = provider.absorption(current[i])
+                    inputs[i] = None
                     ramp_evals += 1
             pulses = current
         for i in range(schedule.n_pulses):
-            pulse_events, p = _step(occ, occf, rates[i], sp_dense, rng)
+            if inputs[i] is None:
+                inputs[i] = _draw_inputs(occ, occ_ids, rates[i].depletion)
+            pulse_events, p = _step(occ, occf, rates[i], sp_dense, rng,
+                                    inputs[i])
             if p > p_max:
                 p_max = p
             if p > P_WARN:
@@ -341,9 +392,12 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
                                   "0.5; rates are near the edge of the "
                                   "perturbative regime", stacklevel=2)
                     warned = True
-            if pulse_events and recorder.record_events:
-                for ev in pulse_events:
-                    events.append((c, i) + ev)
+            if pulse_events:
+                occ_ids = np.flatnonzero(occ)
+                inputs = [None] * schedule.n_pulses
+                if recorder.record_events:
+                    for ev in pulse_events:
+                        events.append((c, i) + ev)
         done = c + 1
         if (recorder.stride and done % recorder.stride == 0
                 and done < schedule.total_cycles):

@@ -172,7 +172,8 @@ class RateMatrix:
         return float(self.rates.max()) if self.nnz else 0.0
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        """Dense copy in column-major order, so a column is contiguous."""
+        out = np.zeros(self.shape, order="F")
         np.add.at(out, (self.to_ids.astype(np.int64),
                         self.from_ids.astype(np.int64)), self.rates)
         return out

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bosecool import (Basis, Configuration, SimParams, enumerate_levels,
                       sample_initial_configuration, shell, thermal_distribution)
 
+from bosecool.basis import _BETA_LIMIT, _brentq, _shell_moments
+
 from oracles import thermal_level_weights
 
 
@@ -86,6 +88,27 @@ def test_thermal_matches_boltzmann_oracle():
     assert_allclose(float((p * basis.shells).sum()), 6.0, atol=1e-7)
     oracle = thermal_level_weights(basis.shells, math.log(1.5))
     assert_allclose(p, oracle, rtol=2e-6, atol=1e-18)
+
+
+def test_brent_root_matches_scipy_bitwise():
+    # the thermal solver's own equation on 1D-3D bases, 400 means each
+    optimize = pytest.importorskip("scipy.optimize")
+    n_roots = 0
+    for dim, max_shell in ((1, 5), (1, 30), (2, 3), (2, 12), (3, 2), (3, 20)):
+        basis = enumerate_levels(dim, max_shell)
+        lo = _shell_moments(basis, _BETA_LIMIT)
+        hi = _shell_moments(basis, -_BETA_LIMIT)
+        for mean in np.linspace(lo, hi, 402)[1:-1]:
+            def f(b):
+                return _shell_moments(basis, b) - mean
+            want = optimize.brentq(f, -_BETA_LIMIT, _BETA_LIMIT,
+                                   xtol=1e-13, rtol=8.882e-16)
+            got = _brentq(f, -_BETA_LIMIT, _BETA_LIMIT, xtol=1e-13, rtol=8.882e-16)
+            assert got == want, (dim, max_shell, mean)
+            n_roots += 1
+    assert n_roots == 2400
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13, rtol=8.882e-16)
 
 
 def test_thermal_two_level_half():

@@ -282,13 +282,27 @@ def test_hysteresis_command_end_to_end(tmp_path):
                       "frac_0_mean,frac_0_std,mean_shell")
 
 
-def test_module_entry_point_smoke():
-    # the child imports the package under test, installed or not
+def child_env() -> dict:
+    """Environment in which a child process imports the package under
+    test, installed or not."""
     src = os.path.dirname(os.path.dirname(bosecool.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "bosecool", "--help"],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
     assert "hysteresis" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, bosecool.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,8 +7,10 @@ checked against the exact reference propagator.
 """
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -17,10 +19,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       PulseSpec, Ramp, RecorderSpec, Schedule, SimParams,
-                      calibrate_pulse_area, emission_counts,
+                      TrajectoryRecord, calibrate_pulse_area,
+                      condensation_criterion, dynamics, emission_counts,
                       enumerate_configurations, enumerate_levels,
-                      exact_initial_state, exact_propagate, franck_condon_1d,
-                      pulse_step, run_ensemble, run_trajectory)
+                      exact_initial_state, exact_propagate, figure_schedule,
+                      franck_condon_1d, pulse_step, resolve_cycle,
+                      run_ensemble, run_trajectory)
 from bosecool.dynamics import PulseRates, _step
 from bosecool.rates import RateMatrix
 
@@ -509,3 +513,200 @@ def test_ramp_columns_record_the_area_in_effect():
     assert values[-1] == 0.4
     # evaluated at cycle 0, then at each of the ten changing cycles 5..15
     assert rec.ramp_evals == 12
+
+
+def reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
+    """``run_trajectory``'s record from a loop that resolves every cycle's
+    pulses afresh and calls the stateless ``_step`` on every pulse, with
+    one array binomial per pulse. Returns the record, or the number of
+    completed pulses if a step raised PhysicsValidityError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_SCALAR_DRAWS", 0)
+        return _reference_trajectory(basis, params, schedule, initial, seed_key,
+                                     recorder)
+
+
+def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
+    provider = MatrixProvider(basis, params)
+    provider.prepare(schedule)
+    sp = provider.spontaneous_dense()
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
+    occ = initial.occ.copy()
+    occf = occ.astype(np.float64)
+    shells = basis.shells.astype(np.float64)
+    n_total = float(occ.sum())
+    watched = np.asarray(recorder.watched_ids, dtype=np.int64)
+    fields = list(dict.fromkeys((r.pulse_index, r.field) for r in schedule.ramps))
+    schedule = schedule.resolved(params)
+    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
+    rows, events = [], []
+    p_max, n_warn, ramp_evals, steps = 0.0, 0, 0, 0
+
+    def row(done, pulses):
+        rows.append((done, occ[watched].copy(), float(shells @ occf / n_total),
+                     [pulses[i].field_value(f) for i, f in fields]))
+
+    previous = None
+    for c in range(schedule.total_cycles):
+        pulses = resolve_cycle(schedule, c)
+        ramp_evals += sum(previous is None or pulses[i] != previous[i]
+                          for i in ramped)
+        if c == 0:
+            row(0, pulses)
+        for i, pulse in enumerate(pulses):
+            rates = provider.absorption(pulse, persist=i not in ramped)
+            try:
+                pulse_events, p = _step(occ, occf, rates, sp, rng)
+            except PhysicsValidityError:
+                return steps
+            steps += 1
+            p_max = max(p_max, p)
+            n_warn += p > 0.5
+            if recorder.record_events:
+                events.extend((c, i) + ev for ev in pulse_events)
+        done = c + 1
+        if (recorder.stride and done % recorder.stride == 0
+                and done < schedule.total_cycles) or done == schedule.total_cycles:
+            row(done, pulses)
+        previous = pulses
+    return TrajectoryRecord(
+        cycles=np.array([r[0] for r in rows], dtype=np.int64),
+        watched_occ=np.array([r[1] for r in rows], dtype=np.int64),
+        mean_shell=np.array([r[2] for r in rows]),
+        ramp_values=np.array([r[3] for r in rows],
+                             dtype=np.float64).reshape(len(rows), len(fields)),
+        events=np.array(events, dtype=np.int64).reshape(len(events), 5),
+        final_occ=occ.copy(), p_max=p_max, n_warn_pulses=n_warn,
+        seed_key=seed_key, ramp_evals=ramp_evals)
+
+
+def assert_records_identical(a, b):
+    for f in dataclasses.fields(TrajectoryRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
+def test_kept_draw_inputs_leave_the_stream_unchanged_1d(monkeypatch, scalar_draws):
+    # the demo1d preset: two sidebands walk two atoms down six levels
+    basis = enumerate_levels(1, 5)
+    params = SimParams(eta=0.7, omega0_tau_abs=0.4)
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),
+                               PulseSpec(s=-2, amps=(1.0,))), total_cycles=200)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[5] = 2
+    rec = RecorderSpec(watched_ids=(0, 1), stride=10, record_events=True)
+    provider = MatrixProvider(basis, params)
+    provider.prepare(schedule)
+    monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    n_events = 0
+    for k in range(20):
+        got = run_trajectory(basis, params, schedule, Configuration(occ), None,
+                             (4242, k), rec, provider)
+        want = reference_trajectory(basis, params, schedule, Configuration(occ),
+                                    (4242, k), rec)
+        assert_records_identical(got, want)
+        n_events += got.events.shape[0]
+    assert n_events > 0
+
+
+def ramped_2d_system(ramps, total_cycles):
+    """2D basis, a cooling sideband and an interference pulse whose
+    (a_x, a_y) = (1, -1) leaves (0,0) and (1,1) exactly dark."""
+    basis = enumerate_levels(2, 3)
+    params = SimParams(eta=1.0, omega0_tau_abs=0.85)
+    cycle = (PulseSpec(s=-1, amps=(1.0, 1.0)), PulseSpec(s=0, amps=(1.0, -1.0)))
+    schedule = Schedule(cycle=cycle, total_cycles=total_cycles, ramps=ramps)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[basis.id_of((0, 3))] = 3
+    occ[basis.id_of((2, 1))] = 1
+    return basis, params, schedule, Configuration(occ)
+
+
+@pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
+def test_kept_draw_inputs_leave_the_stream_unchanged_2d_ramp(monkeypatch,
+                                                              scalar_draws):
+    # a_y leaves the dark point, returns to it and holds there
+    ramps = (Ramp(1, "a_y", -1.0, -0.4, 20, 60), Ramp(1, "a_y", -0.4, -1.0, 60, 100))
+    basis, params, schedule, initial = ramped_2d_system(ramps, 120)
+    dep = MatrixProvider(basis, params).absorption(schedule.cycle[1]).depletion
+    assert dep[basis.id_of((0, 0))] == 0.0
+    rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
+    monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    n_warn = 0
+    for k in range(6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_trajectory(basis, params, schedule, initial, None, (3, k), rec)
+        want = reference_trajectory(basis, params, schedule, initial, (3, k), rec)
+        assert_records_identical(got, want)
+        assert got.events.shape[0] > 0
+        n_warn += got.n_warn_pulses
+    assert n_warn > 0
+
+
+def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
+    # a_y = -5 drives the occupied (0,0) past one excitation per atom
+    ramps = (Ramp(1, "a_y", -1.0, -5.0, 20, 80),)
+    basis, params, schedule, initial = ramped_2d_system(ramps, 100)
+    rec = RecorderSpec(watched_ids=(0,), stride=0, record_events=True)
+    step = dynamics._step
+    done = []
+
+    def counted_step(*args):
+        out = step(*args)
+        done.append(1)
+        return out
+
+    monkeypatch.setattr(dynamics, "_step", counted_step)
+    for k in range(3):
+        want = reference_trajectory(basis, params, schedule, initial, (3, k), rec)
+        assert isinstance(want, int) and want > 20 * schedule.n_pulses
+        done.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(PhysicsValidityError, match="exceeds 1"):
+                run_trajectory(basis, params, schedule, initial, None, (3, k), rec)
+        assert len(done) == want
+
+
+def test_emission_matrix_is_column_major():
+    basis = enumerate_levels(3, 6)
+    params = SimParams(eta=2.0, omega0_tau_abs=0.5)
+    provider = MatrixProvider(basis, params)
+    sp = provider.spontaneous_dense()
+    assert sp.flags.f_contiguous
+    # the same values as a row-major scatter of the COO entries
+    m = provider.spontaneous()
+    row_major = np.zeros(m.shape)
+    np.add.at(row_major, (m.to_ids.astype(np.int64), m.from_ids.astype(np.int64)),
+              m.rates)
+    assert sp.tobytes(order="C") == row_major.tobytes()
+    assert m.to_dense().tobytes(order="C") == row_major.tobytes()
+
+    # readers of the dense matrix see no difference against a row-major copy
+    other = MatrixProvider(basis, params)
+    other._sp_matrix = provider.spontaneous()
+    other._sp_dense = row_major
+    pulses = figure_schedule("fig1").cycle
+    a = condensation_criterion(pulses, basis, params, (0, 0, 0), provider=provider)
+    b = condensation_criterion(pulses, basis, params, (0, 0, 0), provider=other)
+    assert a.tilde.tobytes() == b.tilde.tobytes()
+    assert (a.verdict, a.min_tilde, a.cooling_time_cycles) == \
+        (b.verdict, b.min_tilde, b.cooling_time_cycles)
+
+    basis, params, schedule = make_1d_system(max_shell=3, pulses=(-1, -2), cycles=4)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[3] = 2
+    provider = MatrixProvider(basis, params)
+    provider.prepare(schedule)
+    other = MatrixProvider(basis, params)
+    other.prepare(schedule)
+    other._sp_dense = np.ascontiguousarray(other.spontaneous().to_dense())
+    a = exact_propagate(basis, params, schedule, Configuration(occ), provider)
+    b = exact_propagate(basis, params, schedule, Configuration(occ), other)
+    assert a.probs.tobytes() == b.probs.tobytes()
