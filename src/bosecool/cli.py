@@ -25,7 +25,8 @@ from .cache import CacheError
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
                        calibrate_pulse_area, run_ensemble)
-from .rates import PhysicsValidityError, emission_quadrature
+from .rates import (PhysicsValidityError, emission_memory_bytes,
+                    emission_quadrature)
 from .schedule import resolve_cycle
 
 CACHE_ENV = "BOSECOOL_CACHE_DIR"
@@ -88,8 +89,36 @@ class _Prepared:
     omega0_was_auto: bool
 
 
-def _prepare(cfg: RunConfig, extra_watched=()) -> _Prepared:
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_emission_memory(basis: Basis, quadrature) -> None:
+    """Refuse, before any large allocation, a basis whose emission
+    matrix cannot fit in physical memory."""
+    need = emission_memory_bytes(basis, quadrature)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"the emission matrix of {basis.fingerprint()} needs about "
+            f"{need:,} bytes ({need / 2**30:.1f} GiB), more than the "
+            f"{have:,} bytes ({have / 2**30:.1f} GiB) of physical memory; "
+            "lower basis.max_shell")
+
+
+def _prepare(cfg: RunConfig, extra_watched=(),
+             emission: bool = True) -> _Prepared:
+    """Resolve a config into a run; ``emission`` says whether the command
+    needs the emission matrix, whose memory is checked first."""
     basis = cfg.build_basis()
+    quadrature = emission_quadrature(cfg.dim, cfg.emission_pattern,
+                                     polar_order=cfg.quadrature_order)
+    if emission:
+        _check_emission_memory(basis, quadrature)
     schedule = cfg.build_schedule()
     distribution = cfg.initial_distribution(basis)
 
@@ -112,8 +141,6 @@ def _prepare(cfg: RunConfig, extra_watched=()) -> _Prepared:
 
     if cfg.cache_dir is not None:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-    quadrature = emission_quadrature(cfg.dim, cfg.emission_pattern,
-                                     polar_order=cfg.quadrature_order)
     provider = MatrixProvider(basis, params, cache_dir=cfg.cache_dir,
                               quadrature=quadrature)
     return _Prepared(cfg=cfg, basis=basis, params=params, schedule=schedule,
@@ -223,7 +250,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_darkstates(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    prep = _prepare(cfg)
+    prep = _prepare(cfg, emission=False)
     pulses = resolve_cycle(prep.schedule, 0)
     exact = find_dark_states(pulses, prep.basis, prep.params,
                              provider=prep.provider)

@@ -13,6 +13,12 @@ them per configuration, so only ratios matter.
 levels. It is the emission matrix, whose column sums approach 1 when the
 truncation holds the full emission band, and the record a pulse's
 absorption is cached as on disk.
+
+The 3D emission matrix is built block by block over pairs of z quantum
+numbers from per-ring (x, y) tensors, bitwise equal to summing every
+quadrature node over every level pair, and its record is taken out row
+block by row block; ``emission_memory_bytes`` states what the path holds
+at its peak, which the command line checks against physical memory.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, SimParams
+from .basis import Basis, SimParams, enumerate_levels
 
 REL_CUTOFF = 1e-12  # entries below this fraction of the max are dropped
 
@@ -172,10 +178,14 @@ class RateMatrix:
         return float(self.rates.max()) if self.nnz else 0.0
 
     def to_dense(self) -> np.ndarray:
-        """Dense copy in column-major order, so a column is contiguous."""
+        """Dense copy in column-major order, so a column is contiguous.
+
+        Each (to, from) pair appears at most once (the emission build
+        takes its entries from ``np.nonzero``, and a pulse lists each
+        channel once), so the entries are assigned, not summed.
+        """
         out = np.zeros(self.shape, order="F")
-        np.add.at(out, (self.to_ids.astype(np.int64),
-                        self.from_ids.astype(np.int64)), self.rates)
+        out[self.to_ids, self.from_ids] = self.rates
         return out
 
 
@@ -397,11 +407,17 @@ def spontaneous_fingerprint(basis: Basis, params: SimParams,
             f"|{quadrature.fingerprint()}")
 
 
+def _kappa_key(kappa):
+    """The rounded |kappa| a recoil table is computed and cached at;
+    elementwise on an array."""
+    return np.round(np.abs(kappa), 13)
+
+
 def _kappa_table_cache(n_max: int):
     cache: dict[float, np.ndarray] = {}
 
     def get(kappa: float) -> np.ndarray:
-        key = round(abs(kappa), 13)
+        key = _kappa_key(kappa)
         tab = cache.get(key)
         if tab is None:
             tab = fc_abs2_table(n_max, key)
@@ -409,6 +425,31 @@ def _kappa_table_cache(n_max: int):
         return tab
 
     return get
+
+
+_ROW_BLOCK = 16  # rows of the dense matrix scanned per extraction step
+
+
+def _record_entries(dense: np.ndarray, threshold: float):
+    """(to, from, rate) of the entries >= ``threshold`` in row-major order,
+    as ``np.nonzero`` lists them, gathered row block by row block so that,
+    past the boolean mask the count takes, the only full-size arrays are
+    the record's own uint32/float64 columns."""
+    nnz = np.count_nonzero(dense >= threshold)
+    to_ids = np.empty(nnz, dtype=np.uint32)
+    from_ids = np.empty(nnz, dtype=np.uint32)
+    vals = np.empty(nnz)
+    pos = 0
+    for r in range(0, dense.shape[0], _ROW_BLOCK):
+        block = dense[r:r + _ROW_BLOCK]
+        keep = block >= threshold
+        rows, cols = np.nonzero(keep)
+        end = pos + rows.size
+        to_ids[pos:end] = rows + r
+        from_ids[pos:end] = cols
+        vals[pos:end] = block[keep]
+        pos = end
+    return to_ids, from_ids, vals
 
 
 def build_spontaneous_rates(basis: Basis, params: SimParams,
@@ -444,11 +485,10 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
     else:
         dense = _spontaneous_dense_3d(basis, eta_sp, quadrature, table)
 
-    to_ids, from_ids = np.nonzero(dense >= rel_cutoff * dense.max())
-    vals = dense[to_ids, from_ids]
+    to_ids, from_ids, vals = _record_entries(dense, rel_cutoff * dense.max())
+    del dense
     fp = spontaneous_fingerprint(basis, params, quadrature)
-    mat = RateMatrix("spontaneous", (size, size),
-                     to_ids.astype(np.uint32), from_ids.astype(np.uint32), vals, fp)
+    mat = RateMatrix("spontaneous", (size, size), to_ids, from_ids, vals, fp)
 
     lost = 1.0 - mat.column_sums()
     bad = int((lost > completeness_warn).sum())
@@ -461,40 +501,90 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
     return mat
 
 
+def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
+    """Bytes the emission matrix path holds at its peak on ``basis``.
+
+    Per level pair: 8 for the dense matrix the build fills and the run
+    keeps, 16 for the (u32 to, u32 from, f64 rate) record, and 16 more
+    while a load holds the file's bytes next to the record it copies
+    out, so 32 in all. The 3D kernel also holds, next to its dense
+    output, one float64 (K x K) tensor per polar group plus a ring's
+    node terms and the running sum, for K 2D levels.
+    """
+    pairs = basis.size ** 2
+    kernel = 0
+    if basis.dim == 3:
+        groups = _polar_groups(quadrature)
+        k = math.comb(basis.max_shell + 2, 2)
+        ring = max(len(m) for m in groups.values())
+        kernel = 8 * (pairs + k * k * (len(groups) + ring + 1))
+    return max(32 * pairs, kernel)
+
+
+def _polar_groups(quadrature: EmissionQuadrature) -> dict[float, list[int]]:
+    """Quadrature node indices grouped by their (rounded) z component, in
+    first-seen order; the phi nodes of a ring share a group."""
+    groups: dict[float, list[int]] = {}
+    for i, z in enumerate(np.round(quadrature.directions[:, 2], 13)):
+        groups.setdefault(float(z), []).append(i)
+    return groups
+
+
 def _spontaneous_dense_3d(basis: Basis, eta_sp: float,
                           quadrature: EmissionQuadrature, table) -> np.ndarray:
-    """Dense 3D emission matrix via a polar-grouped tensor contraction.
+    """Dense 3D emission matrix, column-major, built block by block.
 
-    For each polar node the phi sum builds a 4-index (x,y) tensor once;
-    the z table then contracts against all level pairs with two gathers.
-    Cost is O(polar_order * size^2) instead of O(nodes * size^2).
+    Entry (n, l) sums, over polar groups g in first-seen order,
+    XY_g[(qx, qy)_n, (qx, qy)_l] * Z_g[qz_n, qz_l]: Z_g is the group's z
+    recoil table and XY_g adds w_i * (X_i * Y_i) over the group's phi
+    nodes in node order. XY_g is indexed by pairs of 2D levels with
+    qx + qy <= max_shell in shell-major order, so the levels of one qz
+    use a prefix of it, and the (qz_n, qz_l) block of the matrix is a
+    prefix slice of each XY_g times one Z_g entry. The recoil tables are
+    exactly symmetric, so the (qz_l, qz_n) block is the transpose of the
+    (qz_n, qz_l) one and is copied, not summed again. A node's term is
+    formed once per distinct (x table, y table, weight); the phi nodes
+    of a ring meet about a quarter as many. Every entry takes the same
+    float operations in the same order as a per-pair gather over all
+    nodes (``tests/oracles.py`` keeps that form), so the result is
+    bitwise the same. Besides the output, the kernel holds one K x K
+    tensor per group and a ring's terms, for K 2D levels.
     """
-    nq1 = basis.max_shell + 1
+    nq = basis.max_shell
     size = basis.size
     dirs = quadrature.directions
     w = quadrature.weights
+    plane = enumerate_levels(2, nq)  # shell-major, so qx + qy <= m is a prefix
+    px, py = (plane.levels[:, j].astype(np.intp) for j in range(2))
 
-    # group nodes by the (rounded) z component; phi nodes share each group
-    zkey = np.round(dirs[:, 2], 13)
-    groups: dict[float, list[int]] = {}
-    for i, z in enumerate(zkey):
-        groups.setdefault(float(z), []).append(i)
-
-    qx = basis.levels[:, 0].astype(np.int64)
-    qy = basis.levels[:, 1].astype(np.int64)
-    qz = basis.levels[:, 2].astype(np.int64)
-    n_idx = np.repeat(np.arange(size, dtype=np.int64), size)
-    l_idx = np.tile(np.arange(size, dtype=np.int64), size)
-    flat_xy = ((qx[n_idx] * nq1 + qx[l_idx]) * nq1 + qy[n_idx]) * nq1 + qy[l_idx]
-    flat_z = qz[n_idx] * nq1 + qz[l_idx]
-
-    vals = np.zeros(size * size)
-    for z, members in groups.items():
-        tz = table(eta_sp * z).ravel()
-        xy = np.zeros((nq1 * nq1, nq1 * nq1))
+    # a node's term depends only on its two tables and its weight
+    node_keys = [(kx, ky, wi) for (kx, ky), wi in
+                 zip(_kappa_key(eta_sp * dirs[:, :2]).tolist(), w.tolist())]
+    xy, tz = [], []
+    for z, members in _polar_groups(quadrature).items():
+        terms: dict[tuple, np.ndarray] = {}
+        acc = np.zeros((plane.size, plane.size))
         for i in members:
-            tx = table(eta_sp * dirs[i, 0]).ravel()
-            ty = table(eta_sp * dirs[i, 1]).ravel()
-            xy += w[i] * np.outer(tx, ty)
-        vals += xy.ravel()[flat_xy] * tz[flat_z]
-    return vals.reshape(size, size)
+            term = terms.get(node_keys[i])
+            if term is None:
+                tx = table(eta_sp * dirs[i, 0])[px][:, px]
+                ty = table(eta_sp * dirs[i, 1])[py][:, py]
+                term = w[i] * (tx * ty)
+                terms[node_keys[i]] = term
+            acc += term
+        xy.append(acc)
+        tz.append(table(eta_sp * z))
+
+    # ids of the levels with qz = c, in the plane's order
+    prefix = [math.comb(nq - c + 2, 2) for c in range(nq + 1)]
+    ids = [basis.lut[px[:k], py[:k], c] for c, k in enumerate(prefix)]
+    out = np.zeros((size, size), order="F")
+    for cn, kn in enumerate(prefix):
+        for cl in range(cn, nq + 1):
+            kl = prefix[cl]
+            block = np.zeros((kn, kl))
+            for g, t in zip(xy, tz):
+                block += g[:kn, :kl] * t[cn, cl]
+            out[np.ix_(ids[cn], ids[cl])] = block
+            out[np.ix_(ids[cl], ids[cn])] = block.T
+    return out

@@ -41,3 +41,44 @@ def thermal_level_weights(shells: np.ndarray, beta: float) -> np.ndarray:
 def multinomial_sigma(p: float, n: int) -> float:
     """Standard error of an empirical frequency from n draws."""
     return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+
+
+def spontaneous_dense_3d_flat(basis, eta_sp: float, quadrature, table) -> np.ndarray:
+    """The 3D emission matrix by one flat gather per polar group.
+
+    The plain form of the sum the library's blocked kernel evaluates:
+    for each polar group (nodes sharing a rounded z component, in
+    first-seen order) the phi nodes add w * outer(Tx, Ty) into a 4-index
+    (x, y) tensor, and every level pair then gathers its tensor and z
+    table entries through size^2-long index arrays. ``table(kappa)``
+    returns the per-axis recoil table |<n|e^{i kappa x}|l>|^2. Row-major
+    result, O(size^2) int64 temporaries: for small bases only.
+    """
+    nq1 = basis.max_shell + 1
+    size = basis.size
+    dirs = quadrature.directions
+    w = quadrature.weights
+
+    zkey = np.round(dirs[:, 2], 13)
+    groups: dict[float, list[int]] = {}
+    for i, z in enumerate(zkey):
+        groups.setdefault(float(z), []).append(i)
+
+    qx = basis.levels[:, 0].astype(np.int64)
+    qy = basis.levels[:, 1].astype(np.int64)
+    qz = basis.levels[:, 2].astype(np.int64)
+    n_idx = np.repeat(np.arange(size, dtype=np.int64), size)
+    l_idx = np.tile(np.arange(size, dtype=np.int64), size)
+    flat_xy = ((qx[n_idx] * nq1 + qx[l_idx]) * nq1 + qy[n_idx]) * nq1 + qy[l_idx]
+    flat_z = qz[n_idx] * nq1 + qz[l_idx]
+
+    vals = np.zeros(size * size)
+    for z, members in groups.items():
+        tz = table(eta_sp * z).ravel()
+        xy = np.zeros((nq1 * nq1, nq1 * nq1))
+        for i in members:
+            tx = table(eta_sp * dirs[i, 0]).ravel()
+            ty = table(eta_sp * dirs[i, 1]).ravel()
+            xy += w[i] * np.outer(tx, ty)
+        vals += xy.ravel()[flat_xy] * tz[flat_z]
+    return vals.reshape(size, size)

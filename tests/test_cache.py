@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from bosecool import (CacheCorruptError, CacheMismatchError, MatrixProvider,
-                      PulseSpec, SimParams, cache_filename, cache_load,
-                      cache_store, enumerate_levels)
+                      PulseSpec, SimParams, build_spontaneous_rates,
+                      cache_filename, cache_load, cache_store,
+                      emission_quadrature, enumerate_levels)
 from bosecool.rates import RateMatrix, absorption_fingerprint
 
 
@@ -99,3 +104,47 @@ def test_cache_filename_stable():
     assert name == cache_filename("abs|basis(dim=1,max_shell=5)|s=-1")
     assert name.endswith(".rates")
     assert name != cache_filename("abs|basis(dim=1,max_shell=6)|s=-1")
+
+
+def v1_file_bytes(matrix):
+    """A version-1 file as a writer that concatenates the whole body
+    before hashing it lays it out."""
+    fp_bytes = matrix.fingerprint.encode("utf-8")
+    header = b"BCRATES1" + struct.pack(
+        "<IBxxxIIQI", 1, {"absorption": 0, "spontaneous": 1}[matrix.kind],
+        matrix.shape[0], matrix.shape[1], matrix.nnz, len(fp_bytes))
+    entries = np.empty(matrix.nnz, dtype=[("to", "<u4"), ("from", "<u4"),
+                                          ("rate", "<f8")])
+    entries["to"] = matrix.to_ids
+    entries["from"] = matrix.from_ids
+    entries["rate"] = matrix.rates
+    body = header + fp_bytes + entries.tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
+def emission_record():
+    """A 3D emission record: 455 levels, 207k entries, several store chunks."""
+    basis = enumerate_levels(3, 12)
+    params = SimParams(eta=2.0, omega0_tau_abs=0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_spontaneous_rates(basis, params, emission_quadrature(3))
+
+
+@pytest.mark.parametrize("make", [emission_record, small_matrix])
+def test_v1_layout_unchanged(tmp_path, make):
+    mat = make()
+    path = tmp_path / "m.rates"
+    cache_store(mat, path)
+    assert path.read_bytes() == v1_file_bytes(mat)
+
+    ref = tmp_path / "ref.rates"
+    ref.write_bytes(v1_file_bytes(mat))
+    back = cache_load(ref, expected_fingerprint=mat.fingerprint)
+    assert (back.kind, back.shape, back.fingerprint) == \
+        (mat.kind, mat.shape, mat.fingerprint)
+    for name in ("to_ids", "from_ids", "rates"):
+        got, want = getattr(back, name), getattr(mat, name)
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == want.tobytes()

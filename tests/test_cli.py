@@ -11,6 +11,7 @@ import warnings
 import yaml
 
 import bosecool
+from bosecool import cli
 from bosecool.cli import CACHE_ENV, main
 
 OBS_HEADER = "cycle,frac_0_mean,frac_0_std,frac_1_mean,frac_1_std,mean_shell"
@@ -146,6 +147,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert "omega0_tau_abs" in err
+
+
+def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    doc = sim_doc(out)  # 6 levels: 32 B per level pair, 1,152 bytes
+    doc["criterion"] = {"target": [0]}
+    doc["schedule"]["ramps"] = [{"pulse": 0, "field": "a_x", "start": 1.0,
+                                 "end": 0.5, "start_cycle": 0,
+                                 "end_cycle": 40}]
+    doc["hysteresis"] = {"source": [5], "targets": [[0]]}
+    cfg = write_doc(tmp_path, doc)
+    real = cli._physical_memory()
+    assert real is None or real > 1 << 20
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1000)
+    for command in ("simulate", "criterion", "hysteresis"):
+        assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: the emission matrix of "
+                              "basis(dim=1,max_shell=5) needs about 1,152 "
+                              "bytes")
+        assert "more than the 1,000 bytes" in err
+        assert err.count("\n") == 1
+    assert not os.path.exists(out)
+    # darkstates needs no emission matrix
+    assert run_cli(["darkstates", "--config", cfg]) == 0
+
+    # enough memory, or a platform that cannot say: the run goes ahead
+    for probe in (lambda: 1152, lambda: None):
+        monkeypatch.setattr(cli, "_physical_memory", probe)
+        assert run_cli(["criterion", "--config", cfg]) == 0
 
 
 def test_overdriven_pulse_exits_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ columns and quadrature refinement.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +18,11 @@ from bosecool import (MatrixProvider, PulseSpec, SimParams,
                       build_spontaneous_rates, cache_filename, cache_store,
                       emission_quadrature, enumerate_levels, franck_condon_1d,
                       pulse_spectrum_sq)
-from bosecool.rates import (PulseRates, RateMatrix, absorption_fingerprint,
-                            absorption_structure)
+from bosecool.rates import (PulseRates, RateMatrix, _kappa_table_cache,
+                            _spontaneous_dense_3d, absorption_fingerprint,
+                            absorption_structure, emission_memory_bytes)
+
+from oracles import spontaneous_dense_3d_flat
 
 PREF = math.pi / 8.0
 
@@ -335,3 +339,83 @@ def test_quadrature_dim_mismatch():
     params = SimParams(eta=1.0, omega0_tau_abs=0.4)
     with pytest.raises(ValueError):
         build_spontaneous_rates(basis, params, emission_quadrature(3))
+
+
+@pytest.mark.parametrize("max_shell,pattern,polar_order,azimuthal_count,ratio", [
+    (0, "isotropic", 24, None, 1.0),
+    (1, "dipole:x", 24, None, 1.0),
+    (3, "dipole:z", 7, None, 1.0),      # odd polar order: a z = 0 ring
+    (3, "isotropic", 6, 10, 1.0),       # 10 phi nodes, not a multiple of 4
+    (6, "isotropic", 24, None, 1.0),
+    (6, "dipole:x", 5, 18, 1.0),
+    (6, "dipole:z", 8, None, 1.0),
+    (3, "isotropic", 24, None, 0.0),    # no recoil: identity tables
+])
+def test_emission_kernel_matches_flat_gather_bitwise(max_shell, pattern,
+                                                     polar_order,
+                                                     azimuthal_count, ratio):
+    basis = enumerate_levels(3, max_shell)
+    quad = emission_quadrature(3, pattern, polar_order=polar_order,
+                               azimuthal_count=azimuthal_count)
+    eta_sp = SimParams(eta=2.0, omega0_tau_abs=0.4, eta_sp_ratio=ratio).eta_sp
+    got = _spontaneous_dense_3d(basis, eta_sp, quad, _kappa_table_cache(max_shell))
+    want = spontaneous_dense_3d_flat(basis, eta_sp, quad,
+                                     _kappa_table_cache(max_shell))
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, want)
+    assert got.tobytes(order="C") == want.tobytes()
+
+
+def test_emission_build_memory_is_dense_plus_record():
+    # 455 levels; tracemalloc counts numpy buffers, so the peak is repeatable
+    basis = enumerate_levels(3, 12)
+    params = SimParams(eta=2.0, omega0_tau_abs=0.4)
+    quad = emission_quadrature(3)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mat = build_spontaneous_rates(basis, params, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = basis.size ** 2
+    # what the build must hold at once: the float64 dense matrix and the
+    # (u32 to, u32 from, f64 rate) record; a quarter more covers the
+    # recoil tables and one row block of extraction temporaries
+    must_hold = 8 * pairs + 16 * mat.nnz
+    assert peak <= 1.25 * must_hold, f"{peak / pairs:.1f} B per level pair"
+
+
+def test_emission_memory_estimate(tmp_path):
+    quad = emission_quadrature(3)  # 24 rings of 48 phi nodes
+    for max_shell in (0, 6, 20, 60):
+        basis = enumerate_levels(3, max_shell)  # the level list only
+        pairs = basis.size ** 2
+        k = math.comb(max_shell + 2, 2)
+        kernel = 8 * (pairs + k * k * (24 + 48 + 1))
+        assert emission_memory_bytes(basis, quad) == max(32 * pairs, kernel)
+    for dim in (1, 2):  # no kernel tensors below 3D
+        basis = enumerate_levels(dim, 30)
+        assert emission_memory_bytes(basis, emission_quadrature(dim)) == \
+            32 * basis.size ** 2
+
+    # the estimate tracks what the path allocates: build, store and
+    # dense copy on an empty cache, then load and dense copy from it
+    basis = enumerate_levels(3, 12)
+    params = SimParams(eta=2.0, omega0_tau_abs=0.4)
+    est = emission_memory_bytes(basis, quad)
+    peaks = []
+    for _ in range(2):
+        provider = MatrixProvider(basis, params, cache_dir=str(tmp_path),
+                                  quadrature=quad)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                provider.spontaneous_dense()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert provider.counters["disk_loads"] == 1
+    assert 0.5 * est <= max(peaks) <= 1.02 * est, (peaks, est)
