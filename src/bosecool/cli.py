@@ -131,10 +131,12 @@ def _prepare(cfg: RunConfig, extra_watched=(),
     watched_ids = tuple(basis.id_of(lv) for lv in watched_levels)
 
     was_auto = cfg.omega0_tau_abs == "auto"
+    structures: dict = {}  # calibration's structures serve the run too
     if was_auto:
         probe = cfg.build_params(omega0_resolved=0.5)
         expected = cfg.n_atoms * distribution
-        omega0 = calibrate_pulse_area(basis, probe, schedule, expected)
+        omega0 = calibrate_pulse_area(basis, probe, schedule, expected,
+                                      structures=structures)
     else:
         omega0 = float(cfg.omega0_tau_abs)
     params = cfg.build_params(omega0_resolved=omega0)
@@ -142,7 +144,7 @@ def _prepare(cfg: RunConfig, extra_watched=(),
     if cfg.cache_dir is not None:
         os.makedirs(cfg.cache_dir, exist_ok=True)
     provider = MatrixProvider(basis, params, cache_dir=cfg.cache_dir,
-                              quadrature=quadrature)
+                              quadrature=quadrature, structures=structures)
     return _Prepared(cfg=cfg, basis=basis, params=params, schedule=schedule,
                      provider=provider, distribution=distribution,
                      watched_levels=tuple(watched_levels),

@@ -25,11 +25,19 @@ for any worker count and any execution order.
 
 A trajectory keeps each pulse's draw inputs (the occupied levels it
 couples, their counts and probabilities, the worst probability) from one
-pulse to the next. They stay valid until the next event, which drops
-every pulse's inputs, or until the pulse's rates change, which drops its
-own. A quiet pulse therefore costs only its binomial draws. The draw
-order is the one a fresh computation gives, so reuse changes no random
-number.
+pulse to the next, so a quiet pulse costs only its binomial draws. An
+event patches every kept entry with the levels it moved: an entry that
+couples none of them stays as it is, one that lists all of them still
+occupied takes their new counts, and a short entry gains or loses
+levels in place. A long (array) entry whose levels change, or one that
+a level past P_HARD would join, is dropped and computed afresh at its
+pulse's turn, which is where that computation raises. A ramped pulse
+reads its field values straight from the active ramps each cycle; in a
+cycle where they change it gets new rates and drops its own inputs. Its
+rates hold the depletion in full and build a source's channels only
+when an atom absorbs from it (``LazyPulseRates``). Every kept, patched
+or lazy value is bitwise the one a fresh computation gives, so reuse
+changes no random number.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,32 +80,31 @@ class MatrixProvider:
 
     def __init__(self, basis: Basis, params: SimParams,
                  cache_dir: str | None = None,
-                 quadrature: EmissionQuadrature | None = None):
+                 quadrature: EmissionQuadrature | None = None,
+                 structures: dict | None = None):
         self.basis = basis
         self.params = params
         self.cache_dir = cache_dir
         self.quadrature = quadrature or emission_quadrature(basis.dim)
-        self._structures: dict[tuple, AbsorptionStructure] = {}
+        # ``structures`` may come filled by ``calibrate_pulse_area`` on the
+        # same basis and params up to the pulse area; its builds count here
+        self._structures = {} if structures is None else structures
         self._static: dict[tuple, PulseRates] = {}
         self._sp_matrix: RateMatrix | None = None
         self._sp_dense: np.ndarray | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
-                         "structure_builds": 0}
+                         "structure_builds": len(self._structures)}
 
     # -- absorption ----------------------------------------------------
 
-    def _structure(self, pulse: PulseSpec) -> AbsorptionStructure:
-        skey = (pulse.s, pulse.omega_tau_abs)
-        st = self._structures.get(skey)
-        if st is None:
-            st = absorption_structure(self.basis, self.params, pulse.s,
-                                      pulse.omega_tau_abs)
-            self._structures[skey] = st
-            self.counters["structure_builds"] += 1
+    def structure(self, pulse: PulseSpec) -> AbsorptionStructure:
+        """The memoized amplitude-independent structure of a resolved pulse."""
+        st = _memo_structure(self._structures, self.basis, self.params, pulse)
+        self.counters["structure_builds"] = len(self._structures)
         return st
 
     def _evaluate(self, pulse: PulseSpec) -> PulseRates:
-        return self._structure(pulse).evaluate(pulse.amps, pulse.omega0_tau_abs)
+        return self.structure(pulse).evaluate(pulse.amps, pulse.omega0_tau_abs)
 
     def _load_or_build(self, pulse: PulseSpec) -> PulseRates:
         fp = absorption_fingerprint(self.basis, pulse.s, self.params.eta,
@@ -155,9 +163,22 @@ class MatrixProvider:
         self.spontaneous_dense()
         for i, pulse in enumerate(schedule.cycle):
             if schedule.is_ramped(i):  # amplitudes change; matrix cannot
-                self._structure(pulse.resolved(self.params))
+                self.structure(pulse.resolved(self.params))
             else:
                 self.absorption(pulse, persist=True)
+
+
+def _memo_structure(structures: dict, basis: Basis, params: SimParams,
+                    pulse: PulseSpec) -> AbsorptionStructure:
+    """The structure of a resolved pulse from ``structures``, built on a
+    miss. It depends on the pulse's ``s`` and width only, so one memo
+    serves params that differ in the pulse area alone."""
+    key = (pulse.s, pulse.omega_tau_abs)
+    st = structures.get(key)
+    if st is None:
+        st = structures[key] = absorption_structure(basis, params, pulse.s,
+                                                    pulse.omega_tau_abs)
+    return st
 
 
 # ------------------------------------------------------------- stepping
@@ -170,29 +191,33 @@ class PulseStepOutcome:
     events: tuple[tuple[int, int, int], ...]  # (from_id, excited_id, to_id)
 
 
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cw = np.cumsum(weights)
+def _draw_index(weights: np.ndarray, rng: np.random.Generator,
+                cw: np.ndarray | None = None) -> int:
+    """Index drawn with probability proportional to ``weights``; the
+    cumulative sum goes into ``cw`` when given."""
+    cw = np.add.accumulate(weights, out=cw)  # np.cumsum, minus its wrapper
     total = cw[-1]
     if not total > 0.0:
         raise PhysicsValidityError("no open channel to draw from")
-    k = int(np.searchsorted(cw, rng.random() * total, side="right"))
+    k = int(cw.searchsorted(rng.random() * total, side="right"))
     if k >= weights.size or weights[k] == 0.0:
         nz = np.flatnonzero(weights)
         k = int(nz[min(np.searchsorted(nz, k), nz.size - 1)])
     return k
 
 
-# the draw inputs of a pulse that couples no occupied level
-_DARK = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), 0.0)
+# the draw inputs of a pulse that couples no occupied level (shared, so
+# never changed in place)
+_DARK = ([], [], [], 0.0)
 
 
 def _draw_inputs(occ: np.ndarray, occ_ids: np.ndarray, depletion: np.ndarray):
     """What one pulse's excitation draw reads: the occupied levels the
     pulse couples (ascending), their counts, their per-atom probabilities
-    2 Gamma_m (counts and probabilities as lists for at most
-    ``_SCALAR_DRAWS`` levels) and the worst of these (0.0 when no occupied
-    level couples). Raises where an occupied level's probability exceeds
-    P_HARD."""
+    2 Gamma_m and the worst of these (0.0 when no occupied level
+    couples). Ids, counts and probabilities are lists for at most
+    ``_SCALAR_DRAWS`` levels, arrays above. Raises where an occupied
+    level's probability exceeds P_HARD."""
     pa = 2.0 * depletion[occ_ids]
     hit = pa > 0.0
     if not hit.any():
@@ -205,8 +230,52 @@ def _draw_inputs(occ: np.ndarray, occ_ids: np.ndarray, depletion: np.ndarray):
             "pulse area")
     ids = occ_ids[hit]
     if ids.size <= _SCALAR_DRAWS:
-        return ids, occ[ids].tolist(), pa[hit].tolist(), worst
+        return ids.tolist(), occ[ids].tolist(), pa[hit].tolist(), worst
     return ids, occ[ids], pa[hit], worst
+
+
+def _patch_inputs(inputs, occ: np.ndarray, depletion: np.ndarray, touched):
+    """A pulse's kept ``_draw_inputs`` after an event changed the counts
+    of the levels in ``touched``: bitwise what a fresh computation
+    returns, or None where only that computation, at the pulse's own
+    turn, should decide (arrays whose levels change, or a level past
+    P_HARD joining, which must raise there)."""
+    coupled = [t for t in touched if depletion[t] > 0.0]
+    if not coupled:
+        return inputs
+    ids, n_occ, pa, worst = inputs
+    if type(pa) is not list:  # arrays: new counts, or a fresh computation
+        k = np.searchsorted(ids, coupled)
+        if k.max() < ids.size and (ids[k] == coupled).all() and occ[coupled].all():
+            return ids, occ[ids], pa, worst
+        return None
+    if all(t in ids and occ[t] for t in coupled):  # counts only
+        n_occ = n_occ.copy()
+        for t in coupled:
+            n_occ[ids.index(t)] = int(occ[t])
+        return ids, n_occ, pa, worst
+    ids, n_occ, pa = ids.copy(), n_occ.copy(), pa.copy()
+    for t in coupled:
+        k = bisect_left(ids, t)
+        n = int(occ[t])
+        if k < len(ids) and ids[k] == t:
+            if n:
+                n_occ[k] = n
+            else:
+                del ids[k], n_occ[k], pa[k]
+        elif n:
+            p = 2.0 * float(depletion[t])
+            if p > P_HARD:
+                return None
+            ids.insert(k, t)
+            n_occ.insert(k, n)
+            pa.insert(k, p)
+    if not ids:
+        return _DARK
+    if len(ids) <= _SCALAR_DRAWS:
+        return ids, n_occ, pa, max(pa)
+    return (np.array(ids, dtype=np.int64), np.array(n_occ, dtype=np.int64),
+            np.array(pa), max(pa))
 
 
 def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
@@ -218,9 +287,11 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     per excited atom a channel draw and a destination draw. Fixed order
     keeps trajectories bitwise reproducible.
 
-    ``inputs`` is this pulse's ``_draw_inputs`` for the current ``occ``
-    and ``rates``; without it they are computed here. A caller that keeps
-    them must drop them once a step returns events or ``rates`` change.
+    ``rates`` is a ``PulseRates`` or a ``LazyPulseRates``. ``inputs`` is
+    this pulse's ``_draw_inputs`` for the current ``occ`` and ``rates``;
+    without it they are computed here. A caller that keeps them must
+    patch them (``_patch_inputs``) once a step returns events and drop
+    them once ``rates`` change.
     """
     if inputs is None:
         inputs = _draw_inputs(occ, np.flatnonzero(occ), rates.depletion)
@@ -231,6 +302,7 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
         counts = [rng.binomial(k, q) for k, q in zip(n_occ, pa)]
         if not any(counts):
             return (), worst
+        occ_ids = np.array(occ_ids, dtype=np.int64)
         counts = np.array(counts, dtype=np.int64)
     else:
         counts = rng.binomial(n_occ, pa)
@@ -242,23 +314,24 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     occf[occ_ids] -= counts.astype(np.float64)
     emit_order = rng.permutation(total) if total > 1 else np.zeros(1, int)
 
-    indptr, cto, crate = rates.chan_indptr, rates.chan_to, rates.chan_rate
     excited = np.empty(total, dtype=np.int64)
     for i, m in enumerate(absorbed):
-        lo, hi = indptr[m], indptr[m + 1]
-        if hi - lo == 1:
-            excited[i] = cto[lo]
-        else:
-            excited[i] = cto[lo + _draw_index(crate[lo:hi], rng)]
+        to, rate = rates.channels(m)
+        excited[i] = to[0] if to.size == 1 else to[_draw_index(rate, rng)]
 
+    # Bose-enhanced weights Gamma_sp[:, l] * (occ + 1), with occ + 1 kept
+    # up to date and both buffers reused across this pulse's emissions
+    occ1 = occf + 1.0
+    weights = np.empty_like(occ1)
+    cw = np.empty_like(occ1)
     events = []
     for i in emit_order:
         m = int(absorbed[i])
         l = int(excited[i])
-        bw = sp_dense[:, l] * (occf + 1.0)
-        n = _draw_index(bw, rng)
+        n = _draw_index(np.multiply(sp_dense[:, l], occ1, out=weights), rng, cw)
         occ[n] += 1
         occf[n] += 1.0
+        occ1[n] += 1.0
         events.append((m, l, n))
     return tuple(events), worst
 
@@ -302,11 +375,7 @@ class TrajectoryRecord:
     p_max: float
     n_warn_pulses: int
     seed_key: tuple
-    ramp_evals: int             # absorption evaluations for ramped pulses
-
-
-def _ramp_fields(schedule: Schedule) -> list[tuple[int, str]]:
-    return list(dict.fromkeys((r.pulse_index, r.field) for r in schedule.ramps))
+    ramp_evals: int             # ramped pulses' resolved forms, one per change
 
 
 def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
@@ -340,23 +409,36 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     shells_f = basis.shells.astype(np.float64)
     n_total = float(occ.sum())
     watched = np.asarray(recorder.watched_ids, dtype=np.int64)
-    fields = _ramp_fields(schedule)
 
-    # a ramped pulse is re-evaluated only when its resolved form changes
+    # a ramped pulse is re-evaluated only in cycles where a field changes;
+    # ``slots[i]`` are the positions of pulse i's fields in ``values``
     schedule = schedule.resolved(params)
-    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
-    pulses = resolve_cycle(schedule, 0)
-    rates = [provider.absorption(p, persist=i not in ramped)
-             for i, p in enumerate(pulses)]
-    ramp_evals = len(ramped)
-    # each pulse's draw inputs, kept until an event or new rates
-    occ_ids = np.flatnonzero(occ)
+    fields = schedule.ramp_fields
+    slots: dict[int, list[int]] = {}
+    for k, (i, _) in enumerate(fields):
+        slots.setdefault(i, []).append(k)
+    structures = {i: provider.structure(schedule.cycle[i]) for i in slots}
+    values = schedule.field_values(0)
+
+    def ramped_rates(i: int):
+        amps, area = schedule.cycle[i].driven([fields[k][1] for k in slots[i]],
+                                              [values[k] for k in slots[i]])
+        if not any(amps):  # the one check a resolved pulse could fail mid-ramp
+            raise ValueError("a pulse needs a nonzero beam amplitude")
+        return structures[i].evaluate_lazy(amps, area)
+
+    rates = [ramped_rates(i) if i in slots else provider.absorption(p, persist=True)
+             for i, p in enumerate(schedule.cycle)]
+    ramp_evals = len(slots)
+    # each pulse's draw inputs, patched after an event, dropped on new rates
+    occupied = np.flatnonzero(occ).tolist()
+    occ_ids = np.array(occupied, dtype=np.int64)
     inputs: list = [None] * schedule.n_pulses
 
     rows_cycles: list[int] = []
     rows_watch: list[np.ndarray] = []
     rows_shell: list[float] = []
-    rows_ramp: list[list[float]] = []
+    rows_ramp: list[tuple] = []
     events: list[tuple[int, int, int, int, int]] = []
     p_max = 0.0
     n_warn = 0
@@ -365,21 +447,24 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
         rows_cycles.append(done)
         rows_watch.append(occ[watched].copy())
         rows_shell.append(float(shells_f @ occf / n_total))
-        rows_ramp.append([pulses[pi].field_value(fl) for pi, fl in fields])
+        rows_ramp.append(values)
 
     record(0)
     warned = False
     for c in range(schedule.total_cycles):
-        if ramped and c:
-            current = resolve_cycle(schedule, c)
-            for i in ramped:
-                if current[i] != pulses[i]:
-                    rates[i] = provider.absorption(current[i])
-                    inputs[i] = None
-                    ramp_evals += 1
-            pulses = current
+        if slots and c:
+            now = schedule.field_values(c)
+            if now != values:
+                old, values = values, now
+                for i, ks in slots.items():
+                    if any(old[k] != now[k] for k in ks):
+                        rates[i] = ramped_rates(i)
+                        inputs[i] = None
+                        ramp_evals += 1
         for i in range(schedule.n_pulses):
             if inputs[i] is None:
+                if occ_ids is None:
+                    occ_ids = np.array(occupied, dtype=np.int64)
                 inputs[i] = _draw_inputs(occ, occ_ids, rates[i].depletion)
             pulse_events, p = _step(occ, occf, rates[i], sp_dense, rng,
                                     inputs[i])
@@ -393,8 +478,20 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
                                   "perturbative regime", stacklevel=2)
                     warned = True
             if pulse_events:
-                occ_ids = np.flatnonzero(occ)
-                inputs = [None] * schedule.n_pulses
+                touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
+                for t in touched:
+                    k = bisect_left(occupied, t)
+                    listed = k < len(occupied) and occupied[k] == t
+                    if listed != bool(occ[t]):
+                        if listed:
+                            del occupied[k]
+                        else:
+                            occupied.insert(k, t)
+                        occ_ids = None
+                for j, kept in enumerate(inputs):
+                    if kept is not None:
+                        inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
+                                                  touched)
                 if recorder.record_events:
                     for ev in pulse_events:
                         events.append((c, i) + ev)
@@ -506,7 +603,7 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
 
     return EnsembleResult(
         cycles=records[0].cycles,
-        ramp_fields=_ramp_fields(schedule),
+        ramp_fields=schedule.ramp_fields,
         ramp_values=records[0].ramp_values,
         watched_ids=recorder.watched_ids,
         watched_mean=watched.mean(axis=0),
@@ -711,7 +808,8 @@ def emission_counts(events: np.ndarray, window: int, total_cycles: int,
 def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
                          expected_occ: np.ndarray, target: float = 0.5,
                          cap: float = 0.9, occupancy_floor: float = 0.5,
-                         hard_margin: float = 0.98) -> float:
+                         hard_margin: float = 0.98,
+                         structures: dict | None = None) -> float:
     """Pulse area such that the worst per-atom excitation probability,
     over levels the initial state actually populates, is ``target``.
 
@@ -723,6 +821,10 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     quadratic scaling p ~ (omega0 tau)^2 makes both bounds single
     solves; the result is capped to stay perturbative (the step law
     itself needs omega0 tau < 1).
+
+    ``structures`` is a structure memo to fill and reuse; pass the same
+    dict to the ``MatrixProvider`` of the run, whose params differ in
+    the pulse area only, and no structure is built twice.
     """
     if not 0 < target <= 1:
         raise ValueError("target must lie in (0, 1]")
@@ -733,9 +835,10 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
     worst_any = 0.0
+    structures = {} if structures is None else structures
     for pulse in resolve_cycle(schedule.resolved(params), 0):
-        struct = absorption_structure(basis, params, pulse.s, pulse.omega_tau_abs)
-        dep = struct.evaluate(pulse.amps, omega0_tau_abs=0.5).depletion
+        struct = _memo_structure(structures, basis, params, pulse)
+        dep = struct.evaluate_lazy(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))
         worst_any = max(worst_any, 2.0 * float(dep.max()))
     if worst_pop == 0.0:

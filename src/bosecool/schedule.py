@@ -10,6 +10,7 @@ forms a closed sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .basis import SimParams
 
@@ -48,14 +49,25 @@ class PulseSpec:
 
     def with_field(self, name: str, value: float) -> "PulseSpec":
         """This pulse with one rampable field set to ``value``."""
-        axis = _AXES.get(name)
-        if axis is None:
-            return replace(self, **{name: value})
-        return self.with_amp(axis, value)
+        amps, area = self.driven((name,), (value,))
+        return replace(self, amps=amps, omega0_tau_abs=area)
 
     def field_value(self, name: str) -> float | None:
         axis = _AXES.get(name)
         return getattr(self, name) if axis is None else self.amps[axis]
+
+    def driven(self, names, values) -> tuple[tuple[float, ...], float | None]:
+        """(amps, omega0_tau_abs) once each rampable field of ``names`` is
+        set to its entry of ``values``, without building or checking a
+        pulse."""
+        amps, area = list(self.amps), self.omega0_tau_abs
+        for name, value in zip(names, values):
+            axis = _AXES.get(name)
+            if axis is None:
+                area = value
+            else:
+                amps[axis] = float(value)
+        return tuple(amps), area
 
     def resolved(self, params: SimParams) -> "PulseSpec":
         """This pulse with unset widths taken from ``params``. Rates depend
@@ -153,6 +165,34 @@ class Schedule:
     def is_ramped(self, pulse_index: int) -> bool:
         return any(r.pulse_index == pulse_index for r in self.ramps)
 
+    @cached_property
+    def _field_ramps(self) -> dict[tuple[int, str], list[Ramp]]:
+        """The ramps of each ramped (pulse index, field), latest first, in
+        order of the field's first ramp."""
+        out: dict[tuple[int, str], list[Ramp]] = {}
+        for r in self.ramps:
+            out.setdefault((r.pulse_index, r.field), []).insert(0, r)
+        return out
+
+    @property
+    def ramp_fields(self) -> list[tuple[int, str]]:
+        """Every ramped (pulse index, field), in order of its first ramp."""
+        return list(self._field_ramps)
+
+    def field_values(self, cycle_index: int) -> tuple:
+        """The value each of ``ramp_fields`` holds at ``cycle_index``: the
+        latest active ramp's, else the pulse's own. Reads the ramps only
+        and builds no pulse, so the sampler can compare values cheaply."""
+        out = []
+        for (pi, name), ramps in self._field_ramps.items():
+            for r in ramps:
+                if r.active_at(cycle_index):
+                    out.append(r.value_at(cycle_index))
+                    break
+            else:
+                out.append(self.cycle[pi].field_value(name))
+        return tuple(out)
+
     def resolved(self, params: SimParams) -> "Schedule":
         """This schedule with every pulse resolved against ``params``."""
         return replace(self, cycle=tuple(p.resolved(params) for p in self.cycle))
@@ -164,11 +204,9 @@ def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
         raise ValueError(f"cycle_index {cycle_index} outside "
                          f"[0, {schedule.total_cycles})")
     pulses = list(schedule.cycle)
-    for ramp in schedule.ramps:
-        if not ramp.active_at(cycle_index):
-            continue
-        pulses[ramp.pulse_index] = pulses[ramp.pulse_index].with_field(
-            ramp.field, ramp.value_at(cycle_index))
+    for (pi, name), value in zip(schedule.ramp_fields,
+                                 schedule.field_values(cycle_index)):
+        pulses[pi] = pulses[pi].with_field(name, value)
     return pulses
 
 

@@ -313,6 +313,40 @@ def test_hysteresis_command_end_to_end(tmp_path):
                       "frac_0_mean,frac_0_std,mean_shell")
 
 
+def test_auto_area_run_builds_each_structure_once(tmp_path, monkeypatch):
+    # fig3's eight pulses on a small basis: calibration and the run share
+    # one structure memo, cold cache or warm
+    from bosecool import dynamics
+    calls = []
+    build = dynamics.absorption_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "absorption_structure", counted)
+    out = str(tmp_path / "out")
+    doc = {
+        "basis": {"dim": 3, "max_shell": 4},
+        "params": {"eta": 2.0, "omega0_tau_abs": "auto"},
+        "atoms": 3,
+        "trajectories": 1,
+        "seed": 1,
+        "initial": {"thermal_mean_shell": 1.5},
+        "schedule": {"figure": "fig3", "ramp_scale": 0.0001},
+        "recorder": {"stride": 100, "events": False},
+        "watched": [[0, 0, 0]],
+        "output": {"directory": out},
+        "cache_dir": str(tmp_path / "cache"),
+    }
+    cfg = write_doc(tmp_path, doc)
+    for _ in range(2):
+        calls.clear()
+        assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+        assert len(calls) == len(set(calls)) == 8
+        assert "structure_builds: 8" in read(out, "summary.txt").splitlines()
+
+
 def child_env() -> dict:
     """Environment in which a child process imports the package under
     test, installed or not."""

@@ -674,6 +674,111 @@ def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
         assert len(done) == want
 
 
+def ramped_3d_system():
+    """3D ``max_shell`` 3 at ``resonance_window`` 1: a weak heating
+    sideband and an s=-1 interference pulse whose diagonal comes with
+    lowering shifts. Its a_z sweeps 2 -> -2 -> 2: zero at cycles 30 and
+    80, and -2 over cycles 50-60, where (1, 1, -2) leaves (0,0,0) exactly
+    dark. Twelve atoms on ten levels start it above ``_SCALAR_DRAWS``
+    coupled levels."""
+    basis = enumerate_levels(3, 3)
+    params = SimParams(eta=1.0, omega0_tau_abs=0.6, resonance_window=1)
+    cycle = (PulseSpec(s=1, amps=(0.5, 0.5, 0.5)),
+             PulseSpec(s=-1, amps=(1.0, 1.0, 1.0)))
+    ramps = (Ramp(1, "a_z", 2.0, -2.0, 10, 50), Ramp(1, "a_z", -2.0, 2.0, 60, 100))
+    schedule = Schedule(cycle=cycle, total_cycles=120, ramps=ramps)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    for level in [(0, 0, 3), (0, 3, 0), (3, 0, 0), (1, 1, 1), (2, 1, 0),
+                  (0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (0, 2, 1),
+                  (1, 1, 0), (0, 0, 2)]:
+        occ[basis.id_of(level)] += 1
+    return basis, params, schedule, Configuration(occ)
+
+
+@pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
+def test_kept_draw_inputs_leave_the_stream_unchanged_3d_ramp(monkeypatch,
+                                                              scalar_draws):
+    basis, params, schedule, initial = ramped_3d_system()
+    assert [schedule.field_values(c)[0] for c in (30, 50, 60, 80)] == \
+        [0.0, -2.0, -2.0, 0.0]
+    provider = MatrixProvider(basis, params)
+    ramped = schedule.cycle[1]
+    dark = provider.absorption(ramped.with_amp(2, -2.0))
+    assert dark.depletion[basis.id_of((0, 0, 0))] == 0.0
+    src = np.repeat(np.arange(basis.size), np.diff(dark.chan_indptr))
+    assert (dark.chan_to != src).any()  # shift channels
+    zero = provider.absorption(ramped.with_amp(2, 0.0))
+    assert zero.chan_to.size < dark.chan_to.size  # the z beam opens none
+    rec = RecorderSpec(watched_ids=(0, 5), stride=7, record_events=True)
+    monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    n_events = n_warn = 0
+    for k in range(6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_trajectory(basis, params, schedule, initial, None, (9, k), rec)
+            want = reference_trajectory(basis, params, schedule, initial, (9, k),
+                                        rec)
+        assert_records_identical(got, want)
+        n_events += got.events.shape[0]
+        n_warn += got.n_warn_pulses
+    assert n_events > 200 and n_warn > 0
+
+
+def test_patched_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
+    # static pulses; the s=-1 pulse leaves level 0 dark but would excite
+    # an atom in levels 1-3 with probability above one, so the first
+    # event that lands an atom there must raise at that pulse's next turn,
+    # although its kept inputs were computed before the event
+    basis = enumerate_levels(1, 4)
+    params = SimParams(eta=0.7, omega0_tau_abs=0.9)
+    cycle = (PulseSpec(s=1, amps=(0.4,)), PulseSpec(s=-1, amps=(2.5,)))
+    schedule = Schedule(cycle=cycle, total_cycles=200)
+    pa = 2.0 * MatrixProvider(basis, params).absorption(cycle[1]).depletion
+    assert pa[0] == 0.0 and (pa[1:4] > 1.0).all() and pa[4] < 1.0
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[0] = 3
+    initial = Configuration(occ)
+    rec = RecorderSpec(watched_ids=(0,), stride=0, record_events=True)
+    step = dynamics._step
+    done = []
+
+    def counted_step(*args):
+        out = step(*args)
+        done.append(1)
+        return out
+
+    monkeypatch.setattr(dynamics, "_step", counted_step)
+    steps = []
+    for k in range(8):
+        want = reference_trajectory(basis, params, schedule, initial, (5, k), rec)
+        assert isinstance(want, int)
+        done.clear()
+        with pytest.raises(PhysicsValidityError, match="exceeds 1"):
+            run_trajectory(basis, params, schedule, initial, None, (5, k), rec)
+        assert len(done) == want
+        steps.append(want)
+    assert min(steps) > schedule.n_pulses and len(set(steps)) > 1
+
+
+def test_ramp_through_all_zero_beams_raises_like_resolve_cycle():
+    # the sampler reads ramp values without building pulses, yet stops
+    # where resolve_cycle cannot build one
+    basis = enumerate_levels(1, 3)
+    params = SimParams(eta=0.7, omega0_tau_abs=0.4)
+    ramp = Ramp(0, "a_x", 1.0, -1.0, 0, 10)
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=10,
+                        ramps=(ramp,))
+    with pytest.raises(ValueError, match="nonzero beam amplitude"):
+        resolve_cycle(schedule, 5)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[3] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="nonzero beam amplitude"):
+            run_trajectory(basis, params, schedule, Configuration(occ), None, 1,
+                           RecorderSpec(watched_ids=(0,)))
+
+
 def test_emission_matrix_is_column_major():
     basis = enumerate_levels(3, 6)
     params = SimParams(eta=2.0, omega0_tau_abs=0.5)

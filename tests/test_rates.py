@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (MatrixProvider, PulseSpec, SimParams,
@@ -20,7 +21,8 @@ from bosecool import (MatrixProvider, PulseSpec, SimParams,
                       pulse_spectrum_sq)
 from bosecool.rates import (PulseRates, RateMatrix, _kappa_table_cache,
                             _spontaneous_dense_3d, absorption_fingerprint,
-                            absorption_structure, emission_memory_bytes)
+                            absorption_structure, emission_memory_bytes,
+                            fc_diag)
 
 from oracles import spontaneous_dense_3d_flat
 
@@ -203,6 +205,53 @@ def test_pulse_rates_layout(dim, max_shell, window, s, amps):
         ground = basis.id_of((0, 0, 0))
         assert rates.depletion[ground] == 0.0
         assert rates.chan_indptr[ground + 1] == rates.chan_indptr[ground]
+
+
+_AMPS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def lazy_cases(draw):
+    """A basis, params, a pulse's s and width, and amplitudes: drawn per
+    beam (zero beams included), or exactly dark at (0,...,0), or aimed at
+    the dark condition of a drawn level."""
+    dim = draw(st.integers(1, 3))
+    basis = enumerate_levels(dim, draw(st.integers(0, 4)))
+    params = SimParams(eta=draw(st.sampled_from((0.7, 1.0, 1.3, 2.0))),
+                       omega0_tau_abs=0.5,
+                       resonance_window=draw(st.integers(0, 2)))
+    amps = [draw(st.sampled_from(_AMPS)) for _ in range(dim)]
+    kind = draw(st.sampled_from(("free", "ground_dark", "level_dark")))
+    if kind == "ground_dark" and dim > 1:  # equal d_j(0): the sum vanishes
+        amps[-1] = -sum(amps[:-1])
+    elif kind == "level_dark" and dim > 1:
+        d = fc_diag(basis.max_shell, params.eta)[
+            basis.levels[draw(st.integers(0, basis.size - 1))]]
+        amps = [0.0] * dim
+        amps[0], amps[1] = float(d[1]), -float(d[0])
+    if not any(amps):
+        amps[0] = 1.0
+    return (basis, params, draw(st.integers(-3, 3)),
+            draw(st.sampled_from((1.5, 4.0))), tuple(amps),
+            draw(st.sampled_from((0.3, 0.9))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lazy_cases())
+def test_lazy_rates_match_evaluate_bitwise(case):
+    basis, params, s, width, amps, area = case
+    struct = absorption_structure(basis, params, s, width)
+    full = struct.evaluate(amps, area)
+    lazy = struct.evaluate_lazy(amps, area)
+    assert lazy.depletion.dtype == full.depletion.dtype
+    assert lazy.depletion.tobytes() == full.depletion.tobytes()
+    # every source, built on first use and then served again
+    for m in [*reversed(range(basis.size)), *range(basis.size)]:
+        to, rate = lazy.channels(m)
+        want_to, want_rate = full.channels(m)
+        assert (to.dtype, rate.dtype) == (want_to.dtype, want_rate.dtype)
+        assert to.tobytes() == want_to.tobytes()
+        assert rate.tobytes() == want_rate.tobytes()
 
 
 def test_ungrouped_cache_record_loads_bitwise(tmp_path):
