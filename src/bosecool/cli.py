@@ -24,7 +24,7 @@ from .basis import Basis
 from .cache import CacheError
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
-                       calibrate_pulse_area, run_ensemble)
+                       StructureMemo, calibrate_pulse_area, run_ensemble)
 from .rates import (PhysicsValidityError, emission_memory_bytes,
                     emission_quadrature)
 from .schedule import resolve_cycle
@@ -131,7 +131,7 @@ def _prepare(cfg: RunConfig, extra_watched=(),
     watched_ids = tuple(basis.id_of(lv) for lv in watched_levels)
 
     was_auto = cfg.omega0_tau_abs == "auto"
-    structures: dict = {}  # calibration's structures serve the run too
+    structures = StructureMemo()  # calibration's structures serve the run too
     if was_auto:
         probe = cfg.build_params(omega0_resolved=0.5)
         expected = cfg.n_atoms * distribution

@@ -33,9 +33,9 @@ levels in place. A long (array) entry whose levels change, or one that
 a level past P_HARD would join, is dropped and computed afresh at its
 pulse's turn, which is where that computation raises. A ramped pulse
 reads its field values straight from the active ramps each cycle; in a
-cycle where they change it gets new rates and drops its own inputs. Its
-rates hold the depletion in full and build a source's channels only
-when an atom absorbs from it (``LazyPulseRates``). Every kept, patched
+cycle where they change it gets new rates and drops its own inputs. A
+diagonal-only ramped pulse gets them as one vector of rates, without
+grouping channels by source (``LazyPulseRates``). Every kept, patched
 or lazy value is bitwise the one a fresh computation gives, so reuse
 changes no random number.
 """
@@ -81,26 +81,26 @@ class MatrixProvider:
     def __init__(self, basis: Basis, params: SimParams,
                  cache_dir: str | None = None,
                  quadrature: EmissionQuadrature | None = None,
-                 structures: dict | None = None):
+                 structures: StructureMemo | None = None):
         self.basis = basis
         self.params = params
         self.cache_dir = cache_dir
         self.quadrature = quadrature or emission_quadrature(basis.dim)
-        # ``structures`` may come filled by ``calibrate_pulse_area`` on the
-        # same basis and params up to the pulse area; its builds count here
-        self._structures = {} if structures is None else structures
+        # ``structures`` may come filled by ``calibrate_pulse_area``; its
+        # builds count here
+        self._structures = StructureMemo() if structures is None else structures
         self._static: dict[tuple, PulseRates] = {}
         self._sp_matrix: RateMatrix | None = None
         self._sp_dense: np.ndarray | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
-                         "structure_builds": len(self._structures)}
+                         "structure_builds": self._structures.builds}
 
     # -- absorption ----------------------------------------------------
 
     def structure(self, pulse: PulseSpec) -> AbsorptionStructure:
         """The memoized amplitude-independent structure of a resolved pulse."""
-        st = _memo_structure(self._structures, self.basis, self.params, pulse)
-        self.counters["structure_builds"] = len(self._structures)
+        st = self._structures.get(self.basis, self.params, pulse)
+        self.counters["structure_builds"] = self._structures.builds
         return st
 
     def _evaluate(self, pulse: PulseSpec) -> PulseRates:
@@ -159,26 +159,52 @@ class MatrixProvider:
         return self._sp_dense
 
     def prepare(self, schedule: Schedule) -> None:
-        """Build everything a run needs up front (parent process side)."""
+        """Build everything a run needs up front (parent process side).
+
+        Static pulses are served from memory from then on, so only the
+        ramped pulses' structures stay in the memo.
+        """
         self.spontaneous_dense()
-        for i, pulse in enumerate(schedule.cycle):
-            if schedule.is_ramped(i):  # amplitudes change; matrix cannot
-                self.structure(pulse.resolved(self.params))
-            else:
+        pulses = [p.resolved(self.params) for p in schedule.cycle]
+        ramped = [p for i, p in enumerate(pulses) if schedule.is_ramped(i)]
+        for i, pulse in enumerate(pulses):
+            if not schedule.is_ramped(i):
                 self.absorption(pulse, persist=True)
+        self._structures.retain(self.basis, self.params, ramped)
+        for pulse in ramped:  # amplitudes change; matrix cannot
+            self.structure(pulse)
 
 
-def _memo_structure(structures: dict, basis: Basis, params: SimParams,
-                    pulse: PulseSpec) -> AbsorptionStructure:
-    """The structure of a resolved pulse from ``structures``, built on a
-    miss. It depends on the pulse's ``s`` and width only, so one memo
-    serves params that differ in the pulse area alone."""
-    key = (pulse.s, pulse.omega_tau_abs)
-    st = structures.get(key)
-    if st is None:
-        st = structures[key] = absorption_structure(basis, params, pulse.s,
-                                                    pulse.omega_tau_abs)
-    return st
+class StructureMemo:
+    """Absorption structures built on first use, by what they depend on:
+    the basis, ``eta``, the resonance window and a resolved pulse's ``s``
+    and width, not its amplitudes or area. So one memo serves a pulse-area
+    calibration and the run at the calibrated area. ``builds`` counts the
+    structures built."""
+
+    def __init__(self):
+        self._memo: dict[tuple, AbsorptionStructure] = {}
+        self.builds = 0
+
+    @staticmethod
+    def _key(basis: Basis, params: SimParams, pulse: PulseSpec) -> tuple:
+        return (basis.fingerprint(), params.eta, params.resonance_window,
+                pulse.s, pulse.omega_tau_abs)
+
+    def get(self, basis: Basis, params: SimParams,
+            pulse: PulseSpec) -> AbsorptionStructure:
+        key = self._key(basis, params, pulse)
+        st = self._memo.get(key)
+        if st is None:
+            st = self._memo[key] = absorption_structure(basis, params, pulse.s,
+                                                        pulse.omega_tau_abs)
+            self.builds += 1
+        return st
+
+    def retain(self, basis: Basis, params: SimParams, pulses) -> None:
+        """Drop every structure but those of ``pulses``."""
+        keys = {self._key(basis, params, p) for p in pulses}
+        self._memo = {k: v for k, v in self._memo.items() if k in keys}
 
 
 # ------------------------------------------------------------- stepping
@@ -809,7 +835,7 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
                          expected_occ: np.ndarray, target: float = 0.5,
                          cap: float = 0.9, occupancy_floor: float = 0.5,
                          hard_margin: float = 0.98,
-                         structures: dict | None = None) -> float:
+                         structures: StructureMemo | None = None) -> float:
     """Pulse area such that the worst per-atom excitation probability,
     over levels the initial state actually populates, is ``target``.
 
@@ -823,8 +849,8 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     itself needs omega0 tau < 1).
 
     ``structures`` is a structure memo to fill and reuse; pass the same
-    dict to the ``MatrixProvider`` of the run, whose params differ in
-    the pulse area only, and no structure is built twice.
+    memo to the ``MatrixProvider`` of the run, and no structure is built
+    twice.
     """
     if not 0 < target <= 1:
         raise ValueError("target must lie in (0, 1]")
@@ -835,9 +861,9 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
     worst_any = 0.0
-    structures = {} if structures is None else structures
+    structures = StructureMemo() if structures is None else structures
     for pulse in resolve_cycle(schedule.resolved(params), 0):
-        struct = _memo_structure(structures, basis, params, pulse)
+        struct = structures.get(basis, params, pulse)
         dep = struct.evaluate_lazy(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))
         worst_any = max(worst_any, 2.0 * float(dep.max()))

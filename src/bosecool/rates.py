@@ -6,10 +6,10 @@ so the per-pulse excitation probability of one atom in ground level m is
 2 * depletion[m], the sum of the rates of m's channels. A pulse's
 absorption lives in ``PulseRates``, its channels grouped by source level
 in the order the sampler draws them; ``LazyPulseRates`` holds the same
-values for a ramped pulse, but builds a source's channels only when the
-sampler reads them. Spontaneous entries are branching
-rates in units of the excited-state linewidth; the dynamics renormalizes
-them per configuration, so only ratios matter.
+values for a ramped diagonal-only pulse without that grouping.
+Spontaneous entries are branching rates in units of the excited-state
+linewidth; the dynamics renormalizes them per configuration, so only
+ratios matter.
 
 ``RateMatrix`` holds (to_id, from_id) triplets, i.e. columns are source
 levels. It is the emission matrix, whose column sums approach 1 when the
@@ -234,33 +234,24 @@ class PulseRates:
 
 
 class LazyPulseRates:
-    """One pulse's absorption as the sampler reads it: ``depletion`` in
-    full, and a source's channels only once an atom absorbs from it.
+    """A diagonal-only pulse's absorption as the sampler reads it: each
+    source's one channel, to ``chan_to[m]``, kept where ``keep[m]``.
 
     ``depletion`` and every ``channels(m)`` are bitwise what
-    ``AbsorptionStructure.evaluate`` gives; a source's slice is taken
-    from the rates and the keep mask computed for the depletion, so it
-    costs no evaluation.
+    ``AbsorptionStructure.evaluate`` gives, without grouping the channels.
     """
 
-    __slots__ = ("depletion", "_structure", "_rate", "_keep", "_slices")
+    __slots__ = ("depletion", "_chan_to", "_rate", "_keep")
 
-    def __init__(self, depletion, structure, rate, keep):
+    def __init__(self, depletion, chan_to, rate, keep):
         self.depletion = depletion
-        self._structure = structure
+        self._chan_to = chan_to
         self._rate = rate
         self._keep = keep
-        self._slices: dict = {}
 
     def channels(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        got = self._slices.get(m)
-        if got is None:
-            st = self._structure
-            lo, hi = st.indptr[m], st.indptr[m + 1]
-            keep = self._keep[lo:hi]
-            got = st.chan_to[lo:hi][keep], self._rate[lo:hi][keep]
-            self._slices[m] = got
-        return got
+        hi = m + 1 if self._keep[m] else m
+        return self._chan_to[m:hi], self._rate[m:hi]
 
 
 # ------------------------------------------------------------ absorption
@@ -288,8 +279,8 @@ class AbsorptionStructure:
     chan_axis: np.ndarray              # beam axis of a shift, dim on the diagonal
     chan_fc2s: np.ndarray              # fc2 * spectrum of a shift, 0 on the diagonal
 
-    def _rates(self, amps, omega0_tau_abs: float):
-        """Every channel's rate, and the mask of the channels kept."""
+    def evaluate(self, amps: tuple[float, ...],
+                 omega0_tau_abs: float) -> PulseRates:
         if len(amps) != self.basis.dim:
             raise ValueError("amplitude tuple length must match basis dim")
         pref = math.pi / 8.0 * omega0_tau_abs ** 2
@@ -301,11 +292,6 @@ class AbsorptionStructure:
             m = self.diag_amp @ np.asarray(amps)
             rate[self.indptr[:-1]] = pref * self.diag_spectrum * m * m
         keep = live & (rate >= REL_CUTOFF * rate[live].max(initial=0.0))
-        return rate, keep
-
-    def evaluate(self, amps: tuple[float, ...],
-                 omega0_tau_abs: float) -> PulseRates:
-        rate, keep = self._rates(amps, omega0_tau_abs)
         return PulseRates(
             depletion=np.bincount(self.chan_from[keep], weights=rate[keep],
                                   minlength=self.basis.size),
@@ -313,28 +299,25 @@ class AbsorptionStructure:
             chan_to=self.chan_to[keep],
             chan_rate=rate[keep])
 
-    def evaluate_lazy(self, amps: tuple[float, ...],
-                      omega0_tau_abs: float) -> LazyPulseRates:
-        """``evaluate`` without grouping the kept channels: the depletion
-        now, a source's channels on first use.
-
-        Where the diagonal is every channel (``s`` within the resonance
-        window, no shift in it), the rates are the diagonal vector alone:
-        the same ((pref * spectrum) * m) * m, the cutoff from its maximum,
-        and a cut entry's depletion 0.0, as ``bincount`` gives it.
+    def evaluate_lazy(self, amps: tuple[float, ...], omega0_tau_abs: float
+                      ) -> PulseRates | LazyPulseRates:
+        """``evaluate``, skipping the channel grouping where the diagonal
+        is every channel (``s`` within the resonance window, no shift in
+        it): then the rates are the diagonal vector alone, the same
+        ((pref * spectrum) * m) * m, the cutoff from its maximum, and a
+        cut entry's depletion 0.0, as ``bincount`` gives it. Any other
+        structure is evaluated in full.
         """
         if self.diag_amp is None or self.chan_from.size != self.basis.size:
-            rate, keep = self._rates(amps, omega0_tau_abs)
-            return LazyPulseRates(
-                np.bincount(self.chan_from[keep], weights=rate[keep],
-                            minlength=self.basis.size), self, rate, keep)
+            return self.evaluate(amps, omega0_tau_abs)
         if len(amps) != self.basis.dim:
             raise ValueError("amplitude tuple length must match basis dim")
         pref = math.pi / 8.0 * omega0_tau_abs ** 2
         m = self.diag_amp @ np.asarray(amps)
         rate = pref * self.diag_spectrum * m * m
         keep = rate >= REL_CUTOFF * rate.max(initial=0.0)
-        return LazyPulseRates(np.where(keep, rate, 0.0), self, rate, keep)
+        return LazyPulseRates(np.where(keep, rate, 0.0), self.chan_to,
+                              rate, keep)
 
 
 def absorption_fingerprint(basis: Basis, s: int, eta: float, amps,

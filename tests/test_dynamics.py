@@ -25,7 +25,7 @@ from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       exact_initial_state, exact_propagate, figure_schedule,
                       franck_condon_1d, pulse_step, resolve_cycle,
                       run_ensemble, run_trajectory)
-from bosecool.dynamics import PulseRates, _step
+from bosecool.dynamics import PulseRates, StructureMemo, _step
 from bosecool.rates import RateMatrix
 
 from oracles import multinomial_sigma
@@ -492,6 +492,36 @@ def test_provider_serves_persisted_pulses_once():
     assert ref() is None
     assert provider.absorption(pulse, persist=True) is first
     assert provider.counters["abs_builds"] == 1
+
+
+def test_structure_memo_keys_on_params_and_keeps_ramped_after_prepare():
+    basis = enumerate_levels(1, 3)
+    params = SimParams(eta=0.9, omega0_tau_abs=0.4)
+    memo = StructureMemo()
+    pulse = PulseSpec(s=-1, amps=(1.0,)).resolved(params)
+    st = memo.get(basis, params, pulse)
+    # the area is not part of a structure; eta and the window are
+    assert memo.get(basis, dataclasses.replace(params, omega0_tau_abs=0.2),
+                    pulse) is st
+    for other in (dataclasses.replace(params, eta=1.1),
+                  dataclasses.replace(params, resonance_window=1)):
+        assert memo.get(basis, other, pulse) is not st
+    assert memo.get(enumerate_levels(1, 4), params, pulse) is not st
+    assert memo.builds == 4
+
+    # after prepare only the ramped pulse's structure is kept
+    memo = StructureMemo()
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),
+                               PulseSpec(s=0, amps=(1.0,))), total_cycles=4,
+                        ramps=(Ramp(1, "a_x", 1.0, 0.5, 0, 4),))
+    provider = MatrixProvider(basis, params, structures=memo)
+    provider.prepare(schedule)
+    assert provider.counters["structure_builds"] == 2
+    static, ramped = (p.resolved(params) for p in schedule.cycle)
+    memo.get(basis, params, ramped)
+    assert memo.builds == 2
+    memo.get(basis, params, static)
+    assert memo.builds == 3
 
 
 def test_ramp_columns_record_the_area_in_effect():

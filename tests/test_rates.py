@@ -245,7 +245,7 @@ def test_lazy_rates_match_evaluate_bitwise(case):
     lazy = struct.evaluate_lazy(amps, area)
     assert lazy.depletion.dtype == full.depletion.dtype
     assert lazy.depletion.tobytes() == full.depletion.tobytes()
-    # every source, built on first use and then served again
+    # every source, in both orders
     for m in [*reversed(range(basis.size)), *range(basis.size)]:
         to, rate = lazy.channels(m)
         want_to, want_rate = full.channels(m)
