@@ -11,8 +11,8 @@ from .basis import (Basis, Configuration, SimParams, TrapLevel,
                     thermal_distribution)
 from .cache import (CacheCorruptError, CacheError, CacheMismatchError,
                     cache_filename, cache_load, cache_store)
-from .rates import (EmissionQuadrature, PhysicsValidityError, RateMatrix,
-                    absorption_structure, build_spontaneous_rates,
+from .rates import (EmissionMatrix, EmissionQuadrature, PhysicsValidityError,
+                    RateMatrix, absorption_structure, build_spontaneous_rates,
                     emission_quadrature, franck_condon_1d, pulse_spectrum_sq)
 from .schedule import (PulseSpec, Ramp, Schedule, confinement_pulse,
                        figure_schedule, interference_pulse,
@@ -39,9 +39,9 @@ __all__ = [
     "sample_initial_configuration", "shell", "thermal_distribution",
     "CacheCorruptError", "CacheError", "CacheMismatchError",
     "cache_filename", "cache_load", "cache_store",
-    "EmissionQuadrature", "PhysicsValidityError", "RateMatrix",
-    "absorption_structure", "build_spontaneous_rates", "emission_quadrature",
-    "franck_condon_1d", "pulse_spectrum_sq",
+    "EmissionMatrix", "EmissionQuadrature", "PhysicsValidityError",
+    "RateMatrix", "absorption_structure", "build_spontaneous_rates",
+    "emission_quadrature", "franck_condon_1d", "pulse_spectrum_sq",
     "PulseSpec", "Ramp", "Schedule", "confinement_pulse", "figure_schedule",
     "interference_pulse", "pseudo_confinement_pulses", "resolve_cycle",
     "sideband_pulse",

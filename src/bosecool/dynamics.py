@@ -54,8 +54,8 @@ import numpy as np
 
 from .basis import Basis, Configuration, SimParams, sample_initial_configuration
 from .cache import cache_filename, cache_load, cache_store
-from .rates import (AbsorptionStructure, PhysicsValidityError, PulseRates,
-                    RateMatrix, absorption_fingerprint, absorption_structure,
+from .rates import (AbsorptionStructure, EmissionMatrix, PhysicsValidityError,
+                    PulseRates, absorption_fingerprint, absorption_structure,
                     build_spontaneous_rates, emission_quadrature,
                     spontaneous_fingerprint, EmissionQuadrature)
 from .schedule import PulseSpec, Schedule, resolve_cycle
@@ -75,7 +75,8 @@ class MatrixProvider:
     built and stored there, once, and then served from memory. Any other
     pulse is evaluated from its memoized amplitude-independent structure
     on every call and kept nowhere, so a per-cycle amplitude only costs
-    an O(size) evaluation.
+    an O(size) evaluation. The emission matrix is loaded or built (and
+    stored) once and kept as its dense column-major array only.
     """
 
     def __init__(self, basis: Basis, params: SimParams,
@@ -90,8 +91,7 @@ class MatrixProvider:
         # builds count here
         self._structures = StructureMemo() if structures is None else structures
         self._static: dict[tuple, PulseRates] = {}
-        self._sp_matrix: RateMatrix | None = None
-        self._sp_dense: np.ndarray | None = None
+        self._sp: EmissionMatrix | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
                          "structure_builds": self._structures.builds}
 
@@ -135,28 +135,26 @@ class MatrixProvider:
 
     # -- spontaneous ---------------------------------------------------
 
-    def spontaneous(self) -> RateMatrix:
-        if self._sp_matrix is None:
+    def spontaneous(self) -> EmissionMatrix:
+        if self._sp is None:
             fp = spontaneous_fingerprint(self.basis, self.params, self.quadrature)
             path = (os.path.join(self.cache_dir, cache_filename(fp))
                     if self.cache_dir is not None else None)
             if path is not None and os.path.exists(path):
-                self._sp_matrix = cache_load(path, fp)
+                self._sp = cache_load(path, fp)
                 self.counters["disk_loads"] += 1
             else:
-                self._sp_matrix = build_spontaneous_rates(
+                self._sp = build_spontaneous_rates(
                     self.basis, self.params, self.quadrature)
                 self.counters["sp_builds"] += 1
                 if path is not None:
-                    cache_store(self._sp_matrix, path)
-        return self._sp_matrix
+                    cache_store(self._sp, path)
+        return self._sp
 
     def spontaneous_dense(self) -> np.ndarray:
         """Dense emission matrix; column-major, so the column an emission
         draw reads is contiguous."""
-        if self._sp_dense is None:
-            self._sp_dense = self.spontaneous().to_dense()
-        return self._sp_dense
+        return self.spontaneous().dense
 
     def prepare(self, schedule: Schedule) -> None:
         """Build everything a run needs up front (parent process side).

@@ -7,20 +7,21 @@ so the per-pulse excitation probability of one atom in ground level m is
 absorption lives in ``PulseRates``, its channels grouped by source level
 in the order the sampler draws them; ``LazyPulseRates`` holds the same
 values for a ramped diagonal-only pulse without that grouping.
+``RateMatrix`` is the (to_id, from_id, rate) record a static pulse's
+absorption is cached as on disk.
+
 Spontaneous entries are branching rates in units of the excited-state
 linewidth; the dynamics renormalizes them per configuration, so only
-ratios matter.
-
-``RateMatrix`` holds (to_id, from_id) triplets, i.e. columns are source
-levels. It is the emission matrix, whose column sums approach 1 when the
-truncation holds the full emission band, and the record a pulse's
-absorption is cached as on disk.
+ratios matter. ``EmissionMatrix`` holds them as one dense column-major
+float64 array, the form the sampler reads and the cache stores, with
+entries below ``REL_CUTOFF`` of the maximum zeroed; its column sums
+approach 1 when the truncation holds the full emission band.
 
 The 3D emission matrix is built block by block over pairs of z quantum
 numbers from per-ring (x, y) tensors, bitwise equal to summing every
-quadrature node over every level pair, and its record is taken out row
-block by row block; ``emission_memory_bytes`` states what the path holds
-at its peak, which the command line checks against physical memory.
+quadrature node over every level pair; ``emission_memory_bytes`` states
+what the path holds at its peak, which the command line checks against
+physical memory.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ def pulse_spectrum_sq(delta_mismatch: float, omega_tau_abs: float) -> float:
 
 @dataclass
 class RateMatrix:
-    """Sparse non-negative rate matrix in (to, from) coordinate triplets."""
+    """A pulse's absorption as a (to, from, rate) record: columns are
+    source levels."""
 
-    kind: str
     shape: tuple[int, int]
     to_ids: np.ndarray
     from_ids: np.ndarray
@@ -176,19 +177,19 @@ class RateMatrix:
         return np.bincount(self.from_ids, weights=self.rates,
                            minlength=self.shape[1])
 
-    def max_rate(self) -> float:
-        return float(self.rates.max()) if self.nnz else 0.0
 
-    def to_dense(self) -> np.ndarray:
-        """Dense copy in column-major order, so a column is contiguous.
+@dataclass
+class EmissionMatrix:
+    """The emission branching matrix: ``dense[n, l]`` is the rate from
+    excited level l to ground level n, float64 and column-major, so the
+    column an emission draw reads is contiguous."""
 
-        Each (to, from) pair appears at most once (the emission build
-        takes its entries from ``np.nonzero``, and a pulse lists each
-        channel once), so the entries are assigned, not summed.
-        """
-        out = np.zeros(self.shape, order="F")
-        out[self.to_ids, self.from_ids] = self.rates
-        return out
+    dense: np.ndarray
+    fingerprint: str = ""
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.dense))
 
 
 @dataclass
@@ -224,8 +225,7 @@ class PulseRates:
         """These rates as a (to, from) record, without a fingerprint."""
         n = self.depletion.shape[0]
         from_ids = np.repeat(np.arange(n), np.diff(self.chan_indptr))
-        return RateMatrix("absorption", (n, n), self.chan_to, from_ids,
-                          self.chan_rate)
+        return RateMatrix((n, n), self.chan_to, from_ids, self.chan_rate)
 
     def channels(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Excited levels and rates of source ``m``'s channels."""
@@ -475,41 +475,17 @@ def _kappa_table_cache(n_max: int):
     return get
 
 
-_ROW_BLOCK = 16  # rows of the dense matrix scanned per extraction step
-
-
-def _record_entries(dense: np.ndarray, threshold: float):
-    """(to, from, rate) of the entries >= ``threshold`` in row-major order,
-    as ``np.nonzero`` lists them, gathered row block by row block so that,
-    past the boolean mask the count takes, the only full-size arrays are
-    the record's own uint32/float64 columns."""
-    nnz = np.count_nonzero(dense >= threshold)
-    to_ids = np.empty(nnz, dtype=np.uint32)
-    from_ids = np.empty(nnz, dtype=np.uint32)
-    vals = np.empty(nnz)
-    pos = 0
-    for r in range(0, dense.shape[0], _ROW_BLOCK):
-        block = dense[r:r + _ROW_BLOCK]
-        keep = block >= threshold
-        rows, cols = np.nonzero(keep)
-        end = pos + rows.size
-        to_ids[pos:end] = rows + r
-        from_ids[pos:end] = cols
-        vals[pos:end] = block[keep]
-        pos = end
-    return to_ids, from_ids, vals
-
-
 def build_spontaneous_rates(basis: Basis, params: SimParams,
                             quadrature: EmissionQuadrature,
                             rel_cutoff: float = REL_CUTOFF,
-                            completeness_warn: float = 0.01) -> RateMatrix:
+                            completeness_warn: float = 0.01) -> EmissionMatrix:
     """Angle-averaged emission branching matrix, in linewidth units.
 
     Entry (n, l) integrates the product of per-axis recoil overlaps
-    |<n_j|exp(i k_sp u_j x_j)|l_j>|^2 over photon directions u. Columns
-    sum to 1 up to truncation loss; a single warning reports columns
-    losing more than ``completeness_warn``.
+    |<n_j|exp(i k_sp u_j x_j)|l_j>|^2 over photon directions u; entries
+    below ``rel_cutoff`` of the maximum are zeroed in place. Columns sum
+    to 1 up to truncation loss; a single warning reports columns losing
+    more than ``completeness_warn``.
     """
     if quadrature.directions.shape[1] != basis.dim:
         raise ValueError("quadrature dimension does not match basis dim")
@@ -519,26 +495,22 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
     table = _kappa_table_cache(nq)
 
     if basis.dim == 1:
-        dense = np.zeros((size, size))
+        dense = np.zeros((size, size), order="F")
         for u, w in zip(quadrature.directions[:, 0], quadrature.weights):
             dense += w * table(eta_sp * u)
     elif basis.dim == 2:
         qx = basis.levels[:, 0].astype(np.int64)
         qy = basis.levels[:, 1].astype(np.int64)
-        dense = np.zeros((size, size))
+        dense = np.zeros((size, size), order="F")
         for (ux, uy), w in zip(quadrature.directions, quadrature.weights):
             tx = table(eta_sp * ux)
             ty = table(eta_sp * uy)
             dense += w * (tx[np.ix_(qx, qx)] * ty[np.ix_(qy, qy)])
     else:
         dense = _spontaneous_dense_3d(basis, eta_sp, quadrature, table)
+    dense[dense < rel_cutoff * dense.max()] = 0.0
 
-    to_ids, from_ids, vals = _record_entries(dense, rel_cutoff * dense.max())
-    del dense
-    fp = spontaneous_fingerprint(basis, params, quadrature)
-    mat = RateMatrix("spontaneous", (size, size), to_ids, from_ids, vals, fp)
-
-    lost = 1.0 - mat.column_sums()
+    lost = 1.0 - dense.sum(axis=0)
     bad = int((lost > completeness_warn).sum())
     if bad:
         warnings.warn(
@@ -546,27 +518,26 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
             f"{completeness_warn:.0%} of their branching to truncation "
             f"(worst {lost.max():.3f}); raise max_shell if the dynamics "
             "populates the top of the band", stacklevel=2)
-    return mat
+    return EmissionMatrix(dense, spontaneous_fingerprint(basis, params,
+                                                         quadrature))
 
 
 def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
     """Bytes the emission matrix path holds at its peak on ``basis``.
 
-    Per level pair: 8 for the dense matrix the build fills and the run
-    keeps, 16 for the (u32 to, u32 from, f64 rate) record, and 16 more
-    while a load holds the file's bytes next to the record it copies
-    out, so 32 in all. The 3D kernel also holds, next to its dense
-    output, one float64 (K x K) tensor per polar group plus a ring's
-    node terms and the running sum, for K 2D levels.
+    8 per level pair for the dense matrix the build fills, the cache
+    stores and loads in place and the run keeps. The 3D kernel also
+    holds, next to its dense output, one float64 (K x K) tensor per
+    polar group plus a ring's node terms and the running sum, for K 2D
+    levels.
     """
-    pairs = basis.size ** 2
     kernel = 0
     if basis.dim == 3:
         groups = _polar_groups(quadrature)
         k = math.comb(basis.max_shell + 2, 2)
         ring = max(len(m) for m in groups.values())
-        kernel = 8 * (pairs + k * k * (len(groups) + ring + 1))
-    return max(32 * pairs, kernel)
+        kernel = 8 * k * k * (len(groups) + ring + 1)
+    return 8 * basis.size ** 2 + kernel
 
 
 def _polar_groups(quadrature: EmissionQuadrature) -> dict[float, list[int]]:

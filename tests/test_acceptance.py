@@ -321,7 +321,7 @@ def test_criterion_9_conservation_and_determinism(tmp_path):
     pulses = [provider.absorption(PulseSpec(s=-1, amps=(1.0,))),
               provider.absorption(PulseSpec(s=-2, amps=(1.0,))),
               provider.absorption(PulseSpec(s=1, amps=(1.0,)))]
-    sp_dense = provider.spontaneous().to_dense()
+    sp_dense = provider.spontaneous_dense()
     occ = np.zeros(basis.size, dtype=np.int64)
     occ[3] = 2
     occ[5] = 1

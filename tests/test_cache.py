@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bosecool import (CacheCorruptError, CacheMismatchError, MatrixProvider,
-                      PulseSpec, SimParams, build_spontaneous_rates,
-                      cache_filename, cache_load, cache_store,
-                      emission_quadrature, enumerate_levels)
+from bosecool import (CacheCorruptError, CacheMismatchError, EmissionMatrix,
+                      MatrixProvider, PulseSpec, SimParams,
+                      build_spontaneous_rates, cache_filename, cache_load,
+                      cache_store, emission_quadrature, enumerate_levels)
 from bosecool.rates import RateMatrix, absorption_fingerprint
 
 
@@ -32,7 +32,7 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / cache_filename(mat.fingerprint)
     cache_store(mat, path)
     back = cache_load(path, expected_fingerprint=mat.fingerprint)
-    assert back.kind == mat.kind
+    assert isinstance(back, RateMatrix)
     assert back.shape == mat.shape
     assert back.fingerprint == mat.fingerprint
     assert_array_equal(back.to_ids, mat.to_ids)
@@ -91,12 +91,14 @@ def test_missing_file(tmp_path):
 
 
 def test_store_requires_fingerprint(tmp_path):
-    anon = RateMatrix(kind="absorption", shape=(2, 2),
+    anon = RateMatrix(shape=(2, 2),
                       to_ids=np.array([0], dtype=np.uint32),
                       from_ids=np.array([1], dtype=np.uint32),
                       rates=np.array([0.5]))
     with pytest.raises(ValueError):
         cache_store(anon, tmp_path / "m.rates")
+    with pytest.raises(ValueError):
+        cache_store(EmissionMatrix(np.eye(2, order="F")), tmp_path / "m.rates")
 
 
 def test_cache_filename_stable():
@@ -106,45 +108,160 @@ def test_cache_filename_stable():
     assert name != cache_filename("abs|basis(dim=1,max_shell=6)|s=-1")
 
 
-def v1_file_bytes(matrix):
-    """A version-1 file as a writer that concatenates the whole body
+def v2_file_bytes(matrix):
+    """A version-2 file as a writer that concatenates the whole body
     before hashing it lays it out."""
     fp_bytes = matrix.fingerprint.encode("utf-8")
-    header = b"BCRATES1" + struct.pack(
-        "<IBxxxIIQI", 1, {"absorption": 0, "spontaneous": 1}[matrix.kind],
-        matrix.shape[0], matrix.shape[1], matrix.nnz, len(fp_bytes))
-    entries = np.empty(matrix.nnz, dtype=[("to", "<u4"), ("from", "<u4"),
-                                          ("rate", "<f8")])
-    entries["to"] = matrix.to_ids
-    entries["from"] = matrix.from_ids
-    entries["rate"] = matrix.rates
-    body = header + fp_bytes + entries.tobytes()
-    return body + hashlib.sha256(body).digest()
+    if isinstance(matrix, EmissionMatrix):
+        kind, (rows, cols) = 1, matrix.dense.shape
+        n = rows * cols
+        body = matrix.dense.astype("<f8").tobytes(order="F")
+    else:
+        kind, (rows, cols), n = 0, matrix.shape, matrix.nnz
+        entries = np.empty(n, dtype=[("to", "<u4"), ("from", "<u4"),
+                                     ("rate", "<f8")])
+        entries["to"] = matrix.to_ids
+        entries["from"] = matrix.from_ids
+        entries["rate"] = matrix.rates
+        body = entries.tobytes()
+    header = b"BCRATES1" + struct.pack("<IBxxxIIQI", 2, kind, rows, cols, n,
+                                       len(fp_bytes))
+    data = header + fp_bytes + body
+    return data + hashlib.sha256(data).digest()
 
 
-def emission_record():
-    """A 3D emission record: 455 levels, 207k entries, several store chunks."""
+def v1_emission_bytes(matrix):
+    """The retired version-1 emission file: a (u32 to, u32 from, f64 rate)
+    record of the non-zero entries in row-major order."""
+    to_ids, from_ids = np.nonzero(matrix.dense)
+    entries = np.empty(to_ids.size, dtype=[("to", "<u4"), ("from", "<u4"),
+                                           ("rate", "<f8")])
+    entries["to"] = to_ids
+    entries["from"] = from_ids
+    entries["rate"] = matrix.dense[to_ids, from_ids]
+    fp_bytes = matrix.fingerprint.encode("utf-8")
+    data = (b"BCRATES1" + struct.pack("<IBxxxIIQI", 1, 1, *matrix.dense.shape,
+                                      to_ids.size, len(fp_bytes))
+            + fp_bytes + entries.tobytes())
+    return data + hashlib.sha256(data).digest()
+
+
+EMISSION_PARAMS = SimParams(eta=2.0, omega0_tau_abs=0.4)
+
+
+def emission_matrix():
+    """A 3D emission matrix: 455 levels, 207k level pairs."""
     basis = enumerate_levels(3, 12)
-    params = SimParams(eta=2.0, omega0_tau_abs=0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return build_spontaneous_rates(basis, params, emission_quadrature(3))
+        return build_spontaneous_rates(basis, EMISSION_PARAMS,
+                                       emission_quadrature(3))
 
 
-@pytest.mark.parametrize("make", [emission_record, small_matrix])
-def test_v1_layout_unchanged(tmp_path, make):
+@pytest.fixture(scope="module")
+def emission():
+    return emission_matrix()
+
+
+@pytest.mark.parametrize("make", [emission_matrix, small_matrix])
+def test_v2_layout(tmp_path, make):
     mat = make()
     path = tmp_path / "m.rates"
     cache_store(mat, path)
-    assert path.read_bytes() == v1_file_bytes(mat)
+    assert path.read_bytes() == v2_file_bytes(mat)
 
     ref = tmp_path / "ref.rates"
-    ref.write_bytes(v1_file_bytes(mat))
+    ref.write_bytes(v2_file_bytes(mat))
     back = cache_load(ref, expected_fingerprint=mat.fingerprint)
-    assert (back.kind, back.shape, back.fingerprint) == \
-        (mat.kind, mat.shape, mat.fingerprint)
+    assert type(back) is type(mat)
+    assert back.fingerprint == mat.fingerprint
+    if isinstance(mat, EmissionMatrix):
+        assert back.dense.tobytes(order="F") == mat.dense.tobytes(order="F")
+        return
+    assert back.shape == mat.shape
     for name in ("to_ids", "from_ids", "rates"):
         got, want = getattr(back, name), getattr(mat, name)
         assert got.dtype == want.dtype
         assert got.flags.c_contiguous and got.flags.writeable
         assert got.tobytes() == want.tobytes()
+
+
+def test_emission_round_trip_bit_exact(tmp_path, emission):
+    assert emission.dense.flags.f_contiguous
+    path = tmp_path / cache_filename(emission.fingerprint)
+    cache_store(emission, path)
+    assert path.stat().st_size == 8 * emission.dense.size + 36 + \
+        len(emission.fingerprint.encode()) + 32
+    back = cache_load(path, expected_fingerprint=emission.fingerprint)
+    assert isinstance(back, EmissionMatrix)
+    assert back.dense.dtype == np.float64
+    assert back.dense.flags.f_contiguous and back.dense.flags.writeable
+    assert back.dense.shape == emission.dense.shape
+    assert back.dense.tobytes(order="F") == emission.dense.tobytes(order="F")
+    assert back.nnz == emission.nnz
+
+
+def emission_file(tmp_path, emission):
+    path = tmp_path / "m.rates"
+    cache_store(emission, path)
+    return path, bytearray(path.read_bytes())
+
+
+def test_emission_truncated_body(tmp_path, emission):
+    path, raw = emission_file(tmp_path, emission)
+    path.write_bytes(bytes(raw[:len(raw) // 2]))
+    with pytest.raises(CacheCorruptError, match="payload length"):
+        cache_load(path, expected_fingerprint=emission.fingerprint)
+
+
+def test_emission_flipped_body_byte(tmp_path, emission):
+    path, raw = emission_file(tmp_path, emission)
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheCorruptError, match="checksum"):
+        cache_load(path, expected_fingerprint=emission.fingerprint)
+
+
+def test_emission_wrong_fingerprint(tmp_path, emission):
+    path, _ = emission_file(tmp_path, emission)
+    with pytest.raises(CacheMismatchError, match="different physics"):
+        cache_load(path, expected_fingerprint=emission.fingerprint + "|x")
+
+
+@pytest.mark.parametrize("field,delta", [("cols", -1), ("n", 1), ("tail", 8)])
+def test_emission_wrong_payload_length(tmp_path, emission, field, delta):
+    # a header that disagrees with the body, checksummed as if it were valid
+    path, raw = emission_file(tmp_path, emission)
+    data = raw[:-32]
+    if field == "tail":
+        data += bytes(delta)
+    else:
+        offset, fmt = {"cols": (20, "<I"), "n": (24, "<Q")}[field]
+        (value,) = struct.unpack_from(fmt, data, offset)
+        struct.pack_into(fmt, data, offset, value + delta)
+    path.write_bytes(bytes(data) + hashlib.sha256(data).digest())
+    with pytest.raises(CacheCorruptError, match="payload length"):
+        cache_load(path)
+
+
+def test_v1_emission_file_is_ignored(tmp_path, emission):
+    basis = enumerate_levels(3, 12)
+    quad = emission_quadrature(3)
+    old = tmp_path / (hashlib.sha256(emission.fingerprint.encode("utf-8"))
+                      .hexdigest()[:32] + ".rates")
+    old.write_bytes(v1_emission_bytes(emission))
+    before = old.read_bytes(), old.stat().st_mtime_ns
+    with pytest.raises(CacheMismatchError, match="format version 1"):
+        cache_load(old)
+
+    provider = MatrixProvider(basis, EMISSION_PARAMS, cache_dir=str(tmp_path),
+                              quadrature=quad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        dense = provider.spontaneous_dense()
+    assert provider.counters["sp_builds"] == 1
+    assert provider.counters["disk_loads"] == 0
+    assert dense.tobytes(order="F") == emission.dense.tobytes(order="F")
+    assert (old.read_bytes(), old.stat().st_mtime_ns) == before
+    new = tmp_path / cache_filename(emission.fingerprint)
+    assert new != old and new.exists()

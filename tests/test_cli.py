@@ -148,10 +148,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err.startswith("error: config:")
     assert "omega0_tau_abs" in err
 
+    doc = sim_doc(out)  # a ramp whose endpoints pass but which sweeps the
+    # pulse's only beam through 0 at cycle 5
+    doc["schedule"]["ramps"] = [{"pulse": 0, "field": "a_x", "start": 1.0,
+                                 "end": -1.0, "start_cycle": 0,
+                                 "end_cycle": 10}]
+    cfg = write_doc(tmp_path, doc, "ramp0.yaml")
+    for command in ("simulate", "hysteresis"):
+        assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: schedule:")
+        assert "no nonzero beam amplitude at cycle 5" in err
+        assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
 
 def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
-    doc = sim_doc(out)  # 6 levels: 32 B per level pair, 1,152 bytes
+    doc = sim_doc(out)  # 6 levels: 8 B per level pair, 288 bytes
     doc["criterion"] = {"target": [0]}
     doc["schedule"]["ramps"] = [{"pulse": 0, "field": "a_x", "start": 1.0,
                                  "end": 0.5, "start_cycle": 0,
@@ -160,21 +174,21 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_doc(tmp_path, doc)
     real = cli._physical_memory()
     assert real is None or real > 1 << 20
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 250)
     for command in ("simulate", "criterion", "hysteresis"):
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: the emission matrix of "
-                              "basis(dim=1,max_shell=5) needs about 1,152 "
+                              "basis(dim=1,max_shell=5) needs about 288 "
                               "bytes")
-        assert "more than the 1,000 bytes" in err
+        assert "more than the 250 bytes" in err
         assert err.count("\n") == 1
     assert not os.path.exists(out)
     # darkstates needs no emission matrix
     assert run_cli(["darkstates", "--config", cfg]) == 0
 
     # enough memory, or a platform that cannot say: the run goes ahead
-    for probe in (lambda: 1152, lambda: None):
+    for probe in (lambda: 288, lambda: None):
         monkeypatch.setattr(cli, "_physical_memory", probe)
         assert run_cli(["criterion", "--config", cfg]) == 0
 

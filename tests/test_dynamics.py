@@ -21,24 +21,26 @@ from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       PulseSpec, Ramp, RecorderSpec, Schedule, SimParams,
                       TrajectoryRecord, calibrate_pulse_area,
                       condensation_criterion, dynamics, emission_counts,
-                      enumerate_configurations, enumerate_levels,
+                      emission_quadrature, enumerate_configurations,
+                      enumerate_levels,
                       exact_initial_state, exact_propagate, figure_schedule,
                       franck_condon_1d, pulse_step, resolve_cycle,
                       run_ensemble, run_trajectory)
 from bosecool.dynamics import PulseRates, StructureMemo, _step
-from bosecool.rates import RateMatrix
+from bosecool.rates import (REL_CUTOFF, EmissionMatrix, RateMatrix,
+                            _kappa_table_cache)
 
-from oracles import multinomial_sigma
+from oracles import multinomial_sigma, spontaneous_dense_3d_flat
 
 PREF = math.pi / 8.0
 
 
-def rate_matrix(size, entries, kind="absorption"):
+def rate_matrix(size, entries):
     to = np.array([e[0] for e in entries], dtype=np.uint32)
     fr = np.array([e[1] for e in entries], dtype=np.uint32)
     ra = np.array([float(e[2]) for e in entries])
-    return RateMatrix(kind=kind, shape=(size, size), to_ids=to, from_ids=fr,
-                      rates=ra, fingerprint=f"test|{kind}|{size}|{len(entries)}")
+    return RateMatrix(shape=(size, size), to_ids=to, from_ids=fr, rates=ra,
+                      fingerprint=f"test|{size}|{len(entries)}")
 
 
 def pulse_rates(size, entries):
@@ -465,9 +467,11 @@ def test_provider_ramp_evaluations_share_structure():
     assert provider.counters["structure_builds"] == 1
     assert provider.counters["abs_builds"] == 0  # evaluations are not builds
     # rates scale with the squared amplitude on a single-beam pulse
-    full = provider.absorption(base).matrix.to_dense()
-    half = provider.absorption(base.with_amp(0, 0.5)).matrix.to_dense()
-    assert_allclose(half, 0.25 * full, rtol=1e-13)
+    full = provider.absorption(base)
+    half = provider.absorption(base.with_amp(0, 0.5))
+    assert_array_equal(half.chan_to, full.chan_to)
+    assert_array_equal(half.chan_indptr, full.chan_indptr)
+    assert_allclose(half.chan_rate, 0.25 * full.chan_rate, rtol=1e-13)
 
 
 def test_provider_serves_persisted_pulses_once():
@@ -815,18 +819,19 @@ def test_emission_matrix_is_column_major():
     provider = MatrixProvider(basis, params)
     sp = provider.spontaneous_dense()
     assert sp.flags.f_contiguous
-    # the same values as a row-major scatter of the COO entries
-    m = provider.spontaneous()
-    row_major = np.zeros(m.shape)
-    np.add.at(row_major, (m.to_ids.astype(np.int64), m.from_ids.astype(np.int64)),
-              m.rates)
-    assert sp.tobytes(order="C") == row_major.tobytes()
-    assert m.to_dense().tobytes(order="C") == row_major.tobytes()
+    assert provider.spontaneous().dense is sp
+    # the per-pair oracle's values, with the build's cutoff applied
+    want = spontaneous_dense_3d_flat(basis, params.eta_sp,
+                                     emission_quadrature(3),
+                                     _kappa_table_cache(basis.max_shell))
+    want[want < REL_CUTOFF * want.max()] = 0.0
+    assert sp.tobytes(order="C") == want.tobytes()
+    row_major = np.ascontiguousarray(sp)
+    assert not row_major.flags.f_contiguous
 
     # readers of the dense matrix see no difference against a row-major copy
     other = MatrixProvider(basis, params)
-    other._sp_matrix = provider.spontaneous()
-    other._sp_dense = row_major
+    other._sp = EmissionMatrix(row_major)
     pulses = figure_schedule("fig1").cycle
     a = condensation_criterion(pulses, basis, params, (0, 0, 0), provider=provider)
     b = condensation_criterion(pulses, basis, params, (0, 0, 0), provider=other)
@@ -841,7 +846,7 @@ def test_emission_matrix_is_column_major():
     provider.prepare(schedule)
     other = MatrixProvider(basis, params)
     other.prepare(schedule)
-    other._sp_dense = np.ascontiguousarray(other.spontaneous().to_dense())
+    other._sp = EmissionMatrix(np.ascontiguousarray(other.spontaneous_dense()))
     a = exact_propagate(basis, params, schedule, Configuration(occ), provider)
     b = exact_propagate(basis, params, schedule, Configuration(occ), other)
     assert a.probs.tobytes() == b.probs.tobytes()

@@ -1,0 +1,66 @@
+"""The benchmark's tracer binds package functions by name from outside the
+package; these tests fail when a binding it relies on goes away, so a
+broken ``perfbench/tracer.py`` run shows up here first."""
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+import warnings
+from pathlib import Path
+
+import pytest
+
+from bosecool import (EmissionMatrix, SimParams, build_spontaneous_rates,
+                      cache_filename, cache_store, emission_quadrature,
+                      enumerate_levels)
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_list(name):
+    """The literal value of a module-level list in the tracer's source."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+@pytest.mark.parametrize("module,attr,span", tracer_list("FUNCTIONS"))
+def test_traced_function_resolves(module, attr, span):
+    assert callable(getattr(importlib.import_module(module), attr)), span
+
+
+@pytest.mark.parametrize("module,cls,attr,span", tracer_list("METHODS"))
+def test_traced_method_resolves(module, cls, attr, span):
+    # the tracer replaces the entry in the class's own namespace
+    assert attr in vars(getattr(importlib.import_module(module), cls)), span
+
+
+def test_cache_hooks_read_the_path_positionally():
+    # the byte counters read cache_load's args[0] and cache_store's args[1]
+    cache = importlib.import_module("bosecool.cache")
+    assert list(inspect.signature(cache.cache_load).parameters)[0] == "path"
+    assert list(inspect.signature(cache.cache_store).parameters)[1] == "path"
+    dynamics = importlib.import_module("bosecool.dynamics")
+    assert "spontaneous_dense" in vars(dynamics.MatrixProvider)
+
+
+def test_emission_build_has_integer_nnz_and_kind_byte(tmp_path):
+    basis = enumerate_levels(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        built = build_spontaneous_rates(basis, SimParams(eta=2.0,
+                                                         omega0_tau_abs=0.4),
+                                        emission_quadrature(3))
+    assert isinstance(built, EmissionMatrix)
+    assert isinstance(built.nnz, int)
+    assert 0 < built.nnz <= basis.size ** 2
+    # the benchmark's path guard finds emission files by magic and kind byte
+    path = tmp_path / cache_filename(built.fingerprint)
+    cache_store(built, path)
+    head = path.read_bytes()[:13]
+    assert path.suffix == ".rates"
+    assert head[:8] == b"BCRATES1" and head[12] == 1

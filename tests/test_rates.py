@@ -34,6 +34,13 @@ def absorption_matrix(basis, params, pulse):
     return MatrixProvider(basis, params).absorption(pulse).matrix
 
 
+def dense_of(record):
+    """A (to, from, rate) record as a dense array."""
+    out = np.zeros(record.shape)
+    out[record.to_ids, record.from_ids] = record.rates
+    return out
+
+
 def test_spectrum_values():
     assert pulse_spectrum_sq(0.0, 4.0) == 1.0
     assert_allclose(pulse_spectrum_sq(1.0, 4.0), math.exp(-8.0), rtol=1e-14)
@@ -45,7 +52,7 @@ def test_single_beam_rate_by_hand():
     basis = enumerate_levels(1, 3)
     params = SimParams(eta=1.1, omega0_tau_abs=0.3)
     mat = absorption_matrix(basis, params, PulseSpec(s=-1, amps=(1.0,)))
-    dense = mat.to_dense()
+    dense = dense_of(mat)
     for n in (1, 2, 3):
         want = PREF * 0.3 ** 2 * abs(franck_condon_1d(n - 1, n, 1.1)) ** 2
         assert_allclose(dense[n - 1, n], want, rtol=1e-13)
@@ -119,8 +126,8 @@ def test_resonance_window_adds_detuned_lines():
     narrow = SimParams(eta=1.1, omega0_tau_abs=0.3)
     wide = SimParams(eta=1.1, omega0_tau_abs=0.3, resonance_window=1)
     pulse = PulseSpec(s=-1, amps=(1.0,))
-    d0 = absorption_matrix(basis, narrow, pulse).to_dense()
-    d1 = absorption_matrix(basis, wide, pulse).to_dense()
+    d0 = dense_of(absorption_matrix(basis, narrow, pulse))
+    d1 = dense_of(absorption_matrix(basis, wide, pulse))
     # resonant line unchanged
     assert_allclose(d1[1, 2], d0[1, 2], rtol=1e-13)
     # one shell further down, suppressed by the pulse spectrum at delta = 1
@@ -134,22 +141,19 @@ def test_resonance_window_adds_detuned_lines():
 
 
 def test_rate_matrix_helpers():
-    mat = RateMatrix(kind="absorption", shape=(3, 3),
+    mat = RateMatrix(shape=(3, 3),
                      to_ids=np.array([0, 2], dtype=np.uint32),
                      from_ids=np.array([1, 1], dtype=np.uint32),
                      rates=np.array([0.25, 0.5]))
     assert mat.nnz == 2
     assert_allclose(mat.column_sums(), [0.0, 0.75, 0.0])
-    assert mat.max_rate() == 0.5
-    assert_allclose(mat.to_dense(), [[0.0, 0.25, 0.0],
-                                     [0.0, 0.0, 0.0],
-                                     [0.0, 0.5, 0.0]])
-    empty = RateMatrix(kind="absorption", shape=(2, 2),
+    empty = RateMatrix(shape=(2, 2),
                        to_ids=np.zeros(0, dtype=np.uint32),
                        from_ids=np.zeros(0, dtype=np.uint32), rates=np.zeros(0))
-    assert empty.max_rate() == 0.0
+    assert empty.nnz == 0
+    assert_array_equal(empty.column_sums(), [0.0, 0.0])
     with pytest.raises(ValueError):
-        RateMatrix(kind="absorption", shape=(2, 2),
+        RateMatrix(shape=(2, 2),
                    to_ids=np.array([0], dtype=np.uint32),
                    from_ids=np.array([0], dtype=np.uint32),
                    rates=np.array([-1.0]))
@@ -267,7 +271,7 @@ def test_ungrouped_cache_record_loads_bitwise(tmp_path):
     fp = absorption_fingerprint(basis, pulse.s, params.eta, pulse.amps,
                                 pulse.omega0_tau_abs, pulse.omega_tau_abs,
                                 params.resonance_window)
-    record = RateMatrix("absorption", grouped.shape, grouped.to_ids[order],
+    record = RateMatrix(grouped.shape, grouped.to_ids[order],
                         grouped.from_ids[order], grouped.rates[order], fp)
     assert (np.diff(record.from_ids.astype(np.int64)) < 0).any()
     cache_store(record, tmp_path / cache_filename(fp))
@@ -313,7 +317,7 @@ def test_emission_1d_poisson_column():
     params = SimParams(eta=1.2, omega0_tau_abs=0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        sp = build_spontaneous_rates(basis, params, emission_quadrature(1)).to_dense()
+        sp = build_spontaneous_rates(basis, params, emission_quadrature(1)).dense
     eta2 = 1.2 ** 2
     for n in range(13):
         want = math.exp(-eta2) * eta2 ** n / math.factorial(n)
@@ -326,7 +330,7 @@ def test_emission_3d_ground_anchor():
     params = SimParams(eta=2.0, omega0_tau_abs=0.4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        sp = build_spontaneous_rates(basis, params, emission_quadrature(3)).to_dense()
+        sp = build_spontaneous_rates(basis, params, emission_quadrature(3)).dense
     assert_allclose(sp[0, 0], math.exp(-4.0), rtol=1e-12)
 
 
@@ -336,7 +340,7 @@ def test_emission_columns_substochastic():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         sp = build_spontaneous_rates(basis, params, emission_quadrature(3))
-    sums = sp.column_sums()
+    sums = sp.dense.sum(axis=0)
     assert sums.max() <= 1.0 + 1e-9
     assert sums.min() > 0.0
 
@@ -349,7 +353,7 @@ def test_emission_column_grows_with_truncation():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             sp = build_spontaneous_rates(basis, params, emission_quadrature(1))
-        totals.append(sp.column_sums()[0])
+        totals.append(sp.dense[:, 0].sum())
     assert totals[0] <= totals[1] <= totals[2] <= 1.0 + 1e-12
     assert totals[2] > 0.999
 
@@ -361,15 +365,15 @@ def test_emission_quadrature_refinement():
         warnings.simplefilter("ignore", UserWarning)
         coarse = build_spontaneous_rates(basis, params, emission_quadrature(3, polar_order=24))
         fine = build_spontaneous_rates(basis, params, emission_quadrature(3, polar_order=48))
-    diff = np.abs(coarse.to_dense() - fine.to_dense()).max()
-    assert diff <= 1e-10 * fine.max_rate()
+    diff = np.abs(coarse.dense - fine.dense).max()
+    assert diff <= 1e-10 * fine.dense.max()
 
 
 def test_emission_without_recoil_is_identity():
     basis = enumerate_levels(2, 4)
     params = SimParams(eta=1.3, omega0_tau_abs=0.4, eta_sp_ratio=0.0)
     sp = build_spontaneous_rates(basis, params, emission_quadrature(2))
-    assert_allclose(sp.to_dense(), np.eye(basis.size), atol=1e-15)
+    assert_allclose(sp.dense, np.eye(basis.size), atol=1e-15)
 
 
 def test_truncation_warning_threshold():
@@ -415,24 +419,26 @@ def test_emission_kernel_matches_flat_gather_bitwise(max_shell, pattern,
     assert got.tobytes(order="C") == want.tobytes()
 
 
-def test_emission_build_memory_is_dense_plus_record():
+def test_emission_build_memory_is_dense_plus_kernel():
     # 455 levels; tracemalloc counts numpy buffers, so the peak is repeatable
     basis = enumerate_levels(3, 12)
     params = SimParams(eta=2.0, omega0_tau_abs=0.4)
-    quad = emission_quadrature(3)
+    quad = emission_quadrature(3)  # 24 rings of 48 phi nodes
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            mat = build_spontaneous_rates(basis, params, quad)
+            build_spontaneous_rates(basis, params, quad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     pairs = basis.size ** 2
-    # what the build must hold at once: the float64 dense matrix and the
-    # (u32 to, u32 from, f64 rate) record; a quarter more covers the
-    # recoil tables and one row block of extraction temporaries
-    must_hold = 8 * pairs + 16 * mat.nnz
+    k = math.comb(12 + 2, 2)
+    # what the build must hold at once: the float64 dense matrix, the 24
+    # groups' (x, y) tensors and the running sum, and one ring's distinct
+    # node terms (at most 14 of its 48 nodes); a quarter more covers the
+    # recoil tables and one node's gathers. No record is built.
+    must_hold = 8 * pairs + 8 * k * k * (24 + 1 + 14)
     assert peak <= 1.25 * must_hold, f"{peak / pairs:.1f} B per level pair"
 
 
@@ -442,15 +448,15 @@ def test_emission_memory_estimate(tmp_path):
         basis = enumerate_levels(3, max_shell)  # the level list only
         pairs = basis.size ** 2
         k = math.comb(max_shell + 2, 2)
-        kernel = 8 * (pairs + k * k * (24 + 48 + 1))
-        assert emission_memory_bytes(basis, quad) == max(32 * pairs, kernel)
+        kernel = 8 * k * k * (24 + 48 + 1)
+        assert emission_memory_bytes(basis, quad) == 8 * pairs + kernel
     for dim in (1, 2):  # no kernel tensors below 3D
         basis = enumerate_levels(dim, 30)
         assert emission_memory_bytes(basis, emission_quadrature(dim)) == \
-            32 * basis.size ** 2
+            8 * basis.size ** 2
 
-    # the estimate tracks what the path allocates: build, store and
-    # dense copy on an empty cache, then load and dense copy from it
+    # the estimate tracks what the path allocates: build and store on an
+    # empty cache, then a load from it
     basis = enumerate_levels(3, 12)
     params = SimParams(eta=2.0, omega0_tau_abs=0.4)
     est = emission_memory_bytes(basis, quad)
