@@ -33,10 +33,9 @@ levels in place. A long (array) entry whose levels change, or one that
 a level past P_HARD would join, is dropped and computed afresh at its
 pulse's turn, which is where that computation raises. A ramped pulse
 reads its field values straight from the active ramps each cycle; in a
-cycle where they change it gets new rates and drops its own inputs. A
-diagonal-only ramped pulse gets them as one vector of rates, without
-grouping channels by source (``LazyPulseRates``). Every kept, patched
-or lazy value is bitwise the one a fresh computation gives, so reuse
+cycle where they change it gets new rates from one
+``AbsorptionStructure.evaluate`` and drops its own inputs. Every kept
+or patched value is bitwise the one a fresh computation gives, so reuse
 changes no random number.
 """
 
@@ -311,11 +310,10 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     per excited atom a channel draw and a destination draw. Fixed order
     keeps trajectories bitwise reproducible.
 
-    ``rates`` is a ``PulseRates`` or a ``LazyPulseRates``. ``inputs`` is
-    this pulse's ``_draw_inputs`` for the current ``occ`` and ``rates``;
-    without it they are computed here. A caller that keeps them must
-    patch them (``_patch_inputs``) once a step returns events and drop
-    them once ``rates`` change.
+    ``inputs`` is this pulse's ``_draw_inputs`` for the current ``occ``
+    and ``rates``; without it they are computed here. A caller that
+    keeps them must patch them (``_patch_inputs``) once a step returns
+    events and drop them once ``rates`` change.
     """
     if inputs is None:
         inputs = _draw_inputs(occ, np.flatnonzero(occ), rates.depletion)
@@ -449,7 +447,7 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
                                               [values[k] for k in slots[i]])
         if not any(amps):  # the one check a resolved pulse could fail mid-ramp
             raise ValueError("a pulse needs a nonzero beam amplitude")
-        return structures[i].evaluate_lazy(amps, area)
+        return structures[i].evaluate(amps, area)
 
     rates = [ramped_rates(i) if i in slots else provider.absorption(p, persist=True)
              for i, p in enumerate(schedule.cycle)]
@@ -862,7 +860,7 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     structures = StructureMemo() if structures is None else structures
     for pulse in resolve_cycle(schedule.resolved(params), 0):
         struct = structures.get(basis, params, pulse)
-        dep = struct.evaluate_lazy(pulse.amps, omega0_tau_abs=0.5).depletion
+        dep = struct.evaluate(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))
         worst_any = max(worst_any, 2.0 * float(dep.max()))
     if worst_pop == 0.0:

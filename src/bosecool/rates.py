@@ -5,8 +5,8 @@ second-order pulse-area prefactor pi/8 * (omega0_tau_abs)^2 is folded in,
 so the per-pulse excitation probability of one atom in ground level m is
 2 * depletion[m], the sum of the rates of m's channels. A pulse's
 absorption lives in ``PulseRates``, its channels grouped by source level
-in the order the sampler draws them; ``LazyPulseRates`` holds the same
-values for a ramped diagonal-only pulse without that grouping.
+in the order the sampler draws them; where no channel is cut, that
+grouping is the ``AbsorptionStructure``'s own, shared and read-only.
 ``RateMatrix`` is the (to_id, from_id, rate) record a static pulse's
 absorption is cached as on disk.
 
@@ -27,8 +27,10 @@ physical memory.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -233,27 +235,6 @@ class PulseRates:
         return self.chan_to[lo:hi], self.chan_rate[lo:hi]
 
 
-class LazyPulseRates:
-    """A diagonal-only pulse's absorption as the sampler reads it: each
-    source's one channel, to ``chan_to[m]``, kept where ``keep[m]``.
-
-    ``depletion`` and every ``channels(m)`` are bitwise what
-    ``AbsorptionStructure.evaluate`` gives, without grouping the channels.
-    """
-
-    __slots__ = ("depletion", "_chan_to", "_rate", "_keep")
-
-    def __init__(self, depletion, chan_to, rate, keep):
-        self.depletion = depletion
-        self._chan_to = chan_to
-        self._rate = rate
-        self._keep = keep
-
-    def channels(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        hi = m + 1 if self._keep[m] else m
-        return self._chan_to[m:hi], self._rate[m:hi]
-
-
 # ------------------------------------------------------------ absorption
 
 
@@ -267,7 +248,8 @@ class AbsorptionStructure:
     diagonal entries |sum_j A_j d_j(m)|^2, one-axis entries A_j^2 f_j.
     Channels are stored grouped by source as ``PulseRates`` holds them,
     so evaluating at a new amplitude vector is O(channels) with no
-    regrouping, which is what makes amplitude ramps cheap.
+    regrouping, which is what makes amplitude ramps cheap. The arrays are
+    read-only: an evaluation that cuts no channel shares them.
     """
 
     basis: Basis
@@ -279,45 +261,49 @@ class AbsorptionStructure:
     chan_axis: np.ndarray              # beam axis of a shift, dim on the diagonal
     chan_fc2s: np.ndarray              # fc2 * spectrum of a shift, 0 on the diagonal
 
+    def __post_init__(self):
+        for a in (self.diag_amp, self.indptr, self.chan_from, self.chan_to,
+                  self.chan_axis, self.chan_fc2s):
+            if a is not None:
+                a.flags.writeable = False
+
     def evaluate(self, amps: tuple[float, ...],
                  omega0_tau_abs: float) -> PulseRates:
+        """Rates at beam amplitudes ``amps`` and area ``omega0_tau_abs``.
+
+        With no channel cut (by a zero beam or ``REL_CUTOFF``) the result
+        shares ``indptr`` and ``chan_to``, and where the diagonal is every
+        channel its rate vector is the depletion too. Only a cut regroups.
+        """
         if len(amps) != self.basis.dim:
             raise ValueError("amplitude tuple length must match basis dim")
+        n = self.basis.size
         pref = math.pi / 8.0 * omega0_tau_abs ** 2
-        # a zero beam opens no channels; the diagonal is always open
-        live = np.array([a != 0.0 for a in amps] + [True])[self.chan_axis]
-        coef = np.array([pref * a * a for a in amps] + [0.0])
-        rate = coef[self.chan_axis] * self.chan_fc2s
         if self.diag_amp is not None:  # each source's first channel
             m = self.diag_amp @ np.asarray(amps)
-            rate[self.indptr[:-1]] = pref * self.diag_spectrum * m * m
-        keep = live & (rate >= REL_CUTOFF * rate[live].max(initial=0.0))
-        return PulseRates(
-            depletion=np.bincount(self.chan_from[keep], weights=rate[keep],
-                                  minlength=self.basis.size),
-            chan_indptr=np.concatenate(([0], np.cumsum(keep)))[self.indptr],
-            chan_to=self.chan_to[keep],
-            chan_rate=rate[keep])
-
-    def evaluate_lazy(self, amps: tuple[float, ...], omega0_tau_abs: float
-                      ) -> PulseRates | LazyPulseRates:
-        """``evaluate``, skipping the channel grouping where the diagonal
-        is every channel (``s`` within the resonance window, no shift in
-        it): then the rates are the diagonal vector alone, the same
-        ((pref * spectrum) * m) * m, the cutoff from its maximum, and a
-        cut entry's depletion 0.0, as ``bincount`` gives it. Any other
-        structure is evaluated in full.
-        """
-        if self.diag_amp is None or self.chan_from.size != self.basis.size:
-            return self.evaluate(amps, omega0_tau_abs)
-        if len(amps) != self.basis.dim:
-            raise ValueError("amplitude tuple length must match basis dim")
-        pref = math.pi / 8.0 * omega0_tau_abs ** 2
-        m = self.diag_amp @ np.asarray(amps)
-        rate = pref * self.diag_spectrum * m * m
-        keep = rate >= REL_CUTOFF * rate.max(initial=0.0)
-        return LazyPulseRates(np.where(keep, rate, 0.0), self.chan_to,
-                              rate, keep)
+            diag = pref * self.diag_spectrum * m * m
+        diag_only = self.diag_amp is not None and self.chan_from.size == n
+        if diag_only:  # the diagonal is always open
+            rate = diag
+            keep = rate >= REL_CUTOFF * rate.max(initial=0.0)
+        else:
+            # a zero beam opens no channels
+            live = np.array([a != 0.0 for a in amps] + [True])[self.chan_axis]
+            coef = np.array([pref * a * a for a in amps] + [0.0])
+            rate = coef[self.chan_axis] * self.chan_fc2s
+            if self.diag_amp is not None:
+                rate[self.indptr[:-1]] = diag
+            keep = live & (rate >= REL_CUTOFF * rate[live].max(initial=0.0))
+        indptr, chan_from, chan_to = self.indptr, self.chan_from, self.chan_to
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            chan_from, chan_to, rate = chan_from[keep], chan_to[keep], rate[keep]
+        elif diag_only:
+            return PulseRates(rate, indptr, chan_to, rate)
+        # float64 even where no channel is left, which bincount makes int64
+        depletion = np.bincount(chan_from, weights=rate, minlength=n)
+        return PulseRates(depletion.astype(np.float64, copy=False), indptr,
+                          chan_to, rate)
 
 
 def absorption_fingerprint(basis: Basis, s: int, eta: float, amps,
@@ -475,6 +461,12 @@ def _kappa_table_cache(n_max: int):
     return get
 
 
+def _block_cols(size: int) -> int:
+    """Columns per block of a 1D or 2D emission build: a sixteenth of the
+    matrix, and at least 64, so a small basis takes one block."""
+    return max(64, -(-size // 16))
+
+
 def build_spontaneous_rates(basis: Basis, params: SimParams,
                             quadrature: EmissionQuadrature,
                             rel_cutoff: float = REL_CUTOFF,
@@ -494,21 +486,21 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
     eta_sp = params.eta_sp
     table = _kappa_table_cache(nq)
 
-    if basis.dim == 1:
+    if basis.dim < 3:
+        # entry (n, l) adds w * (Tx * Ty) node by node; a block of columns
+        # at a time, so the gathered tables stay a fraction of the matrix
+        q = basis.levels.astype(np.intp)
+        cols = _block_cols(size)
         dense = np.zeros((size, size), order="F")
-        for u, w in zip(quadrature.directions[:, 0], quadrature.weights):
-            dense += w * table(eta_sp * u)
-    elif basis.dim == 2:
-        qx = basis.levels[:, 0].astype(np.int64)
-        qy = basis.levels[:, 1].astype(np.int64)
-        dense = np.zeros((size, size), order="F")
-        for (ux, uy), w in zip(quadrature.directions, quadrature.weights):
-            tx = table(eta_sp * ux)
-            ty = table(eta_sp * uy)
-            dense += w * (tx[np.ix_(qx, qx)] * ty[np.ix_(qy, qy)])
+        for lo in range(0, size, cols):
+            block = dense[:, lo:lo + cols]
+            for u, w in zip(quadrature.directions, quadrature.weights):
+                block += w * reduce(operator.mul, (
+                    table(eta_sp * uj)[np.ix_(q[:, j], q[lo:lo + cols, j])]
+                    for j, uj in enumerate(u)))
     else:
         dense = _spontaneous_dense_3d(basis, eta_sp, quadrature, table)
-    dense[dense < rel_cutoff * dense.max()] = 0.0
+    np.copyto(dense, 0.0, where=dense < rel_cutoff * dense.max())
 
     lost = 1.0 - dense.sum(axis=0)
     bad = int((lost > completeness_warn).sum())
@@ -526,18 +518,25 @@ def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
     """Bytes the emission matrix path holds at its peak on ``basis``.
 
     8 per level pair for the dense matrix the build fills, the cache
-    stores and loads in place and the run keeps. The 3D kernel also
-    holds, next to its dense output, one float64 (K x K) tensor per
-    polar group plus a ring's node terms and the running sum, for K 2D
-    levels.
+    stores and loads in place and the run keeps. A 1D or 2D build adds a
+    1-byte cutoff mask per pair, its recoil tables (one per distinct
+    |direction component| at most) and one column block's gather index,
+    per-axis gathers and weighted term; the 3D kernel one float64 (K x K)
+    tensor per polar group plus a ring's node terms and the running sum,
+    for K 2D levels.
     """
-    kernel = 0
-    if basis.dim == 3:
+    size = basis.size
+    if basis.dim < 3:
+        tables = np.unique(np.abs(quadrature.directions)).size
+        cols = _block_cols(size)
+        extra = (size * size + 8 * (basis.max_shell + 1) ** 2 * tables
+                 + 8 * (basis.dim + 2) * size * cols)
+    else:
         groups = _polar_groups(quadrature)
         k = math.comb(basis.max_shell + 2, 2)
         ring = max(len(m) for m in groups.values())
-        kernel = 8 * k * k * (len(groups) + ring + 1)
-    return 8 * basis.size ** 2 + kernel
+        extra = 8 * k * k * (len(groups) + ring + 1)
+    return 8 * size * size + extra
 
 
 def _polar_groups(quadrature: EmissionQuadrature) -> dict[float, list[int]]:

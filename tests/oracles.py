@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from bosecool.rates import REL_CUTOFF
+
 
 def displacement_overlap_quad(n_out: int, n_in: int, kappa: float, order: int = 220) -> complex:
     """Overlap <n_out| exp(i*kappa*(a+a†)) |n_in> by Gauss-Hermite quadrature.
@@ -82,3 +84,34 @@ def spontaneous_dense_3d_flat(basis, eta_sp: float, quadrature, table) -> np.nda
             xy += w[i] * np.outer(tx, ty)
         vals += xy.ravel()[flat_xy] * tz[flat_z]
     return vals.reshape(size, size)
+
+
+def absorption_rates_reference(struct, amps, omega0_tau_abs: float):
+    """A pulse's (depletion, chan_indptr, chan_to, chan_rate) the plain way.
+
+    Every channel's rate in the structure's order (pref * A_j^2 * fc2s on a
+    shift, pref * spectrum * m * m on the diagonal), then the zero-beam and
+    ``REL_CUTOFF`` masks, then a stable regroup by source, and each
+    source's depletion summed channel by channel in that order.
+    """
+    dim, size = struct.basis.dim, struct.basis.size
+    pref = math.pi / 8.0 * omega0_tau_abs ** 2
+    rate = np.empty(struct.chan_from.size)
+    live = np.empty(struct.chan_from.size, dtype=bool)
+    if struct.diag_amp is not None:
+        m = struct.diag_amp @ np.asarray(amps)
+    for k, (frm, axis) in enumerate(zip(struct.chan_from, struct.chan_axis)):
+        if axis == dim:  # the diagonal, always open
+            rate[k], live[k] = pref * struct.diag_spectrum * m[frm] * m[frm], True
+        else:
+            a = amps[axis]
+            rate[k], live[k] = pref * a * a * struct.chan_fc2s[k], a != 0.0
+    top = max((r for r, ok in zip(rate, live) if ok), default=0.0)
+    keep = live & (rate >= REL_CUTOFF * top)
+    frm = struct.chan_from[keep]
+    order = np.argsort(frm, kind="stable")
+    depletion = np.zeros(size)
+    for src, r in zip(frm[order], rate[keep][order]):
+        depletion[src] += r
+    return (depletion, np.searchsorted(frm[order], np.arange(size + 1)),
+            struct.chan_to[keep][order], rate[keep][order])

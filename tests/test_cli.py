@@ -11,8 +11,9 @@ import warnings
 import yaml
 
 import bosecool
-from bosecool import cli
+from bosecool import cli, emission_quadrature, enumerate_levels
 from bosecool.cli import CACHE_ENV, main
+from bosecool.rates import emission_memory_bytes
 
 OBS_HEADER = "cycle,frac_0_mean,frac_0_std,frac_1_mean,frac_1_std,mean_shell"
 EVENTS_HEADER = "trajectory,cycle,pulse_index,from_id,excited_id,to_id"
@@ -165,7 +166,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
-    doc = sim_doc(out)  # 6 levels: 8 B per level pair, 288 bytes
+    doc = sim_doc(out)  # 6 levels
     doc["criterion"] = {"target": [0]}
     doc["schedule"]["ramps"] = [{"pulse": 0, "field": "a_x", "start": 1.0,
                                  "end": 0.5, "start_cycle": 0,
@@ -174,21 +175,22 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_doc(tmp_path, doc)
     real = cli._physical_memory()
     assert real is None or real > 1 << 20
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 250)
+    need = emission_memory_bytes(enumerate_levels(1, 5), emission_quadrature(1))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     for command in ("simulate", "criterion", "hysteresis"):
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: the emission matrix of "
-                              "basis(dim=1,max_shell=5) needs about 288 "
+                              f"basis(dim=1,max_shell=5) needs about {need:,} "
                               "bytes")
-        assert "more than the 250 bytes" in err
+        assert f"more than the {need - 1:,} bytes" in err
         assert err.count("\n") == 1
     assert not os.path.exists(out)
     # darkstates needs no emission matrix
     assert run_cli(["darkstates", "--config", cfg]) == 0
 
     # enough memory, or a platform that cannot say: the run goes ahead
-    for probe in (lambda: 288, lambda: None):
+    for probe in (lambda: need, lambda: None):
         monkeypatch.setattr(cli, "_physical_memory", probe)
         assert run_cli(["criterion", "--config", cfg]) == 0
 

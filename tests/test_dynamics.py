@@ -348,6 +348,44 @@ def test_exact_matches_monte_carlo_small():
     assert tv < 0.03
 
 
+def test_exact_matches_monte_carlo_2d_ramp_through_dark():
+    # a 2D interference pulse ramped through a_y = -a_x, where (0, 0) is
+    # exactly dark, after a cooling pulse: the sampler's final configuration
+    # law must be the exact propagator's
+    basis = enumerate_levels(2, 2)
+    params = SimParams(eta=1.0, omega0_tau_abs=0.4, resonance_window=0)
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0, 1.0)),
+                               PulseSpec(s=0, amps=(1.0, 0.0))),
+                        total_cycles=10,
+                        ramps=(Ramp(1, "a_y", 0.0, -2.0, 0, 8),))
+    provider = MatrixProvider(basis, params)
+    ground = basis.id_of((0, 0))
+    dark = provider.absorption(resolve_cycle(schedule, 4)[1])
+    assert dark.depletion[ground] == 0.0 < dark.depletion.max()
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[basis.id_of((1, 1))] = 1
+    occ[basis.id_of((2, 0))] = 1
+    init = Configuration(occ)
+
+    state = exact_propagate(basis, params, schedule, init, provider=provider)
+    n_traj = 8_000
+    ens = run_ensemble(basis, params, schedule, init, None, n_traj, 2024,
+                       RecorderSpec(watched_ids=(ground,), stride=0,
+                                    record_events=False),
+                       provider=provider)
+    emp = np.zeros_like(state.probs)
+    for row in ens.final_occ:
+        emp[state.index[tuple(int(x) for x in row)]] += 1.0
+    emp /= n_traj
+    tv = 0.5 * float(np.abs(emp - state.probs).sum())
+    # over K configurations E[TV] <= sqrt(K / N) / 2 (Cauchy-Schwarz), and
+    # one trajectory moves TV by at most 1 / N, so by McDiarmid's inequality
+    # TV passes the bound below with probability under 1e-3
+    k = state.probs.size
+    bound = 0.5 * math.sqrt(k / n_traj) + math.sqrt(math.log(1e3) / (2 * n_traj))
+    assert tv < bound, (tv, bound)
+
+
 def test_enumerate_configurations_layout():
     confs = enumerate_configurations(2, 3)
     assert confs.shape == (6, 3)

@@ -64,3 +64,11 @@ def test_emission_build_has_integer_nnz_and_kind_byte(tmp_path):
     head = path.read_bytes()[:13]
     assert path.suffix == ".rates"
     assert head[:8] == b"BCRATES1" and head[12] == 1
+
+
+def test_evaluate_is_the_only_absorption_evaluation():
+    # the tracer counts rates.absorption_evaluate_calls on ``evaluate``; a
+    # second evaluation method would run untraced
+    rates = importlib.import_module("bosecool.rates")
+    names = [n for n in vars(rates.AbsorptionStructure) if n.startswith("evaluate")]
+    assert names == ["evaluate"]
