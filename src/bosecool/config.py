@@ -121,31 +121,14 @@ class RunConfig:
     def build_schedule(self) -> Schedule:
         sc = self.schedule
         try:
-            schedule = (figure_schedule(sc.figure, eta=self.eta,
-                                        total_cycles=sc.total_cycles,
-                                        ramp_scale=sc.ramp_scale)
-                        if sc.figure is not None else
-                        Schedule(cycle=sc.pulses, total_cycles=sc.total_cycles,
-                                 ramps=sc.ramps))
+            if sc.figure is not None:
+                return figure_schedule(sc.figure, eta=self.eta,
+                                       total_cycles=sc.total_cycles,
+                                       ramp_scale=sc.ramp_scale)
+            return Schedule(cycle=sc.pulses, total_cycles=sc.total_cycles,
+                            ramps=sc.ramps)
         except ValueError as exc:
             raise ConfigError(f"schedule: {exc}") from exc
-        # endpoints are checked one ramp at a time; a sweep through 0 can
-        # still leave a pulse with no beam in a cycle between them
-        fields = schedule.ramp_fields
-        for r in schedule.ramps:
-            idx = [i for i, (p, _) in enumerate(fields) if p == r.pulse_index]
-            names = [fields[i][1] for i in idx]
-            pulse = schedule.cycle[r.pulse_index]
-            if any(pulse.driven(names, [0.0] * len(idx))[0]):
-                continue  # a beam no ramp drives stays on
-            for c in range(r.start_cycle,
-                           min(r.end_cycle + 1, schedule.total_cycles)):
-                values = schedule.field_values(c)
-                if not any(pulse.driven(names, [values[i] for i in idx])[0]):
-                    raise ConfigError(f"schedule: the ramps leave pulse "
-                                      f"{r.pulse_index} with no nonzero beam "
-                                      f"amplitude at cycle {c}")
-        return schedule
 
     def initial_distribution(self, basis: Basis) -> np.ndarray:
         if self.initial.kind == "thermal":

@@ -432,26 +432,16 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     n_total = float(occ.sum())
     watched = np.asarray(recorder.watched_ids, dtype=np.int64)
 
-    # a ramped pulse is re-evaluated only in cycles where a field changes;
-    # ``slots[i]`` are the positions of pulse i's fields in ``values``
+    # a ramped pulse is re-evaluated only in cycles where its fields change
     schedule = schedule.resolved(params)
-    fields = schedule.ramp_fields
-    slots: dict[int, list[int]] = {}
-    for k, (i, _) in enumerate(fields):
-        slots.setdefault(i, []).append(k)
-    structures = {i: provider.structure(schedule.cycle[i]) for i in slots}
+    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
+    structures = {i: provider.structure(schedule.cycle[i]) for i in ramped}
     values = schedule.field_values(0)
-
-    def ramped_rates(i: int):
-        amps, area = schedule.cycle[i].driven([fields[k][1] for k in slots[i]],
-                                              [values[k] for k in slots[i]])
-        if not any(amps):  # the one check a resolved pulse could fail mid-ramp
-            raise ValueError("a pulse needs a nonzero beam amplitude")
-        return structures[i].evaluate(amps, area)
-
-    rates = [ramped_rates(i) if i in slots else provider.absorption(p, persist=True)
+    driven = {i: schedule.driven(i, values) for i in ramped}
+    rates = [structures[i].evaluate(*driven[i]) if i in driven
+             else provider.absorption(p, persist=True)
              for i, p in enumerate(schedule.cycle)]
-    ramp_evals = len(slots)
+    ramp_evals = len(ramped)
     # each pulse's draw inputs, patched after an event, dropped on new rates
     occupied = np.flatnonzero(occ).tolist()
     occ_ids = np.array(occupied, dtype=np.int64)
@@ -474,13 +464,15 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     record(0)
     warned = False
     for c in range(schedule.total_cycles):
-        if slots and c:
+        if ramped and c:
             now = schedule.field_values(c)
             if now != values:
-                old, values = values, now
-                for i, ks in slots.items():
-                    if any(old[k] != now[k] for k in ks):
-                        rates[i] = ramped_rates(i)
+                values = now
+                for i in ramped:
+                    pulse = schedule.driven(i, now)
+                    if pulse != driven[i]:
+                        driven[i] = pulse
+                        rates[i] = structures[i].evaluate(*pulse)
                         inputs[i] = None
                         ramp_evals += 1
         for i in range(schedule.n_pulses):
@@ -528,7 +520,7 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
         watched_occ=np.asarray(rows_watch, dtype=np.int64),
         mean_shell=np.asarray(rows_shell),
         ramp_values=np.asarray(rows_ramp, dtype=np.float64).reshape(
-            len(rows_cycles), len(fields)),
+            len(rows_cycles), len(schedule.ramp_fields)),
         events=np.asarray(events, dtype=np.int64).reshape(len(events), 5),
         final_occ=occ.copy(),
         p_max=p_max,
@@ -599,6 +591,7 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
     if provider is None:
         provider = MatrixProvider(basis, params)
     provider.prepare(schedule)
+    schedule = schedule.resolved(params)  # once, not once per trajectory
 
     global _CTX
     _CTX = {"basis": basis, "params": params, "schedule": schedule,

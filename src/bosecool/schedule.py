@@ -5,6 +5,9 @@ float-valued pulse fields. Ramps activate at their start cycle, clamp at
 their end value afterwards, and later ramps in the list override earlier
 ones once active, so an up ramp followed by a down ramp on the same field
 forms a closed sweep.
+A pulse's ramped fields apply together (``Schedule.driven``), and the
+joint pulse must be legal at every cycle: one beam may fade out while
+another fades in, but no cycle may leave a pulse with no beam.
 """
 
 from __future__ import annotations
@@ -47,27 +50,9 @@ class PulseSpec:
         amps[axis] = float(value)
         return replace(self, amps=tuple(amps))
 
-    def with_field(self, name: str, value: float) -> "PulseSpec":
-        """This pulse with one rampable field set to ``value``."""
-        amps, area = self.driven((name,), (value,))
-        return replace(self, amps=amps, omega0_tau_abs=area)
-
     def field_value(self, name: str) -> float | None:
         axis = _AXES.get(name)
         return getattr(self, name) if axis is None else self.amps[axis]
-
-    def driven(self, names, values) -> tuple[tuple[float, ...], float | None]:
-        """(amps, omega0_tau_abs) once each rampable field of ``names`` is
-        set to its entry of ``values``, without building or checking a
-        pulse."""
-        amps, area = list(self.amps), self.omega0_tau_abs
-        for name, value in zip(names, values):
-            axis = _AXES.get(name)
-            if axis is None:
-                area = value
-            else:
-                amps[axis] = float(value)
-        return tuple(amps), area
 
     def resolved(self, params: SimParams) -> "PulseSpec":
         """This pulse with unset widths taken from ``params``. Rates depend
@@ -148,11 +133,24 @@ class Schedule:
             if not (0 <= r.start_cycle < self.total_cycles
                     and r.end_cycle <= self.total_cycles):
                 raise ValueError("ramp window must lie within the run")
-            for value in (r.start_value, r.end_value):
-                try:
-                    self.cycle[r.pulse_index].with_field(r.field, value)
-                except ValueError as exc:
-                    raise ValueError(f"ramp of {r.field!r} to {value}: {exc}") from exc
+        # a pulse's fields change only inside its ramps' windows, so scan
+        # those cycles, unless a beam no ramp drives stays on and every
+        # area ramp's endpoints (which bound its values) lie in (0, 1)
+        for i, slots in self._slots.items():
+            ramps = [r for r in self.ramps if r.pulse_index == i]
+            lit = any(a and axis not in {x for _, x in slots}
+                      for axis, a in enumerate(self.cycle[i].amps))
+            if lit and all(0 < v < 1 for r in ramps if r.field == "omega0_tau_abs"
+                           for v in (r.start_value, r.end_value)):
+                continue
+            for c in sorted({c for r in ramps for c in range(
+                    r.start_cycle, min(r.end_cycle + 1, self.total_cycles))}):
+                amps, area = self.driven(i, self.field_values(c))
+                if not any(amps) or area is not None and not 0 < area < 1:
+                    problem = ("no nonzero beam amplitude" if not any(amps)
+                               else f"omega0_tau_abs {area} outside (0, 1)")
+                    raise ValueError(f"the ramps leave pulse {i} with "
+                                     f"{problem} at cycle {c}")
 
     @property
     def dim(self) -> int:
@@ -163,7 +161,7 @@ class Schedule:
         return len(self.cycle)
 
     def is_ramped(self, pulse_index: int) -> bool:
-        return any(r.pulse_index == pulse_index for r in self.ramps)
+        return pulse_index in self._slots
 
     @cached_property
     def _field_ramps(self) -> dict[tuple[int, str], list[Ramp]]:
@@ -172,6 +170,14 @@ class Schedule:
         out: dict[tuple[int, str], list[Ramp]] = {}
         for r in self.ramps:
             out.setdefault((r.pulse_index, r.field), []).insert(0, r)
+        return out
+
+    @cached_property
+    def _slots(self) -> dict[int, list[tuple[int, int | None]]]:
+        """Each ramped pulse's (position in field_values, axis or None)."""
+        out: dict[int, list[tuple[int, int | None]]] = {}
+        for k, (i, name) in enumerate(self._field_ramps):
+            out.setdefault(i, []).append((k, _AXES.get(name)))
         return out
 
     @property
@@ -193,9 +199,25 @@ class Schedule:
                 out.append(self.cycle[pi].field_value(name))
         return tuple(out)
 
+    def driven(self, pulse_index: int,
+               values: tuple) -> tuple[tuple[float, ...], float | None]:
+        """(amps, omega0_tau_abs) of ramped pulse ``pulse_index`` when the
+        ramped fields hold ``values`` from ``field_values``; builds and
+        checks no pulse, as construction checked every cycle."""
+        pulse = self.cycle[pulse_index]
+        amps, area = list(pulse.amps), pulse.omega0_tau_abs
+        for k, axis in self._slots[pulse_index]:
+            if axis is None:
+                area = values[k]
+            else:
+                amps[axis] = float(values[k])
+        return tuple(amps), area
+
     def resolved(self, params: SimParams) -> "Schedule":
-        """This schedule with every pulse resolved against ``params``."""
-        return replace(self, cycle=tuple(p.resolved(params) for p in self.cycle))
+        """This schedule with every pulse resolved against ``params``, or
+        itself if already resolved, so no check runs twice."""
+        cycle = tuple(p.resolved(params) for p in self.cycle)
+        return self if cycle == self.cycle else replace(self, cycle=cycle)
 
 
 def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
@@ -204,9 +226,10 @@ def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
         raise ValueError(f"cycle_index {cycle_index} outside "
                          f"[0, {schedule.total_cycles})")
     pulses = list(schedule.cycle)
-    for (pi, name), value in zip(schedule.ramp_fields,
-                                 schedule.field_values(cycle_index)):
-        pulses[pi] = pulses[pi].with_field(name, value)
+    values = schedule.field_values(cycle_index)
+    for i in schedule._slots:
+        amps, area = schedule.driven(i, values)
+        pulses[i] = replace(pulses[i], amps=amps, omega0_tau_abs=area)
     return pulses
 
 

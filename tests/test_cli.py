@@ -164,6 +164,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_beam_cross_fade_runs(tmp_path):
+    # a_x fades 1 -> 0 while a_y fades 0 -> 1: each beam is off at one
+    # end of the window, but some beam is on at every cycle
+    out = str(tmp_path / "out")
+    doc = sim_doc(out)
+    doc["basis"] = {"dim": 2, "max_shell": 3}
+    doc["initial"] = {"point_level": [2, 1]}
+    doc["watched"] = [[0, 0]]
+    doc["schedule"] = {
+        "pulses": [{"s": -1, "amps": [1.0, 1.0]}, {"s": 0, "amps": [1.0, 0.0]}],
+        "total_cycles": 20,
+        "ramps": [{"pulse": 1, "field": "a_x", "start": 1.0, "end": 0.0,
+                   "start_cycle": 5, "end_cycle": 15},
+                  {"pulse": 1, "field": "a_y", "start": 0.0, "end": 1.0,
+                   "start_cycle": 5, "end_cycle": 15}]}
+    cfg = write_doc(tmp_path, doc, "fade.yaml")
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    rows = read(out, "observables.csv").splitlines()
+    assert rows[0].startswith("cycle,ramp1_a_x,ramp1_a_y,")
+    assert rows[1].startswith("0,1,0,") and rows[-1].startswith("20,0,1,")
+
+
 def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     doc = sim_doc(out)  # 6 levels

@@ -386,6 +386,51 @@ def test_exact_matches_monte_carlo_2d_ramp_through_dark():
     assert tv < bound, (tv, bound)
 
 
+def test_exact_matches_monte_carlo_3d_dark_cycle_and_cross_fade():
+    # 3D, 10 levels, 2 atoms: a sideband cross-faded from the x beam to the
+    # y beam, and an interference pulse whose a_z passes the exactly dark
+    # -2 at cycle 2 only; the sampler's final configuration law must be the
+    # exact propagator's
+    basis = enumerate_levels(3, 2)
+    params = SimParams(eta=1.0, omega0_tau_abs=0.4, resonance_window=0)
+    ramps = (Ramp(0, "a_x", 1.0, 0.0, 0, 4), Ramp(0, "a_y", 0.0, 1.0, 0, 4),
+             Ramp(1, "a_z", 0.0, -4.0, 0, 4))
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0, 0.0, 0.0)),
+                               PulseSpec(s=0, amps=(1.0, 1.0, 0.0))),
+                        total_cycles=6, ramps=ramps)
+    assert [resolve_cycle(schedule, c)[1].amps[2] for c in (1, 2, 3)] == \
+        [-1.0, -2.0, -3.0]
+    assert [resolve_cycle(schedule, c)[0].amps for c in (0, 2, 4)] == \
+        [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.0, 1.0, 0.0)]
+    provider = MatrixProvider(basis, params)
+    ground = basis.id_of((0, 0, 0))
+    dark = provider.absorption(resolve_cycle(schedule, 2)[1])
+    assert dark.depletion[ground] == 0.0 < dark.depletion.max()
+    assert provider.absorption(resolve_cycle(schedule, 1)[1]).depletion[ground] > 0
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[basis.id_of((1, 1, 0))] = 1
+    occ[basis.id_of((0, 0, 2))] = 1
+    init = Configuration(occ)
+
+    state = exact_propagate(basis, params, schedule, init, provider=provider)
+    assert state.probs.size == 55
+    n_traj = 6_000
+    ens = run_ensemble(basis, params, schedule, init, None, n_traj, 2025,
+                       RecorderSpec(watched_ids=(ground,), stride=0,
+                                    record_events=False),
+                       provider=provider)
+    emp = np.zeros_like(state.probs)
+    for row in ens.final_occ:
+        emp[state.index[tuple(int(x) for x in row)]] += 1.0
+    emp /= n_traj
+    tv = 0.5 * float(np.abs(emp - state.probs).sum())
+    # the 2D check's bound: E[TV] <= sqrt(K / N) / 2, plus McDiarmid's term
+    # for a failure probability under 1e-3
+    k = state.probs.size
+    bound = 0.5 * math.sqrt(k / n_traj) + math.sqrt(math.log(1e3) / (2 * n_traj))
+    assert tv < bound, (tv, bound)
+
+
 def test_enumerate_configurations_layout():
     confs = enumerate_configurations(2, 3)
     assert confs.shape == (6, 3)
@@ -686,12 +731,12 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_1d(monkeypatch, scalar_draw
     assert n_events > 0
 
 
-def ramped_2d_system(ramps, total_cycles):
-    """2D basis, a cooling sideband and an interference pulse whose
+def ramped_2d_system(ramps, total_cycles, amps=(1.0, -1.0)):
+    """2D basis, a cooling sideband and an interference pulse at ``amps``;
     (a_x, a_y) = (1, -1) leaves (0,0) and (1,1) exactly dark."""
     basis = enumerate_levels(2, 3)
     params = SimParams(eta=1.0, omega0_tau_abs=0.85)
-    cycle = (PulseSpec(s=-1, amps=(1.0, 1.0)), PulseSpec(s=0, amps=(1.0, -1.0)))
+    cycle = (PulseSpec(s=-1, amps=(1.0, 1.0)), PulseSpec(s=0, amps=amps))
     schedule = Schedule(cycle=cycle, total_cycles=total_cycles, ramps=ramps)
     occ = np.zeros(basis.size, dtype=np.int64)
     occ[basis.id_of((0, 3))] = 3
@@ -719,6 +764,27 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_2d_ramp(monkeypatch,
         assert got.events.shape[0] > 0
         n_warn += got.n_warn_pulses
     assert n_warn > 0
+
+
+@pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
+def test_kept_draw_inputs_leave_the_stream_unchanged_2d_cross_fade(monkeypatch,
+                                                                    scalar_draws):
+    # the interference pulse fades from (1, 0) to (0, 1): one beam is off
+    # at each end, some beam is on at every cycle
+    ramps = (Ramp(1, "a_x", 1.0, 0.0, 20, 60), Ramp(1, "a_y", 0.0, 1.0, 20, 60))
+    basis, params, schedule, initial = ramped_2d_system(ramps, 100, (1.0, 0.0))
+    ends = [resolve_cycle(schedule, c)[1].amps for c in (0, 40, 99)]
+    assert ends == [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
+    rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
+    monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    for k in range(6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_trajectory(basis, params, schedule, initial, None, (4, k), rec)
+        want = reference_trajectory(basis, params, schedule, initial, (4, k), rec)
+        assert_records_identical(got, want)
+        assert got.events.shape[0] > 0
+        assert got.ramp_evals == 1 + 40
 
 
 def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
@@ -832,23 +898,14 @@ def test_patched_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
     assert min(steps) > schedule.n_pulses and len(set(steps)) > 1
 
 
-def test_ramp_through_all_zero_beams_raises_like_resolve_cycle():
-    # the sampler reads ramp values without building pulses, yet stops
-    # where resolve_cycle cannot build one
-    basis = enumerate_levels(1, 3)
-    params = SimParams(eta=0.7, omega0_tau_abs=0.4)
+def test_ramp_through_all_zero_beams_is_refused_at_construction():
+    # both endpoints are legal, but the pulse's only beam passes 0 at
+    # cycle 5, so the schedule is refused before any trajectory runs
     ramp = Ramp(0, "a_x", 1.0, -1.0, 0, 10)
-    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=10,
-                        ramps=(ramp,))
-    with pytest.raises(ValueError, match="nonzero beam amplitude"):
-        resolve_cycle(schedule, 5)
-    occ = np.zeros(basis.size, dtype=np.int64)
-    occ[3] = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="nonzero beam amplitude"):
-            run_trajectory(basis, params, schedule, Configuration(occ), None, 1,
-                           RecorderSpec(watched_ids=(0,)))
+    with pytest.raises(ValueError,
+                       match="no nonzero beam amplitude at cycle 5"):
+        Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=10,
+                 ramps=(ramp,))
 
 
 def test_emission_matrix_is_column_major():

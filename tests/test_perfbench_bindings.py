@@ -72,3 +72,35 @@ def test_evaluate_is_the_only_absorption_evaluation():
     rates = importlib.import_module("bosecool.rates")
     names = [n for n in vars(rates.AbsorptionStructure) if n.startswith("evaluate")]
     assert names == ["evaluate"]
+
+
+def _shapes():
+    """Call shapes the benchmark uses outside the tracer's lists, as
+    (callable, positional args, keyword args); ``X`` stands for any value."""
+    from bosecool import (MatrixProvider, Schedule, calibrate_pulse_area,
+                          exact_propagate)
+    from bosecool.config import RunConfig
+    X = object()
+    return {
+        "Schedule.is_ramped": (Schedule.is_ramped, (X, 0), {}),
+        "MatrixProvider.absorption": (MatrixProvider.absorption, (X, X),
+                                      {"persist": True}),
+        "MatrixProvider": (MatrixProvider, (X, X),
+                           {"cache_dir": X, "quadrature": X}),
+        "RunConfig.build_params": (RunConfig.build_params, (X,),
+                                   {"omega0_resolved": X}),
+        "RunConfig.build_params(area)": (RunConfig.build_params, (X, 0.5), {}),
+        "RunConfig.build_params()": (RunConfig.build_params, (X,), {}),
+        "emission_quadrature": (emission_quadrature, (3, X),
+                                {"polar_order": X}),
+        "calibrate_pulse_area": (calibrate_pulse_area, (X, X, X, X), {}),
+        "exact_propagate": (exact_propagate, (X, X, X, X), {}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_shapes()))
+def test_untraced_call_shapes_bind(name):
+    # perfbench's micro pass and setup call these with exactly these
+    # shapes; a refactor that drops one must fail here, not mid-benchmark
+    fn, args, kwargs = _shapes()[name]
+    inspect.signature(fn).bind(*args, **kwargs)

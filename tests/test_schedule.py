@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bosecool import (PulseSpec, Ramp, Schedule, confinement_pulse,
@@ -182,3 +183,97 @@ def test_ramped_amplitude_applies_only_in_window():
     assert resolve_cycle(sch, 8)[0].amps == (0.2,)
     assert resolve_cycle(sch, 9)[0].amps == (0.2,)
     assert_allclose(resolve_cycle(sch, 6)[0].amps[0], 0.6)
+
+
+def test_cross_fade_is_legal_and_a_dark_cycle_is_named():
+    # a_x fades out while a_y fades in: each beam is off at one end, yet
+    # some beam is on at every cycle
+    fade = (Ramp(0, "a_x", 1.0, 0.0, 5, 15), Ramp(0, "a_y", 0.0, 1.0, 5, 15))
+    sch = Schedule(cycle=(PulseSpec(s=0, amps=(1.0, 0.0)),), total_cycles=20,
+                   ramps=fade)
+    assert [resolve_cycle(sch, c)[0].amps for c in (0, 10, 19)] == \
+        [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
+    # the same fade with a_y held at 0 leaves no beam from cycle 15 on
+    with pytest.raises(ValueError, match="pulse 0 with no nonzero beam "
+                                         "amplitude at cycle 15"):
+        Schedule(cycle=(PulseSpec(s=0, amps=(1.0, 0.0)),), total_cycles=20,
+                 ramps=fade[:1])
+    # an area ramp is judged by the values it reaches: 0.4 -> 1.5 over
+    # cycles 10-40 leaves (0, 1) at cycle 27
+    area = Ramp(0, "omega0_tau_abs", 0.4, 1.5, 10, 40)
+    with pytest.raises(ValueError, match=r"omega0_tau_abs 1\.0\d* outside "
+                                         r"\(0, 1\) at cycle 27"):
+        Schedule(cycle=(PulseSpec(s=0, amps=(1.0, 0.0)),), total_cycles=50,
+                 ramps=(area,))
+
+
+_BEAM_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_AREA_VALUES = (0.0, 0.3, 0.6, 1.0, 1.2)
+
+
+@st.composite
+def ramped_schedules(draw):
+    """A static pulse and a ramped one on a 2D or 3D basis, with 1-3 ramps
+    on the second's beams and area. Windows may overlap, and a beam ramp
+    may be followed by its cross-fade: the reverse sweep on another beam
+    over the same window."""
+    dim = draw(st.sampled_from((2, 3)))
+    total = draw(st.integers(2, 40))
+    amps = draw(st.tuples(*[st.sampled_from((0.0, 0.0, 1.0, -0.5))] * dim)
+                .filter(any))
+    area = draw(st.sampled_from((None, 0.5)))
+    beams = ("a_x", "a_y", "a_z")[:dim]
+    ramps = []
+    for _ in range(draw(st.integers(1, 3))):
+        last = ramps[-1] if ramps else None
+        if last is not None and last.field in beams and draw(st.booleans()):
+            name = draw(st.sampled_from([b for b in beams if b != last.field]))
+            ramps.append(Ramp(1, name, last.end_value, last.start_value,
+                              last.start_cycle, last.end_cycle))
+            continue
+        name = draw(st.sampled_from(beams * 2 + ("omega0_tau_abs",)))
+        values = _AREA_VALUES if name == "omega0_tau_abs" else _BEAM_VALUES
+        start = draw(st.integers(0, total - 1))
+        ramps.append(Ramp(1, name, draw(st.sampled_from(values)),
+                          draw(st.sampled_from(values)), start,
+                          draw(st.integers(start + 1, total))))
+    static = PulseSpec(s=-1, amps=(1.0,) * dim)
+    return (static, PulseSpec(s=0, amps=amps, omega0_tau_abs=area)), \
+        total, tuple(ramps)
+
+
+def brute_force(pulse, ramps, total):
+    """(amps, area) of ``pulse`` at every cycle: for each field the latest
+    active ramp's value, else the pulse's own."""
+    out = []
+    for c in range(total):
+        amps, area = list(pulse.amps), pulse.omega0_tau_abs
+        for r in ramps:  # list order, so a later active ramp wins
+            if r.active_at(c):
+                if r.field == "omega0_tau_abs":
+                    area = r.value_at(c)
+                else:
+                    amps["xyz".index(r.field[-1])] = r.value_at(c)
+        out.append((tuple(amps), area))
+    return out
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(ramped_schedules())
+def test_construction_accepts_exactly_the_schedules_legal_at_every_cycle(drawn):
+    cycle, total, ramps = drawn
+    joint = brute_force(cycle[1], ramps, total)
+    bad = [c for c, (amps, area) in enumerate(joint)
+           if not any(amps) or (area is not None and not 0 < area < 1)]
+    if bad:
+        with pytest.raises(ValueError,
+                           match=f"the ramps leave pulse 1 with .* at cycle "
+                                 f"{bad[0]}$"):
+            Schedule(cycle=cycle, total_cycles=total, ramps=ramps)
+        return
+    sch = Schedule(cycle=cycle, total_cycles=total, ramps=ramps)
+    for c, (amps, area) in enumerate(joint):
+        static, ramped = resolve_cycle(sch, c)
+        assert static == cycle[0]
+        assert ramped.amps == amps and ramped.omega0_tau_abs == area
+        assert ramped.s == 0 and ramped.omega_tau_abs is None
