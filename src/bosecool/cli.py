@@ -49,6 +49,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        _atomic_write(os.path.join(out_dir, name), text)
+
+
 def _level_tag(level) -> str:
     return "_".join(str(c) for c in level)
 
@@ -240,13 +246,10 @@ def cmd_simulate(args) -> int:
     threads = _threads(args)
     prep = _prepare(cfg)
     result, wall = _run(prep, threads)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "observables.csv"),
-                  _observables_csv(prep, result))
-    _atomic_write(os.path.join(cfg.out_dir, "events.csv"),
-                  _events_csv(result))
-    _atomic_write(os.path.join(cfg.out_dir, "summary.txt"),
-                  _summary_text(prep, result, "simulate", threads, wall))
+    _write_outputs(cfg.out_dir, {
+        "observables.csv": _observables_csv(prep, result),
+        "events.csv": _events_csv(result),
+        "summary.txt": _summary_text(prep, result, "simulate", threads, wall)})
     return 0
 
 
@@ -263,9 +266,7 @@ def cmd_darkstates(args) -> int:
     lines += [f"dark: level={lv} depletion={_fmt(g)}" for lv, g in exact]
     lines.append(f"near_dark_count_tol_1e-3: {len(near)}")
     lines += [f"near: level={lv} depletion={_fmt(g)}" for lv, g in near]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "darkstates.txt"),
-                  "\n".join(lines) + "\n")
+    _write_outputs(cfg.out_dir, {"darkstates.txt": "\n".join(lines) + "\n"})
     return 0
 
 
@@ -299,9 +300,7 @@ def cmd_criterion(args) -> int:
     lines.append(f"phase_diffusion_per_cycle: "
                  f"{_fmt(report.phase_diffusion_per_cycle)}")
     lines.append(f"phase_diffusion_hz: {_fmt(report.phase_diffusion_hz)}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "criterion.txt"),
-                  "\n".join(lines) + "\n")
+    _write_outputs(cfg.out_dir, {"criterion.txt": "\n".join(lines) + "\n"})
     return 0
 
 
@@ -346,16 +345,12 @@ def cmd_hysteresis(args) -> int:
         f"down_transfer_cycle: {_cycle_of(down, res.down_index)}",
         f"found_both: {res.found_both}",
     ]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "observables.csv"),
-                  _observables_csv(prep, result))
-    _atomic_write(os.path.join(cfg.out_dir, "events.csv"),
-                  _events_csv(result))
-    _atomic_write(os.path.join(cfg.out_dir, "hysteresis.txt"),
-                  "\n".join(extra) + "\n")
-    _atomic_write(os.path.join(cfg.out_dir, "summary.txt"),
-                  _summary_text(prep, result, "hysteresis", threads, wall,
-                                extra_lines=extra))
+    _write_outputs(cfg.out_dir, {
+        "observables.csv": _observables_csv(prep, result),
+        "events.csv": _events_csv(result),
+        "hysteresis.txt": "\n".join(extra) + "\n",
+        "summary.txt": _summary_text(prep, result, "hysteresis", threads, wall,
+                                     extra_lines=extra)})
     return 0
 
 
@@ -387,10 +382,7 @@ def main(argv=None) -> int:
     except PhysicsValidityError as exc:
         print(f"error: physics: {exc}", file=sys.stderr)
         return 3
-    except CacheError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (CacheError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 4
 

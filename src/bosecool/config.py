@@ -26,7 +26,9 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _known_keys(section: dict, allowed: set, where: str) -> None:
+def _check_section(section, allowed: set, where: str) -> None:
+    """Check that ``section`` is a mapping with no key outside ``allowed``."""
+    _require(isinstance(section, dict), f"{where} must be a mapping")
     unknown = set(section) - allowed
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
 
@@ -140,15 +142,6 @@ class RunConfig:
         dist[basis.id_of(self.initial.level)] = 1.0
         return dist
 
-    def watched_ids(self, basis: Basis) -> tuple[int, ...]:
-        ids = []
-        for lv in self.watched:
-            try:
-                ids.append(basis.id_of(lv))
-            except KeyError:
-                raise ConfigError(f"watched level {lv} outside the basis")
-        return tuple(ids)
-
 
 _TOP_KEYS = {"basis", "params", "atoms", "trajectories", "seed", "initial",
              "schedule", "recorder", "watched", "output", "cache_dir",
@@ -156,17 +149,18 @@ _TOP_KEYS = {"basis", "params", "atoms", "trajectories", "seed", "initial",
 _PARAM_KEYS = {"eta", "gamma", "omega_tau_abs", "omega0_tau_abs",
                "eta_sp_ratio", "resonance_window", "emission_pattern",
                "quadrature_order"}
-_PULSE_KEYS = {"s", "amps", "omega0_tau_abs", "omega_tau_abs"}
+_PULSE_WIDTHS = ("omega0_tau_abs", "omega_tau_abs")  # optional per pulse
+_PULSE_KEYS = {"s", "amps", *_PULSE_WIDTHS}
 _RAMP_KEYS = {"pulse", "field", "start", "end", "start_cycle", "end_cycle"}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config root must be a mapping")
-    _known_keys(doc, _TOP_KEYS, "config")
+    _check_section(doc, _TOP_KEYS, "config")
 
     b = doc.get("basis")
     _require(isinstance(b, dict), "basis section is required")
-    _known_keys(b, {"dim", "max_shell"}, "basis")
+    _check_section(b, {"dim", "max_shell"}, "basis")
     dim = _as_int(b.get("dim"), "basis.dim")
     _require(dim in (1, 2, 3), "basis.dim must be 1, 2 or 3")
     max_shell = _as_int(b.get("max_shell"), "basis.max_shell")
@@ -174,7 +168,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     p = doc.get("params")
     _require(isinstance(p, dict), "params section is required")
-    _known_keys(p, _PARAM_KEYS, "params")
+    _check_section(p, _PARAM_KEYS, "params")
     eta = _as_float(p.get("eta"), "params.eta")
     _require(eta >= 0, "params.eta must be >= 0")
     gamma = _as_float(p.get("gamma", 0.01), "params.gamma")
@@ -208,8 +202,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _require(seed >= 0, "seed must be >= 0")
 
     ini = doc.get("initial", {"thermal_mean_shell": 6.0})
-    _require(isinstance(ini, dict), "initial must be a mapping")
-    _known_keys(ini, {"thermal_mean_shell", "point_level"}, "initial")
+    _check_section(ini, {"thermal_mean_shell", "point_level"}, "initial")
     _require(len(ini) == 1,
              "initial: exactly one of thermal_mean_shell/point_level")
     if "thermal_mean_shell" in ini:
@@ -222,7 +215,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     sc = doc.get("schedule")
     _require(isinstance(sc, dict), "schedule section is required")
-    _known_keys(sc, {"figure", "pulses", "ramps", "total_cycles",
+    _check_section(sc, {"figure", "pulses", "ramps", "total_cycles",
                      "ramp_scale"}, "schedule")
     figure = sc.get("figure")
     raw_pulses = sc.get("pulses")
@@ -247,20 +240,14 @@ def config_from_dict(doc: dict) -> RunConfig:
                  "schedule.total_cycles is required with explicit pulses")
         built = []
         for i, rp in enumerate(raw_pulses):
-            _require(isinstance(rp, dict), f"schedule.pulses[{i}] must be a mapping")
-            _known_keys(rp, _PULSE_KEYS, f"schedule.pulses[{i}]")
+            _check_section(rp, _PULSE_KEYS, f"schedule.pulses[{i}]")
             s = _as_int(rp.get("s"), f"schedule.pulses[{i}].s")
             amps = rp.get("amps", [1.0] * dim)
             _require(isinstance(amps, (list, tuple)) and len(amps) == dim,
                      f"schedule.pulses[{i}].amps must have {dim} entries")
             amps = tuple(_as_float(a, f"schedule.pulses[{i}].amps") for a in amps)
-            kw = {}
-            if "omega0_tau_abs" in rp:
-                kw["omega0_tau_abs"] = _as_float(
-                    rp["omega0_tau_abs"], f"schedule.pulses[{i}].omega0_tau_abs")
-            if "omega_tau_abs" in rp:
-                kw["omega_tau_abs"] = _as_float(
-                    rp["omega_tau_abs"], f"schedule.pulses[{i}].omega_tau_abs")
+            kw = {k: _as_float(rp[k], f"schedule.pulses[{i}].{k}")
+                  for k in _PULSE_WIDTHS if k in rp}
             try:
                 built.append(PulseSpec(s=s, amps=amps, **kw))
             except ValueError as exc:
@@ -270,8 +257,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         _require(isinstance(raw_ramps, list), "schedule.ramps must be a list")
         built_ramps = []
         for i, rr in enumerate(raw_ramps):
-            _require(isinstance(rr, dict), f"schedule.ramps[{i}] must be a mapping")
-            _known_keys(rr, _RAMP_KEYS, f"schedule.ramps[{i}]")
+            _check_section(rr, _RAMP_KEYS, f"schedule.ramps[{i}]")
             try:
                 built_ramps.append(Ramp(
                     pulse_index=_as_int(rr.get("pulse"), f"schedule.ramps[{i}].pulse"),
@@ -289,8 +275,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                               total_cycles=total_cycles, ramp_scale=ramp_scale)
 
     rec = doc.get("recorder", {})
-    _require(isinstance(rec, dict), "recorder must be a mapping")
-    _known_keys(rec, {"stride", "events"}, "recorder")
+    _check_section(rec, {"stride", "events"}, "recorder")
     stride = _as_int(rec.get("stride", 1), "recorder.stride")
     _require(stride >= 0, "recorder.stride must be >= 0")
     events = rec.get("events", True)
@@ -302,8 +287,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     watched = tuple(_as_level(lv, dim, "watched") for lv in raw_watched)
 
     out = doc.get("output", {})
-    _require(isinstance(out, dict), "output must be a mapping")
-    _known_keys(out, {"directory"}, "output")
+    _check_section(out, {"directory"}, "output")
     out_dir = out.get("directory", "out")
     _require(isinstance(out_dir, str) and out_dir, "output.directory must be a path")
 
@@ -312,14 +296,12 @@ def config_from_dict(doc: dict) -> RunConfig:
              "cache_dir must be a path")
 
     crit = doc.get("criterion", {})
-    _require(isinstance(crit, dict), "criterion must be a mapping")
-    _known_keys(crit, {"target"}, "criterion")
+    _check_section(crit, {"target"}, "criterion")
     criterion_target = (None if "target" not in crit else
                         _as_level(crit["target"], dim, "criterion.target"))
 
     hys = doc.get("hysteresis", {})
-    _require(isinstance(hys, dict), "hysteresis must be a mapping")
-    _known_keys(hys, {"threshold", "source", "targets"}, "hysteresis")
+    _check_section(hys, {"threshold", "source", "targets"}, "hysteresis")
     threshold = _as_float(hys.get("threshold", 0.5), "hysteresis.threshold")
     _require(0 < threshold < 1, "hysteresis.threshold must lie in (0, 1)")
     source = (None if "source" not in hys else
@@ -339,20 +321,16 @@ def config_from_dict(doc: dict) -> RunConfig:
                     criterion_target=criterion_target, hysteresis=hysteresis)
 
     basis = cfg.build_basis()  # level references must resolve
-    cfg.watched_ids(basis)
-    for lv in (cfg.criterion_target, cfg.hysteresis.source,
-               *cfg.hysteresis.targets):
-        if lv is not None:
-            try:
-                basis.id_of(lv)
-            except KeyError:
-                raise ConfigError(f"level {lv} outside the basis")
+    refs = [("watched level", lv) for lv in cfg.watched]
+    refs += [("level", lv) for lv in (cfg.criterion_target, cfg.hysteresis.source,
+                                      *cfg.hysteresis.targets) if lv is not None]
     if cfg.initial.kind == "point":
+        refs.append(("initial.point_level", cfg.initial.level))
+    for what, lv in refs:
         try:
-            basis.id_of(cfg.initial.level)
+            basis.id_of(lv)
         except KeyError:
-            raise ConfigError(f"initial.point_level {cfg.initial.level} "
-                              "outside the basis")
+            raise ConfigError(f"{what} {lv} outside the basis")
     cfg.build_schedule()  # schedule must assemble
     return cfg
 
@@ -365,10 +343,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
         sc["pulses"] = []
         for pu in cfg.schedule.pulses:
             entry = {"s": pu.s, "amps": list(pu.amps)}
-            if pu.omega0_tau_abs is not None:
-                entry["omega0_tau_abs"] = pu.omega0_tau_abs
-            if pu.omega_tau_abs is not None:
-                entry["omega_tau_abs"] = pu.omega_tau_abs
+            entry.update((k, getattr(pu, k)) for k in _PULSE_WIDTHS
+                         if getattr(pu, k) is not None)
             sc["pulses"].append(entry)
         sc["ramps"] = [{"pulse": r.pulse_index, "field": r.field,
                         "start": r.start_value, "end": r.end_value,

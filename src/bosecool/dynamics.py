@@ -31,12 +31,13 @@ couples none of them stays as it is, one that lists all of them still
 occupied takes their new counts, and a short entry gains or loses
 levels in place. A long (array) entry whose levels change, or one that
 a level past P_HARD would join, is dropped and computed afresh at its
-pulse's turn, which is where that computation raises. A ramped pulse
-reads its field values straight from the active ramps each cycle; in a
-cycle where they change it gets new rates from one
-``AbsorptionStructure.evaluate`` and drops its own inputs. Every kept
-or patched value is bitwise the one a fresh computation gives, so reuse
+pulse's turn, which is where that computation raises. Every kept or
+patched value is bitwise the one a fresh computation gives, so reuse
 changes no random number.
+
+A worker runs its trajectories window by window on rates it resolves
+once per window, where a ramped pulse gets new rates only in cycles that
+change its fields; those drop the pulse's kept inputs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import warnings
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import multiprocessing as mp
 import numpy as np
@@ -65,6 +67,10 @@ P_HARD = 1.0  # and the value at which the step law stops being a probability
 # than one array call; numpy draws an array element by element, so both
 # consume the same stream.
 _SCALAR_DRAWS = 8
+# Cycles per window: a window costs each trajectory one call and holds new
+# rates per ramp-moving cycle (14 KB on fig3). 64 is where demo1d's CPU time
+# stops falling; fig3 workers then peak at 60 MB.
+_WINDOW = 64
 
 
 class MatrixProvider:
@@ -92,7 +98,8 @@ class MatrixProvider:
         self._static: dict[tuple, PulseRates] = {}
         self._sp: EmissionMatrix | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
-                         "structure_builds": self._structures.builds}
+                         "structure_builds": self._structures.builds,
+                         "ramp_evals": 0}
 
     # -- absorption ----------------------------------------------------
 
@@ -170,6 +177,28 @@ class MatrixProvider:
         self._structures.retain(self.basis, self.params, ramped)
         for pulse in ramped:  # amplitudes change; matrix cannot
             self.structure(pulse)
+
+    def cycle_rates(self, schedule: Schedule):
+        """Each cycle's (ramped field values, rates per pulse) of a prepared,
+        resolved ``schedule``. A ramped pulse is evaluated (counted in
+        ``counters["ramp_evals"]``) at cycle 0 and where its fields change;
+        other cycles reuse its ``PulseRates``, and the list if none moved."""
+        ramped = {i: self.structure(p) for i, p in enumerate(schedule.cycle)
+                  if schedule.is_ramped(i)}
+        rates = [None if i in ramped else self.absorption(p, persist=True)
+                 for i, p in enumerate(schedule.cycle)]
+        driven, values = dict.fromkeys(ramped), None
+        for c in range(schedule.total_cycles):
+            now = schedule.field_values(c)
+            if now != values:
+                values, rates = now, list(rates)
+                for i, structure in ramped.items():
+                    pulse = schedule.driven(i, now)
+                    if pulse != driven[i]:
+                        driven[i] = pulse
+                        rates[i] = structure.evaluate(*pulse)
+                        self.counters["ramp_evals"] += 1
+            yield values, rates
 
 
 class StructureMemo:
@@ -397,7 +426,133 @@ class TrajectoryRecord:
     p_max: float
     n_warn_pulses: int
     seed_key: tuple
-    ramp_evals: int             # ramped pulses' resolved forms, one per change
+
+
+class _Run:
+    """What the trajectories of a run share."""
+
+    def __init__(self, basis: Basis, params: SimParams, schedule: Schedule,
+                 initial: Configuration | np.ndarray, n_atoms: int | None,
+                 recorder: RecorderSpec, provider: MatrixProvider | None):
+        if isinstance(initial, Configuration):
+            if n_atoms not in (None, initial.n_atoms):
+                raise ValueError(f"n_atoms={n_atoms} contradicts the initial "
+                                 f"configuration of {initial.n_atoms} atoms")
+            if initial.occ.shape[0] != basis.size:
+                raise ValueError("initial configuration does not match the basis")
+            n_atoms = initial.n_atoms
+        elif n_atoms is None:
+            raise ValueError("n_atoms is required when sampling the initial state")
+        self.provider = provider or MatrixProvider(basis, params)
+        self.provider.prepare(schedule)
+        self.basis, self.initial, self.n_atoms = basis, initial, n_atoms
+        self.schedule, self.recorder = schedule.resolved(params), recorder
+        self.sp_dense = self.provider.spontaneous_dense()
+        self.shells_f = basis.shells.astype(np.float64)
+        self.watched = np.asarray(recorder.watched_ids, dtype=np.int64)
+
+    def block(self, seed_keys) -> tuple[list[TrajectoryRecord], int]:
+        """One record per seed key, and the ramped-pulse evaluations made."""
+        evals = self.provider.counters["ramp_evals"]
+        trajectories = [_Trajectory(self, key) for key in seed_keys]
+        cycles = self.provider.cycle_rates(self.schedule)
+        for start in range(0, self.schedule.total_cycles, _WINDOW):
+            window = list(islice(cycles, _WINDOW))
+            for t in trajectories:
+                t.advance(start, window)
+        return ([t.record() for t in trajectories],
+                self.provider.counters["ramp_evals"] - evals)
+
+
+class _Trajectory:
+    """One trajectory's state between windows."""
+
+    def __init__(self, run: _Run, seed_key: tuple):
+        self.run, self.seed_key = run, seed_key
+        self.rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed_key)))
+        if isinstance(run.initial, Configuration):
+            self.occ = run.initial.occ.copy()
+        else:  # the draw consumes the leading output of the stream
+            self.occ = sample_initial_configuration(
+                run.basis, run.initial, run.n_atoms, self.rng).occ
+        self.occf = self.occ.astype(np.float64)
+        self.n_total = float(self.occ.sum())
+        self.occupied = np.flatnonzero(self.occ).tolist()
+        self.occ_ids = np.array(self.occupied, dtype=np.int64)
+        # each pulse's draw inputs, patched after an event and dropped when
+        # the pulse's rates are no longer the object they were computed from
+        self.rates: list = [None] * run.schedule.n_pulses
+        self.inputs = self.rates.copy()
+        self.rows: list[tuple] = []  # (done, watched occ, mean shell, values)
+        self._row(0, run.schedule.field_values(0))
+        self.events: list[tuple[int, int, int, int, int]] = []
+        self.p_max, self.n_warn = 0.0, 0
+
+    def _row(self, done: int, values: tuple) -> None:
+        self.rows.append((done, self.occ[self.run.watched].copy(),
+                          float(self.run.shells_f @ self.occf / self.n_total),
+                          values))
+
+    def advance(self, start: int, window) -> None:
+        """Run cycles ``start``, ``start + 1``, ... on ``window``'s entries."""
+        run, occ, occf, rng = self.run, self.occ, self.occf, self.rng
+        occupied, occ_ids, inputs = self.occupied, self.occ_ids, self.inputs
+        p_max, n_warn, stride = self.p_max, self.n_warn, run.recorder.stride
+        for c, (values, rates) in enumerate(window, start):
+            if rates is not self.rates:
+                for i, r in enumerate(rates):
+                    if r is not self.rates[i]:
+                        inputs[i] = None
+                self.rates = rates
+            for i, pulse_rates in enumerate(rates):
+                if inputs[i] is None:
+                    if occ_ids is None:
+                        occ_ids = np.array(occupied, dtype=np.int64)
+                    inputs[i] = _draw_inputs(occ, occ_ids, pulse_rates.depletion)
+                pulse_events, p = _step(occ, occf, pulse_rates, run.sp_dense,
+                                        rng, inputs[i])
+                if p > p_max:
+                    p_max = p
+                if p > P_WARN:
+                    n_warn += 1
+                    if n_warn == 1:  # once per trajectory
+                        warnings.warn("per-atom excitation probability exceeded "
+                                      "0.5; rates are near the edge of the "
+                                      "perturbative regime", stacklevel=2)
+                if pulse_events:
+                    touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
+                    for t in touched:
+                        k = bisect_left(occupied, t)
+                        listed = k < len(occupied) and occupied[k] == t
+                        if listed != bool(occ[t]):
+                            if listed:
+                                del occupied[k]
+                            else:
+                                occupied.insert(k, t)
+                            occ_ids = None
+                    for j, kept in enumerate(inputs):
+                        if kept is not None:
+                            inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
+                                                      touched)
+                    if run.recorder.record_events:
+                        self.events.extend((c, i) + ev for ev in pulse_events)
+            done = c + 1
+            if done == run.schedule.total_cycles or stride and done % stride == 0:
+                self._row(done, values)
+        self.occ_ids, self.p_max, self.n_warn = occ_ids, p_max, n_warn
+
+    def record(self) -> TrajectoryRecord:
+        done, watched, shell, values = zip(*self.rows)
+        return TrajectoryRecord(
+            cycles=np.asarray(done, dtype=np.int64),
+            watched_occ=np.asarray(watched, dtype=np.int64),
+            mean_shell=np.asarray(shell),
+            ramp_values=np.asarray(values, dtype=np.float64).reshape(
+                len(done), len(self.run.schedule.ramp_fields)),
+            events=np.asarray(self.events, dtype=np.int64).reshape(-1, 5),
+            final_occ=self.occ.copy(), p_max=self.p_max,
+            n_warn_pulses=self.n_warn, seed_key=self.seed_key)
 
 
 def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
@@ -410,123 +565,9 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     to sample ``n_atoms`` from (the draw consumes the leading RNG output,
     so ensembles get independent initial states per trajectory).
     """
-    if provider is None:
-        provider = MatrixProvider(basis, params)
-        provider.prepare(schedule)
-    seed_key = seed if isinstance(seed, tuple) else (seed,)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
-
-    if isinstance(initial, Configuration):
-        config = initial.copy()
-    else:
-        if n_atoms is None:
-            raise ValueError("n_atoms is required when sampling the initial state")
-        config = sample_initial_configuration(basis, initial, n_atoms, rng)
-    if config.occ.shape[0] != basis.size:
-        raise ValueError("initial configuration does not match the basis")
-
-    occ = config.occ
-    occf = occ.astype(np.float64)
-    sp_dense = provider.spontaneous_dense()
-    shells_f = basis.shells.astype(np.float64)
-    n_total = float(occ.sum())
-    watched = np.asarray(recorder.watched_ids, dtype=np.int64)
-
-    # a ramped pulse is re-evaluated only in cycles where its fields change
-    schedule = schedule.resolved(params)
-    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
-    structures = {i: provider.structure(schedule.cycle[i]) for i in ramped}
-    values = schedule.field_values(0)
-    driven = {i: schedule.driven(i, values) for i in ramped}
-    rates = [structures[i].evaluate(*driven[i]) if i in driven
-             else provider.absorption(p, persist=True)
-             for i, p in enumerate(schedule.cycle)]
-    ramp_evals = len(ramped)
-    # each pulse's draw inputs, patched after an event, dropped on new rates
-    occupied = np.flatnonzero(occ).tolist()
-    occ_ids = np.array(occupied, dtype=np.int64)
-    inputs: list = [None] * schedule.n_pulses
-
-    rows_cycles: list[int] = []
-    rows_watch: list[np.ndarray] = []
-    rows_shell: list[float] = []
-    rows_ramp: list[tuple] = []
-    events: list[tuple[int, int, int, int, int]] = []
-    p_max = 0.0
-    n_warn = 0
-
-    def record(done: int) -> None:
-        rows_cycles.append(done)
-        rows_watch.append(occ[watched].copy())
-        rows_shell.append(float(shells_f @ occf / n_total))
-        rows_ramp.append(values)
-
-    record(0)
-    warned = False
-    for c in range(schedule.total_cycles):
-        if ramped and c:
-            now = schedule.field_values(c)
-            if now != values:
-                values = now
-                for i in ramped:
-                    pulse = schedule.driven(i, now)
-                    if pulse != driven[i]:
-                        driven[i] = pulse
-                        rates[i] = structures[i].evaluate(*pulse)
-                        inputs[i] = None
-                        ramp_evals += 1
-        for i in range(schedule.n_pulses):
-            if inputs[i] is None:
-                if occ_ids is None:
-                    occ_ids = np.array(occupied, dtype=np.int64)
-                inputs[i] = _draw_inputs(occ, occ_ids, rates[i].depletion)
-            pulse_events, p = _step(occ, occf, rates[i], sp_dense, rng,
-                                    inputs[i])
-            if p > p_max:
-                p_max = p
-            if p > P_WARN:
-                n_warn += 1
-                if not warned:
-                    warnings.warn("per-atom excitation probability exceeded "
-                                  "0.5; rates are near the edge of the "
-                                  "perturbative regime", stacklevel=2)
-                    warned = True
-            if pulse_events:
-                touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
-                for t in touched:
-                    k = bisect_left(occupied, t)
-                    listed = k < len(occupied) and occupied[k] == t
-                    if listed != bool(occ[t]):
-                        if listed:
-                            del occupied[k]
-                        else:
-                            occupied.insert(k, t)
-                        occ_ids = None
-                for j, kept in enumerate(inputs):
-                    if kept is not None:
-                        inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
-                                                  touched)
-                if recorder.record_events:
-                    for ev in pulse_events:
-                        events.append((c, i) + ev)
-        done = c + 1
-        if (recorder.stride and done % recorder.stride == 0
-                and done < schedule.total_cycles):
-            record(done)
-    record(schedule.total_cycles)
-
-    return TrajectoryRecord(
-        cycles=np.asarray(rows_cycles, dtype=np.int64),
-        watched_occ=np.asarray(rows_watch, dtype=np.int64),
-        mean_shell=np.asarray(rows_shell),
-        ramp_values=np.asarray(rows_ramp, dtype=np.float64).reshape(
-            len(rows_cycles), len(schedule.ramp_fields)),
-        events=np.asarray(events, dtype=np.int64).reshape(len(events), 5),
-        final_occ=occ.copy(),
-        p_max=p_max,
-        n_warn_pulses=n_warn,
-        seed_key=seed_key,
-        ramp_evals=ramp_evals)
+    run = _Run(basis, params, schedule, initial, n_atoms, recorder, provider)
+    records, _ = run.block([seed if isinstance(seed, tuple) else (seed,)])
+    return records[0]
 
 
 # ------------------------------------------------------------- ensemble
@@ -549,7 +590,7 @@ class EnsembleResult:
     seed: int
     p_max: float
     n_warn_pulses: int
-    ramp_evals: int
+    ramp_evals: int                  # ramped-pulse evaluations, summed over workers
 
     def watched_fraction_mean(self) -> np.ndarray:
         return self.watched_mean / self.n_atoms
@@ -558,14 +599,16 @@ class EnsembleResult:
         return self.watched_std / (self.n_atoms * math.sqrt(self.n_traj))
 
 
-_CTX: dict = {}
+_POOL_RUN: _Run | None = None  # set in each pool worker by its initializer
 
 
-def _ensemble_worker(idx: int) -> TrajectoryRecord:
-    c = _CTX
-    return run_trajectory(c["basis"], c["params"], c["schedule"], c["initial"],
-                          c["n_atoms"], (c["seed"], idx), c["recorder"],
-                          c["provider"])
+def _pool_init(run: _Run) -> None:
+    global _POOL_RUN
+    _POOL_RUN = run
+
+
+def _pool_block(seed_keys) -> tuple[list[TrajectoryRecord], int]:
+    return _POOL_RUN.block(seed_keys)
 
 
 def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
@@ -575,64 +618,51 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
                  threads: int = 1) -> EnsembleResult:
     """Independent trajectories reduced in index order.
 
-    Results are bitwise identical for every ``threads`` value: each
-    trajectory's stream is keyed by (seed, index) and the reduction walks
-    indices in order regardless of which worker produced them.
+    Each worker runs one contiguous block of trajectory indices. Results
+    are bitwise identical for every ``threads`` value: each trajectory's
+    stream is keyed by (seed, index) and the reduction walks indices in
+    order regardless of which worker produced them.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if isinstance(initial, Configuration):
-        if n_atoms is not None and n_atoms != initial.n_atoms:
-            raise ValueError(f"n_atoms={n_atoms} contradicts the initial "
-                             f"configuration of {initial.n_atoms} atoms")
-        n_atoms = initial.n_atoms
-    elif n_atoms is None:
-        raise ValueError("n_atoms is required when sampling the initial state")
-    if provider is None:
-        provider = MatrixProvider(basis, params)
-    provider.prepare(schedule)
-    schedule = schedule.resolved(params)  # once, not once per trajectory
-
-    global _CTX
-    _CTX = {"basis": basis, "params": params, "schedule": schedule,
-            "initial": initial, "n_atoms": n_atoms, "seed": seed,
-            "recorder": recorder, "provider": provider}
-    try:
-        if threads <= 1 or n_traj == 1:
-            records = [_ensemble_worker(i) for i in range(n_traj)]
-        else:
-            workers = min(threads, n_traj)
-            chunk = max(1, n_traj // (4 * workers))
-            ctx = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-                records = list(ex.map(_ensemble_worker, range(n_traj),
-                                      chunksize=chunk))
-    finally:
-        _CTX = {}
+    run = _Run(basis, params, schedule, initial, n_atoms, recorder, provider)
+    keys = [(seed, k) for k in range(n_traj)]
+    workers = max(1, min(threads, n_traj))
+    if workers == 1:
+        blocks = [run.block(keys)]
+    else:
+        # the run reaches each forked worker as an inherited initializer
+        # argument, never pickled
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=mp.get_context("fork"),
+                                 initializer=_pool_init,
+                                 initargs=(run,)) as ex:
+            blocks = list(ex.map(_pool_block, [
+                keys[w * n_traj // workers:(w + 1) * n_traj // workers]
+                for w in range(workers)]))
+    records = [r for block, _ in blocks for r in block]
 
     watched = np.stack([r.watched_occ for r in records]).astype(np.float64)
     shells = np.stack([r.mean_shell for r in records])
-    ddof = 1 if n_traj > 1 else 0
-    wstd = watched.std(axis=0, ddof=ddof) if n_traj > 1 else np.zeros_like(watched[0])
-    sstd = shells.std(axis=0, ddof=ddof) if n_traj > 1 else np.zeros_like(shells[0])
+    ddof = min(1, n_traj - 1)  # one trajectory: a zero spread
 
     return EnsembleResult(
         cycles=records[0].cycles,
-        ramp_fields=schedule.ramp_fields,
+        ramp_fields=run.schedule.ramp_fields,
         ramp_values=records[0].ramp_values,
         watched_ids=recorder.watched_ids,
         watched_mean=watched.mean(axis=0),
-        watched_std=wstd,
+        watched_std=watched.std(axis=0, ddof=ddof),
         mean_shell_mean=shells.mean(axis=0),
-        mean_shell_std=sstd,
+        mean_shell_std=shells.std(axis=0, ddof=ddof),
         final_occ=np.stack([r.final_occ for r in records]),
         events=[r.events for r in records],
-        n_atoms=n_atoms,
+        n_atoms=run.n_atoms,
         n_traj=n_traj,
         seed=seed,
         p_max=max(r.p_max for r in records),
         n_warn_pulses=sum(r.n_warn_pulses for r in records),
-        ramp_evals=sum(r.ramp_evals for r in records))
+        ramp_evals=sum(evals for _, evals in blocks))
 
 
 # ------------------------------------------------------- exact reference
@@ -820,22 +850,24 @@ def emission_counts(events: np.ndarray, window: int, total_cycles: int,
 # ---------------------------------------------------------- calibration
 
 
+# calibrate_pulse_area's bounds, described there
+_AREA_CAP, _OCCUPANCY_FLOOR, _HARD_MARGIN = 0.9, 0.5, 0.98
+
+
 def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
                          expected_occ: np.ndarray, target: float = 0.5,
-                         cap: float = 0.9, occupancy_floor: float = 0.5,
-                         hard_margin: float = 0.98,
                          structures: StructureMemo | None = None) -> float:
     """Pulse area such that the worst per-atom excitation probability,
     over levels the initial state actually populates, is ``target``.
 
-    Levels expected to hold fewer than ``occupancy_floor`` atoms do not
+    Levels expected to hold fewer than ``_OCCUPANCY_FLOOR`` atoms do not
     constrain the target (they would let the empty hot tail of the basis
     throttle every run), but a second, looser bound keeps the per-atom
-    probability of EVERY level at or below ``hard_margin``, so no
+    probability of EVERY level at or below ``_HARD_MARGIN``, so no
     occupancy fluctuation can trip the step law's hard error. The
     quadratic scaling p ~ (omega0 tau)^2 makes both bounds single
-    solves; the result is capped to stay perturbative (the step law
-    itself needs omega0 tau < 1).
+    solves; the result is capped at ``_AREA_CAP`` to stay perturbative
+    (the step law itself needs omega0 tau < 1).
 
     ``structures`` is a structure memo to fill and reuse; pass the same
     memo to the ``MatrixProvider`` of the run, and no structure is built
@@ -845,7 +877,7 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         raise ValueError("target must lie in (0, 1]")
     if not float(expected_occ.sum()) > 0:
         raise ValueError("expected occupancy is empty")
-    populated = expected_occ >= occupancy_floor
+    populated = expected_occ >= _OCCUPANCY_FLOOR
     if not populated.any():
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
@@ -861,5 +893,5 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
             "cycle 0 drives no excitation at the initial state; "
             "pulse-area calibration is impossible")
     area = 0.5 * math.sqrt(target / worst_pop)
-    guard = 0.5 * math.sqrt(hard_margin / worst_any)
-    return min(cap, area, guard)
+    guard = 0.5 * math.sqrt(_HARD_MARGIN / worst_any)
+    return min(_AREA_CAP, area, guard)

@@ -469,13 +469,12 @@ def _block_cols(size: int) -> int:
 
 def build_spontaneous_rates(basis: Basis, params: SimParams,
                             quadrature: EmissionQuadrature,
-                            rel_cutoff: float = REL_CUTOFF,
                             completeness_warn: float = 0.01) -> EmissionMatrix:
     """Angle-averaged emission branching matrix, in linewidth units.
 
     Entry (n, l) integrates the product of per-axis recoil overlaps
     |<n_j|exp(i k_sp u_j x_j)|l_j>|^2 over photon directions u; entries
-    below ``rel_cutoff`` of the maximum are zeroed in place. Columns sum
+    below ``REL_CUTOFF`` of the maximum are zeroed in place. Columns sum
     to 1 up to truncation loss; a single warning reports columns losing
     more than ``completeness_warn``.
     """
@@ -500,7 +499,7 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
                     for j, uj in enumerate(u)))
     else:
         dense = _spontaneous_dense_3d(basis, eta_sp, quadrature, table)
-    np.copyto(dense, 0.0, where=dense < rel_cutoff * dense.max())
+    np.copyto(dense, 0.0, where=dense < REL_CUTOFF * dense.max())
 
     lost = 1.0 - dense.sum(axis=0)
     bad = int((lost > completeness_warn).sum())

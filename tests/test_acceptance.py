@@ -362,3 +362,47 @@ def test_criterion_9_conservation_and_determinism(tmp_path):
             ev = fh.read()
         outputs.append((obs, ev))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_criterion_9_ramped_hysteresis_is_thread_independent(tmp_path):
+    # a worker shares each window's ramped rates across its block of
+    # trajectories; the outputs must not depend on how the blocks fall
+    doc = {
+        "basis": {"dim": 1, "max_shell": 3},
+        "params": {"eta": 0.7, "omega0_tau_abs": 0.8},
+        "atoms": 2,
+        "trajectories": 7,
+        "seed": 3,
+        "initial": {"point_level": [1]},
+        "schedule": {
+            "pulses": [{"s": -1, "amps": [1.0]}, {"s": 0, "amps": [0.5]}],
+            "ramps": [
+                {"pulse": 0, "field": "a_x", "start": 1.0, "end": 0.2,
+                 "start_cycle": 5, "end_cycle": 30},
+                {"pulse": 0, "field": "a_x", "start": 0.2, "end": 1.0,
+                 "start_cycle": 30, "end_cycle": 55},
+            ],
+            "total_cycles": 60,
+        },
+        "recorder": {"stride": 3, "events": True},
+        "watched": [[1], [0]],
+        "hysteresis": {"threshold": 0.5, "source": [1], "targets": [[0]]},
+        "output": {"directory": str(tmp_path / "t1")},
+    }
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    outputs = []
+    for threads in (1, 2, 3):
+        out = str(tmp_path / f"t{threads}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli_main(["hysteresis", "--config", str(cfg),
+                             "--threads", str(threads), "--out", out])
+        assert code == 0
+        files = []
+        for name in ("observables.csv", "events.csv", "hysteresis.txt"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(fh.read())
+        outputs.append(files)
+    assert outputs[0][1].count(b"\n") > 20  # events were logged
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -338,8 +338,9 @@ def test_hysteresis_command_end_to_end(tmp_path):
                  for d in (out, str(tmp_path / "out2"))]
     evals = [[ln for ln in lines if ln.startswith("ramp_evals:")]
              for lines in summaries]
-    # worker-side evaluations count: every cycle moves the amplitude
-    assert evals[0] == evals[1] == ["ramp_evals: 1200"]
+    # each worker evaluates once per cycle, as every cycle moves the
+    # amplitude, whatever the number of trajectories it runs
+    assert evals == [["ramp_evals: 60"], ["ramp_evals: 120"]]
     assert "events_total: not recorded" in summaries[0]
     text = read(out, "hysteresis.txt")
     assert "up_transfer_value: 0.70666666666666667" in text

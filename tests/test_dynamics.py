@@ -621,15 +621,17 @@ def test_ramp_columns_record_the_area_in_effect():
                         ramps=(ramp,))
     occ = np.zeros(basis.size, dtype=np.int64)
     occ[3] = 1
+    provider = MatrixProvider(basis, params)
     rec = run_trajectory(basis, params, schedule, Configuration(occ), None, 3,
-                         RecorderSpec(watched_ids=(0,), stride=1))
+                         RecorderSpec(watched_ids=(0,), stride=1), provider)
     values = rec.ramp_values[:, 0]  # row k holds cycle max(0, k - 1)
     assert_array_equal(values[:6], 0.4)
     assert values[6] == 0.2
     assert_allclose(values[7], 0.22, rtol=1e-14)
     assert values[-1] == 0.4
     # evaluated at cycle 0, then at each of the ten changing cycles 5..15
-    assert rec.ramp_evals == 12
+    assert provider.counters["ramp_evals"] == 12
+    assert reference_ramp_evals(params, schedule) == 12
 
 
 def reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
@@ -657,17 +659,14 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
     schedule = schedule.resolved(params)
     ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
     rows, events = [], []
-    p_max, n_warn, ramp_evals, steps = 0.0, 0, 0, 0
+    p_max, n_warn, steps = 0.0, 0, 0
 
     def row(done, pulses):
         rows.append((done, occ[watched].copy(), float(shells @ occf / n_total),
                      [pulses[i].field_value(f) for i, f in fields]))
 
-    previous = None
     for c in range(schedule.total_cycles):
         pulses = resolve_cycle(schedule, c)
-        ramp_evals += sum(previous is None or pulses[i] != previous[i]
-                          for i in ramped)
         if c == 0:
             row(0, pulses)
         for i, pulse in enumerate(pulses):
@@ -685,7 +684,6 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
         if (recorder.stride and done % recorder.stride == 0
                 and done < schedule.total_cycles) or done == schedule.total_cycles:
             row(done, pulses)
-        previous = pulses
     return TrajectoryRecord(
         cycles=np.array([r[0] for r in rows], dtype=np.int64),
         watched_occ=np.array([r[1] for r in rows], dtype=np.int64),
@@ -694,7 +692,21 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
                              dtype=np.float64).reshape(len(rows), len(fields)),
         events=np.array(events, dtype=np.int64).reshape(len(events), 5),
         final_occ=occ.copy(), p_max=p_max, n_warn_pulses=n_warn,
-        seed_key=seed_key, ramp_evals=ramp_evals)
+        seed_key=seed_key)
+
+
+def reference_ramp_evals(params, schedule):
+    """Evaluations of ramped pulses that one worker makes: one per ramped
+    pulse at cycle 0, then one per change of its resolved form."""
+    schedule = schedule.resolved(params)
+    ramped = [i for i in range(schedule.n_pulses) if schedule.is_ramped(i)]
+    previous, evals = None, 0
+    for c in range(schedule.total_cycles):
+        pulses = resolve_cycle(schedule, c)
+        evals += sum(previous is None or pulses[i] != previous[i]
+                     for i in ramped)
+        previous = pulses
+    return evals
 
 
 def assert_records_identical(a, b):
@@ -744,23 +756,36 @@ def ramped_2d_system(ramps, total_cycles, amps=(1.0, -1.0)):
     return basis, params, schedule, Configuration(occ)
 
 
+# ramped_2d_system's arguments: a_y leaves the dark point, returns to it and
+# holds there; the interference pulse fades from (1, 0) to (0, 1), so one
+# beam is off at each end and some beam is on at every cycle
+RAMPED_2D = {
+    "ramp": ((Ramp(1, "a_y", -1.0, -0.4, 20, 60),
+              Ramp(1, "a_y", -0.4, -1.0, 60, 100)), 120),
+    "cross_fade": ((Ramp(1, "a_x", 1.0, 0.0, 20, 60),
+                    Ramp(1, "a_y", 0.0, 1.0, 20, 60)), 100, (1.0, 0.0)),
+}
+
+
 @pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
 def test_kept_draw_inputs_leave_the_stream_unchanged_2d_ramp(monkeypatch,
                                                               scalar_draws):
-    # a_y leaves the dark point, returns to it and holds there
-    ramps = (Ramp(1, "a_y", -1.0, -0.4, 20, 60), Ramp(1, "a_y", -0.4, -1.0, 60, 100))
-    basis, params, schedule, initial = ramped_2d_system(ramps, 120)
+    basis, params, schedule, initial = ramped_2d_system(*RAMPED_2D["ramp"])
     dep = MatrixProvider(basis, params).absorption(schedule.cycle[1]).depletion
     assert dep[basis.id_of((0, 0))] == 0.0
     rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
     n_warn = 0
     for k in range(6):
+        provider = MatrixProvider(basis, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = run_trajectory(basis, params, schedule, initial, None, (3, k), rec)
+            got = run_trajectory(basis, params, schedule, initial, None, (3, k),
+                                 rec, provider)
         want = reference_trajectory(basis, params, schedule, initial, (3, k), rec)
         assert_records_identical(got, want)
+        assert (provider.counters["ramp_evals"]
+                == reference_ramp_evals(params, schedule))
         assert got.events.shape[0] > 0
         n_warn += got.n_warn_pulses
     assert n_warn > 0
@@ -769,22 +794,22 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_2d_ramp(monkeypatch,
 @pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
 def test_kept_draw_inputs_leave_the_stream_unchanged_2d_cross_fade(monkeypatch,
                                                                     scalar_draws):
-    # the interference pulse fades from (1, 0) to (0, 1): one beam is off
-    # at each end, some beam is on at every cycle
-    ramps = (Ramp(1, "a_x", 1.0, 0.0, 20, 60), Ramp(1, "a_y", 0.0, 1.0, 20, 60))
-    basis, params, schedule, initial = ramped_2d_system(ramps, 100, (1.0, 0.0))
+    basis, params, schedule, initial = ramped_2d_system(*RAMPED_2D["cross_fade"])
     ends = [resolve_cycle(schedule, c)[1].amps for c in (0, 40, 99)]
     assert ends == [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
     rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    assert reference_ramp_evals(params, schedule) == 1 + 40
     for k in range(6):
+        provider = MatrixProvider(basis, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = run_trajectory(basis, params, schedule, initial, None, (4, k), rec)
+            got = run_trajectory(basis, params, schedule, initial, None, (4, k),
+                                 rec, provider)
         want = reference_trajectory(basis, params, schedule, initial, (4, k), rec)
         assert_records_identical(got, want)
         assert got.events.shape[0] > 0
-        assert got.ramp_evals == 1 + 40
+        assert provider.counters["ramp_evals"] == 1 + 40
 
 
 def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
@@ -851,15 +876,67 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_3d_ramp(monkeypatch,
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
     n_events = n_warn = 0
     for k in range(6):
+        provider = MatrixProvider(basis, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = run_trajectory(basis, params, schedule, initial, None, (9, k), rec)
+            got = run_trajectory(basis, params, schedule, initial, None, (9, k),
+                                 rec, provider)
             want = reference_trajectory(basis, params, schedule, initial, (9, k),
                                         rec)
         assert_records_identical(got, want)
+        assert (provider.counters["ramp_evals"]
+                == reference_ramp_evals(params, schedule))
         n_events += got.events.shape[0]
         n_warn += got.n_warn_pulses
     assert n_events > 200 and n_warn > 0
+
+
+@pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
+@pytest.mark.parametrize("case", list(RAMPED_2D))
+def test_ensemble_trajectories_match_the_reference_2d(monkeypatch, case,
+                                                      scalar_draws):
+    # workers share each window's ramped rates across their block; every
+    # trajectory must still be the oracle's at its own (seed, index)
+    basis, params, schedule, initial = ramped_2d_system(*RAMPED_2D[case])
+    rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
+    monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
+    wants = [reference_trajectory(basis, params, schedule, initial, (3, k), rec)
+             for k in range(6)]
+    for threads in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ens = run_ensemble(basis, params, schedule, initial, None, 6, 3, rec,
+                               threads=threads)
+        for k, want in enumerate(wants):
+            for got, exp in ((ens.final_occ[k], want.final_occ),
+                             (ens.events[k], want.events)):
+                assert (got.dtype, got.shape) == (exp.dtype, exp.shape)
+                assert got.tobytes() == exp.tobytes()
+        assert sum(ev.shape[0] for ev in ens.events) > 0
+        assert ens.ramp_evals == threads * reference_ramp_evals(params, schedule)
+
+
+def test_ensemble_is_the_same_for_any_window(monkeypatch):
+    basis, params, schedule, initial = ramped_3d_system()
+    rec = RecorderSpec(watched_ids=(0, 5), stride=7, record_events=True)
+    results = []
+    for window in (1, 13, schedule.total_cycles):
+        monkeypatch.setattr(dynamics, "_WINDOW", window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results.append(run_ensemble(basis, params, schedule, initial, None,
+                                        4, 9, rec))
+    assert sum(ev.shape[0] for ev in results[0].events) > 0
+    for other in results[1:]:
+        for f in dataclasses.fields(other):
+            x, y = getattr(results[0], f.name), getattr(other, f.name)
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == \
+                    (y.dtype, y.shape, y.tobytes()), f.name
+            elif f.name == "events":
+                assert [e.tobytes() for e in x] == [e.tobytes() for e in y]
+            else:
+                assert x == y, f.name
 
 
 def test_patched_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
