@@ -97,6 +97,7 @@ class MatrixProvider:
         self._structures = StructureMemo() if structures is None else structures
         self._static: dict[tuple, PulseRates] = {}
         self._sp: EmissionMatrix | None = None
+        self._prepared: Schedule | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
                          "structure_builds": self._structures.builds,
                          "ramp_evals": 0}
@@ -166,8 +167,12 @@ class MatrixProvider:
         """Build everything a run needs up front (parent process side).
 
         Static pulses are served from memory from then on, so only the
-        ramped pulses' structures stay in the memo.
+        ramped pulses' structures stay in the memo. Preparing the schedule
+        prepared last again does nothing, so a caller can prepare outside
+        its timing and hand the provider to ``run_ensemble``.
         """
+        if schedule is self._prepared:
+            return
         self.spontaneous_dense()
         pulses = [p.resolved(self.params) for p in schedule.cycle]
         ramped = [p for i, p in enumerate(pulses) if schedule.is_ramped(i)]
@@ -177,6 +182,7 @@ class MatrixProvider:
         self._structures.retain(self.basis, self.params, ramped)
         for pulse in ramped:  # amplitudes change; matrix cannot
             self.structure(pulse)
+        self._prepared = schedule
 
     def cycle_rates(self, schedule: Schedule):
         """Each cycle's (ramped field values, rates per pulse) of a prepared,

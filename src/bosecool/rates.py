@@ -17,11 +17,12 @@ float64 array, the form the sampler reads and the cache stores, with
 entries below ``REL_CUTOFF`` of the maximum zeroed; its column sums
 approach 1 when the truncation holds the full emission band.
 
-The 3D emission matrix is built block by block over pairs of z quantum
-numbers from per-ring (x, y) tensors, bitwise equal to summing every
-quadrature node over every level pair; ``emission_memory_bytes`` states
-what the path holds at its peak, which the command line checks against
-physical memory.
+The 3D emission matrix is built in its own buffer one polar group's
+(x, y) tensor at a time, over blocks of z quantum numbers, bitwise equal
+to summing every quadrature node over every level pair; a 1D one in the
+buffer of its recoil table. ``emission_memory_bytes`` states what the
+path holds at its peak, which the command line checks against physical
+memory.
 """
 
 from __future__ import annotations
@@ -462,9 +463,9 @@ def _kappa_table_cache(n_max: int):
 
 
 def _block_cols(size: int) -> int:
-    """Columns per block of a 1D or 2D emission build: a sixteenth of the
-    matrix, and at least 64, so a small basis takes one block."""
-    return max(64, -(-size // 16))
+    """Columns per block of an emission build's column passes: a sixteenth
+    of the matrix, and at least 16, so a small basis takes one block."""
+    return max(16, -(-size // 16))
 
 
 def build_spontaneous_rates(basis: Basis, params: SimParams,
@@ -474,9 +475,12 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
 
     Entry (n, l) integrates the product of per-axis recoil overlaps
     |<n_j|exp(i k_sp u_j x_j)|l_j>|^2 over photon directions u; entries
-    below ``REL_CUTOFF`` of the maximum are zeroed in place. Columns sum
-    to 1 up to truncation loss; a single warning reports columns losing
-    more than ``completeness_warn``.
+    below ``REL_CUTOFF`` of the maximum are zeroed in place, a block of
+    columns at a time. Columns sum to 1 up to truncation loss; a single
+    warning reports columns losing more than ``completeness_warn``. A 1D
+    matrix is built in the buffer of its recoil table and a 3D one in its
+    output, so the build holds the matrix plus a few blocks
+    (``emission_memory_bytes``).
     """
     if quadrature.directions.shape[1] != basis.dim:
         raise ValueError("quadrature dimension does not match basis dim")
@@ -484,22 +488,31 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
     size = basis.size
     eta_sp = params.eta_sp
     table = _kappa_table_cache(nq)
+    cols = _block_cols(size)
 
     if basis.dim < 3:
-        # entry (n, l) adds w * (Tx * Ty) node by node; a block of columns
-        # at a time, so the gathered tables stay a fraction of the matrix
+        # entry (n, l) adds w * (Tx * Ty) node by node, a block of columns
+        # at a time. The tables are exactly symmetric, so a block gathers
+        # its columns as table rows. In 1D the levels are the table's
+        # indices and both nodes read one table as large as the matrix, so
+        # the matrix fills that table's buffer, read column-major: a block
+        # reads its own columns' rows before it writes them
         q = basis.levels.astype(np.intp)
-        cols = _block_cols(size)
-        dense = np.zeros((size, size), order="F")
+        dense = (table(eta_sp * quadrature.directions[0, 0]).T
+                 if basis.dim == 1 else np.empty((size, size), order="F"))
         for lo in range(0, size, cols):
-            block = dense[:, lo:lo + cols]
+            block = np.zeros((min(cols, size - lo), size))
             for u, w in zip(quadrature.directions, quadrature.weights):
-                block += w * reduce(operator.mul, (
-                    table(eta_sp * uj)[np.ix_(q[:, j], q[lo:lo + cols, j])]
+                block += w * reduce(operator.imul, (  # Tx *= Ty: one copy
+                    table(eta_sp * uj)[q[lo:lo + cols, j]][:, q[:, j]]
                     for j, uj in enumerate(u)))
+            dense[:, lo:lo + cols] = block.T
     else:
         dense = _spontaneous_dense_3d(basis, eta_sp, quadrature, table)
-    np.copyto(dense, 0.0, where=dense < REL_CUTOFF * dense.max())
+    cut = REL_CUTOFF * dense.max()
+    for lo in range(0, size, cols):
+        block = dense[:, lo:lo + cols]
+        np.copyto(block, 0.0, where=block < cut)
 
     lost = 1.0 - dense.sum(axis=0)
     bad = int((lost > completeness_warn).sum())
@@ -517,25 +530,25 @@ def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
     """Bytes the emission matrix path holds at its peak on ``basis``.
 
     8 per level pair for the dense matrix the build fills, the cache
-    stores and loads in place and the run keeps. A 1D or 2D build adds a
-    1-byte cutoff mask per pair, its recoil tables (one per distinct
-    |direction component| at most) and one column block's gather index,
-    per-axis gathers and weighted term; the 3D kernel one float64 (K x K)
-    tensor per polar group plus a ring's node terms and the running sum,
-    for K 2D levels.
+    stores and loads in place and the run keeps. The build adds its
+    recoil tables, one (max_shell+1)^2 table per distinct |direction
+    component| (a 1D matrix fills its one table's buffer), and the larger
+    of what its steps hold at once: in 1D or 2D four column blocks, for
+    the running sum, the gathers and the weighted term; in 3D the K x K
+    tensor of one polar group beside a band of a quarter of its rows for
+    each of a ring's node terms and four gathers (K 2D levels), or one
+    column block of the final permutation.
     """
     size = basis.size
+    cols = _block_cols(size)
+    tables = len(set(_kappa_key(quadrature.directions).ravel().tolist()))
+    extra = 8 * (basis.max_shell + 1) ** 2 * (tables - (basis.dim == 1))
     if basis.dim < 3:
-        tables = np.unique(np.abs(quadrature.directions)).size
-        cols = _block_cols(size)
-        extra = (size * size + 8 * (basis.max_shell + 1) ** 2 * tables
-                 + 8 * (basis.dim + 2) * size * cols)
-    else:
-        groups = _polar_groups(quadrature)
-        k = math.comb(basis.max_shell + 2, 2)
-        ring = max(len(m) for m in groups.values())
-        extra = 8 * k * k * (len(groups) + ring + 1)
-    return 8 * size * size + extra
+        return 8 * size * size + extra + 8 * 4 * size * cols
+    k = math.comb(basis.max_shell + 2, 2)
+    ring = max(len(m) for m in _polar_groups(quadrature).values())
+    kernel = 8 * k * k + 8 * -(-k // 4) * k * (ring + 4)
+    return 8 * size * size + extra + max(kernel, 8 * size * cols)
 
 
 def _polar_groups(quadrature: EmissionQuadrature) -> dict[float, list[int]]:
@@ -549,23 +562,29 @@ def _polar_groups(quadrature: EmissionQuadrature) -> dict[float, list[int]]:
 
 def _spontaneous_dense_3d(basis: Basis, eta_sp: float,
                           quadrature: EmissionQuadrature, table) -> np.ndarray:
-    """Dense 3D emission matrix, column-major, built block by block.
+    """Dense 3D emission matrix, column-major, built one polar group at a
+    time in its own buffer.
 
     Entry (n, l) sums, over polar groups g in first-seen order,
     XY_g[(qx, qy)_n, (qx, qy)_l] * Z_g[qz_n, qz_l]: Z_g is the group's z
     recoil table and XY_g adds w_i * (X_i * Y_i) over the group's phi
     nodes in node order. XY_g is indexed by pairs of 2D levels with
     qx + qy <= max_shell in shell-major order, so the levels of one qz
-    use a prefix of it, and the (qz_n, qz_l) block of the matrix is a
-    prefix slice of each XY_g times one Z_g entry. The recoil tables are
-    exactly symmetric, so the (qz_l, qz_n) block is the transpose of the
-    (qz_n, qz_l) one and is copied, not summed again. A node's term is
-    formed once per distinct (x table, y table, weight); the phi nodes
-    of a ring meet about a quarter as many. Every entry takes the same
-    float operations in the same order as a per-pair gather over all
-    nodes (``tests/oracles.py`` keeps that form), so the result is
-    bitwise the same. Besides the output, the kernel holds one K x K
-    tensor per group and a ring's terms, for K 2D levels.
+    use a prefix of it. The output is first filled in qz-major order,
+    where the (qz_n, qz_l) block is one contiguous slice: each group's
+    XY_g, once complete, adds a prefix of itself times one Z_g entry to
+    every block with qz_n <= qz_l and is dropped. The tables are exactly
+    symmetric, so XY_g.T holds XY_g's values laid out like the output,
+    each (qz_l, qz_n) block is the (qz_n, qz_l) one transposed and
+    copied, and the basis order is reached by permuting rows a column
+    block at a time and columns cycle by cycle. XY_g is formed a band of
+    rows at a time, with each distinct (x table, y table, weight) node
+    term formed once per band; the phi nodes of a ring meet about a
+    quarter as many. Every entry takes the same float operations in the
+    same order as a per-pair gather over all nodes (``tests/oracles.py``
+    keeps that form), so the result is bitwise the same. Besides the
+    output, the build holds one K x K tensor, a band of a ring's terms
+    (for K 2D levels) and one column block.
     """
     nq = basis.max_shell
     size = basis.size
@@ -573,35 +592,59 @@ def _spontaneous_dense_3d(basis: Basis, eta_sp: float,
     w = quadrature.weights
     plane = enumerate_levels(2, nq)  # shell-major, so qx + qy <= m is a prefix
     px, py = (plane.levels[:, j].astype(np.intp) for j in range(2))
+    k = plane.size
+    rows = -(-k // 4)  # tensor rows per band of node terms
 
-    # a node's term depends only on its two tables and its weight
-    node_keys = [(kx, ky, wi) for (kx, ky), wi in
-                 zip(_kappa_key(eta_sp * dirs[:, :2]).tolist(), w.tolist())]
-    xy, tz = [], []
-    for z, members in _polar_groups(quadrature).items():
-        terms: dict[tuple, np.ndarray] = {}
-        acc = np.zeros((plane.size, plane.size))
-        for i in members:
-            term = terms.get(node_keys[i])
-            if term is None:
-                tx = table(eta_sp * dirs[i, 0])[px][:, px]
-                ty = table(eta_sp * dirs[i, 1])[py][:, py]
-                term = w[i] * (tx * ty)
-                terms[node_keys[i]] = term
-            acc += term
-        xy.append(acc)
-        tz.append(table(eta_sp * z))
-
-    # ids of the levels with qz = c, in the plane's order
+    # the levels with qz = c, in the plane's order, sit at start[c]:start[c+1]
     prefix = [math.comb(nq - c + 2, 2) for c in range(nq + 1)]
-    ids = [basis.lut[px[:k], py[:k], c] for c, k in enumerate(prefix)]
+    start = np.concatenate(([0], np.cumsum(prefix))).tolist()
     out = np.zeros((size, size), order="F")
-    for cn, kn in enumerate(prefix):
-        for cl in range(cn, nq + 1):
-            kl = prefix[cl]
-            block = np.zeros((kn, kl))
-            for g, t in zip(xy, tz):
-                block += g[:kn, :kl] * t[cn, cl]
-            out[np.ix_(ids[cn], ids[cl])] = block
-            out[np.ix_(ids[cl], ids[cn])] = block.T
+    acc = np.empty((k, k))
+    for z, members in _polar_groups(quadrature).items():
+        # a node's term depends only on its two tables and its weight
+        keys = [(kx, ky, wi) for (kx, ky), wi in zip(
+            _kappa_key(eta_sp * dirs[members, :2]).tolist(), w[members].tolist())]
+        for lo in range(0, k, rows):
+            band = acc[lo:lo + rows]
+            band.fill(0.0)
+            terms: dict[tuple, np.ndarray] = {}
+            for i, key in zip(members, keys):
+                term = terms.get(key)
+                if term is None:
+                    tx = table(eta_sp * dirs[i, 0])[px[lo:lo + rows]][:, px]
+                    ty = table(eta_sp * dirs[i, 1])[py[lo:lo + rows]][:, py]
+                    term = w[i] * (tx * ty)
+                    terms[key] = term
+                band += term
+        del terms, term, tx, ty  # only the complete tensor is added
+        tz = table(eta_sp * z)
+        xy = acc.T  # == acc, laid out like the output
+        for cn, kn in enumerate(prefix):
+            for cl in range(cn, nq + 1):
+                out[start[cn]:start[cn + 1], start[cl]:start[cl + 1]] += (
+                    xy[:kn, :prefix[cl]] * tz[cn, cl])
+    del acc, band, xy
+    for cn in range(nq + 1):
+        for cl in range(cn + 1, nq + 1):
+            out[start[cl]:start[cl + 1], start[cn]:start[cn + 1]] = (
+                out[start[cn]:start[cn + 1], start[cl]:start[cl + 1]].T)
+
+    # position p holds level order[p]; entry (n, l) is out[pos[n], pos[l]]
+    order = np.concatenate([basis.lut[px[:kc], py[:kc], c]
+                            for c, kc in enumerate(prefix)])
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size)
+    cols = _block_cols(size)
+    for lo in range(0, size, cols):
+        out[:, lo:lo + cols] = out[pos, lo:lo + cols]
+    done = np.zeros(size, dtype=bool)
+    for first in range(size):
+        if done[first]:
+            continue
+        keep, dst = out[:, first].copy(), first
+        while (src := int(pos[dst])) != first:  # column dst takes column src
+            out[:, dst] = out[:, src]
+            done[dst], dst = True, src
+        out[:, dst] = keep
+        done[dst] = True
     return out

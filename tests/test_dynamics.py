@@ -540,6 +540,26 @@ def test_provider_memoizes_and_persists(tmp_path):
     assert_allclose(second.spontaneous_dense(), first.spontaneous_dense())
 
 
+def test_run_ensemble_keeps_a_prepared_provider(monkeypatch):
+    # the command line prepares before it times run_ensemble, which must
+    # not resolve and look up every pulse again
+    basis, params, schedule = make_1d_system(cycles=5)
+    provider = MatrixProvider(basis, params)
+    retained = []
+    real_retain = provider._structures.retain
+    monkeypatch.setattr(provider._structures, "retain",
+                        lambda *a: retained.append(a) or real_retain(*a))
+    provider.prepare(schedule)
+    counters = dict(provider.counters)
+    recorder = RecorderSpec(watched_ids=(0,))
+    run_ensemble(basis, params, schedule, np.full(basis.size, 0.25), 3, 2,
+                 5, recorder, provider=provider)
+    assert len(retained) == 1
+    assert provider.counters == counters
+    provider.prepare(Schedule(cycle=schedule.cycle, total_cycles=4))
+    assert len(retained) == 2  # another schedule is prepared anew
+
+
 def test_provider_ramp_evaluations_share_structure():
     basis = enumerate_levels(1, 3)
     params = SimParams(eta=0.9, omega0_tau_abs=0.4)

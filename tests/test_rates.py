@@ -411,6 +411,8 @@ def test_quadrature_dim_mismatch():
     (6, "dipole:x", 5, 18, 1.0),
     (6, "dipole:z", 8, None, 1.0),
     (3, "isotropic", 24, None, 0.0),    # no recoil: identity tables
+    (12, "isotropic", 24, None, 1.0),   # 455 levels: long permutation cycles
+    (12, "dipole:x", 24, None, 1.0),
 ])
 def test_emission_kernel_matches_flat_gather_bitwise(max_shell, pattern,
                                                      polar_order,
@@ -442,11 +444,12 @@ def test_emission_build_memory_is_dense_plus_kernel():
         tracemalloc.stop()
     pairs = basis.size ** 2
     k = math.comb(12 + 2, 2)
-    # what the build must hold at once: the float64 dense matrix, the 24
-    # groups' (x, y) tensors and the running sum, and one ring's distinct
-    # node terms (at most 14 of its 48 nodes); a quarter more covers the
-    # recoil tables and one node's gathers. No record is built.
-    must_hold = 8 * pairs + 8 * k * k * (24 + 1 + 14)
+    # what the build must hold at once: the float64 dense matrix, one
+    # polar group's (x, y) tensor, a quarter of the rows of each of one
+    # ring's 12 distinct node terms (3 tensors' worth) and about one tensor
+    # of gathers; a quarter more covers the recoil tables. No group keeps
+    # its tensor past its turn, and no record is built.
+    must_hold = 8 * pairs + 8 * k * k * (1 + 3 + 1)
     assert peak <= 1.25 * must_hold, f"{peak / pairs:.1f} B per level pair"
 
 
@@ -456,8 +459,13 @@ def test_emission_memory_estimate(tmp_path):
         basis = enumerate_levels(3, max_shell)  # the level list only
         pairs = basis.size ** 2
         k = math.comb(max_shell + 2, 2)
-        kernel = 8 * k * k * (24 + 48 + 1)
-        assert emission_memory_bytes(basis, quad) == 8 * pairs + kernel
+        # 156 distinct |direction components|, one recoil table each
+        tables = 8 * (max_shell + 1) ** 2 * 156
+        # one group's tensor and a quarter of the rows of 48 node terms
+        # and 4 gathers, or one sixteenth of the matrix's columns
+        kernel = max(8 * k * k + 8 * -(-k // 4) * k * (48 + 4),
+                     8 * basis.size * max(16, -(-basis.size // 16)))
+        assert emission_memory_bytes(basis, quad) == 8 * pairs + tables + kernel
 
     # the estimate bounds what a build holds at its peak, and not loosely
     params = SimParams(eta=2.0, omega0_tau_abs=0.4)
