@@ -7,7 +7,7 @@ condensation criteria, hysteresis sweeps and photon statistics.
 """
 
 from .basis import (Basis, Configuration, SimParams, TrapLevel,
-                    enumerate_levels, sample_initial_configuration, shell,
+                    enumerate_levels, sample_initial_configuration,
                     thermal_distribution)
 from .cache import (CacheCorruptError, CacheError, CacheMismatchError,
                     cache_filename, cache_load, cache_store)
@@ -27,16 +27,15 @@ from .dynamics import (EnsembleResult, ExactState, MatrixProvider,
 from .analysis import (CriterionReport, FanoResult, HysteresisResult,
                        condensation_criterion, cycles_to_seconds,
                        depletion_profile, fano_factor, find_dark_states,
-                       first_below, first_downward_crossing,
-                       hysteresis_extract, split_ramp_branches)
-from .config import (ConfigError, RunConfig, config_from_dict,
-                     config_to_dict, load_config, save_config)
+                       first_downward_crossing, hysteresis_extract,
+                       split_ramp_branches)
+from .config import ConfigError, RunConfig, config_from_dict, load_config
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Basis", "Configuration", "SimParams", "TrapLevel", "enumerate_levels",
-    "sample_initial_configuration", "shell", "thermal_distribution",
+    "sample_initial_configuration", "thermal_distribution",
     "CacheCorruptError", "CacheError", "CacheMismatchError",
     "cache_filename", "cache_load", "cache_store",
     "EmissionMatrix", "EmissionQuadrature", "PhysicsValidityError",
@@ -52,10 +51,9 @@ __all__ = [
     "run_trajectory",
     "CriterionReport", "FanoResult", "HysteresisResult",
     "condensation_criterion", "cycles_to_seconds", "depletion_profile",
-    "fano_factor", "find_dark_states", "first_below",
-    "first_downward_crossing", "hysteresis_extract",
+    "fano_factor", "find_dark_states", "first_downward_crossing",
+    "hysteresis_extract",
     "split_ramp_branches",
-    "ConfigError", "RunConfig", "config_from_dict", "config_to_dict",
-    "load_config", "save_config",
+    "ConfigError", "RunConfig", "config_from_dict", "load_config",
     "__version__",
 ]

@@ -170,12 +170,6 @@ class HysteresisResult:
         return self.up_value is not None and self.down_value is not None
 
 
-def first_below(series: np.ndarray, threshold: float) -> int | None:
-    """Index of the first entry strictly below threshold, None if never."""
-    idx = np.flatnonzero(np.asarray(series, dtype=np.float64) < threshold)
-    return int(idx[0]) if idx.size else None
-
-
 def first_downward_crossing(series: np.ndarray, threshold: float) -> int | None:
     """Index where the series first drops below threshold after having
     been at or above it. None if it never crosses from above; entries

@@ -24,11 +24,6 @@ TrapLevel = tuple[int, ...]
 _BETA_LIMIT = 60.0  # inverse-temperature bracket for the thermal solver
 
 
-def shell(level: TrapLevel) -> int:
-    """Energy shell of a level, in units of the trap quantum."""
-    return int(sum(level))
-
-
 @dataclass(frozen=True)
 class Basis:
     """All trap levels with shell index at most ``max_shell``.
@@ -102,17 +97,13 @@ class SimParams:
     All energies are in units of the trap frequency, all times in units
     of the absorption pulse width. ``eta`` is the Lamb-Dicke parameter of
     the stimulated beams, ``eta_sp_ratio`` rescales it for the emitted
-    photon. ``gamma`` (excited-state linewidth over trap frequency) is
-    validated and kept, but no computation reads it: branching ratios are
-    gamma-free and ``cycles_to_seconds`` takes the repump length as
-    ``sp_ratio`` instead.
+    photon.
     ``resonance_window`` is the number of shells around exact resonance
     kept in absorption matrices; the default 0 keeps only resonant terms,
     which the pulse widths (omega_tau_abs > 1) are chosen to justify.
     """
 
     eta: float
-    gamma: float = 0.01
     omega_tau_abs: float = 4.0
     omega0_tau_abs: float = 0.25
     eta_sp_ratio: float = 1.0
@@ -121,8 +112,6 @@ class SimParams:
     def __post_init__(self):
         if not self.eta >= 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not self.omega_tau_abs > 1:
             raise ValueError("omega_tau_abs must exceed 1 (spectrally resolved pulses), "
                              f"got {self.omega_tau_abs}")

@@ -125,7 +125,7 @@ def _prepare(cfg: RunConfig, extra_watched=(),
                                      polar_order=cfg.quadrature_order)
     if emission:
         _check_emission_memory(basis, quadrature)
-    schedule = cfg.build_schedule()
+    schedule = cfg.schedule
     distribution = cfg.initial_distribution(basis)
 
     watched_levels = list(cfg.watched)

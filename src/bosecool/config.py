@@ -1,9 +1,10 @@
 """Run configuration: one YAML file describes one reproducible run.
 
-Parsing is strict: unknown keys, missing variants and out-of-range
-values are configuration errors, not warnings. The validated form
-round-trips losslessly through to_dict/from_dict, including the
-"auto" pulse-area marker (resolution happens at run time, not here).
+Parsing is strict: unknown keys, missing variants, out-of-range values
+and knobs the run would ignore are configuration errors, not warnings.
+The validated form holds the run's ``Schedule``, built once at load; the
+"auto" pulse-area marker is kept as is (resolution happens at run time,
+not here).
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ class InitialStateConfig:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    figure: str | None = None
-    pulses: tuple = ()
-    ramps: tuple = ()
-    total_cycles: int | None = None
-    ramp_scale: float = 1.0
-
-
-@dataclass(frozen=True)
 class RecorderConfig:
     stride: int = 1
     events: bool = True
@@ -85,7 +77,7 @@ class RunConfig:
     dim: int
     max_shell: int
     eta: float
-    gamma: float = 0.01
+    schedule: Schedule
     omega_tau_abs: float = 4.0
     omega0_tau_abs: float | str = "auto"
     eta_sp_ratio: float = 1.0
@@ -97,7 +89,6 @@ class RunConfig:
     seed: int = 0
     initial: InitialStateConfig = field(
         default_factory=lambda: InitialStateConfig("thermal", mean_shell=6.0))
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     recorder: RecorderConfig = field(default_factory=RecorderConfig)
     watched: tuple = ()
     out_dir: str = "out"
@@ -114,23 +105,14 @@ class RunConfig:
         area = self.omega0_tau_abs if omega0_resolved is None else omega0_resolved
         _require(isinstance(area, float),
                  "params.omega0_tau_abs is 'auto' but no resolved value given")
-        return SimParams(eta=self.eta, gamma=self.gamma,
-                         omega_tau_abs=self.omega_tau_abs,
+        return SimParams(eta=self.eta, omega_tau_abs=self.omega_tau_abs,
                          omega0_tau_abs=area,
                          eta_sp_ratio=self.eta_sp_ratio,
                          resonance_window=self.resonance_window)
 
     def build_schedule(self) -> Schedule:
-        sc = self.schedule
-        try:
-            if sc.figure is not None:
-                return figure_schedule(sc.figure, eta=self.eta,
-                                       total_cycles=sc.total_cycles,
-                                       ramp_scale=sc.ramp_scale)
-            return Schedule(cycle=sc.pulses, total_cycles=sc.total_cycles,
-                            ramps=sc.ramps)
-        except ValueError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
+        """The schedule built at load (the benchmark calls this)."""
+        return self.schedule
 
     def initial_distribution(self, basis: Basis) -> np.ndarray:
         if self.initial.kind == "thermal":
@@ -146,12 +128,54 @@ class RunConfig:
 _TOP_KEYS = {"basis", "params", "atoms", "trajectories", "seed", "initial",
              "schedule", "recorder", "watched", "output", "cache_dir",
              "criterion", "hysteresis"}
-_PARAM_KEYS = {"eta", "gamma", "omega_tau_abs", "omega0_tau_abs",
+_PARAM_KEYS = {"eta", "omega_tau_abs", "omega0_tau_abs",
                "eta_sp_ratio", "resonance_window", "emission_pattern",
                "quadrature_order"}
 _PULSE_WIDTHS = ("omega0_tau_abs", "omega_tau_abs")  # optional per pulse
 _PULSE_KEYS = {"s", "amps", *_PULSE_WIDTHS}
 _RAMP_KEYS = {"pulse", "field", "start", "end", "start_cycle", "end_cycle"}
+
+
+def _parse_pulses(sc: dict, dim: int, total_cycles: int | None) -> Schedule:
+    """The schedule of an explicit ``pulses`` list and its ``ramps``."""
+    raw_pulses = sc["pulses"]
+    _require(isinstance(raw_pulses, list) and raw_pulses,
+             "schedule.pulses must be a non-empty list")
+    _require(total_cycles is not None,
+             "schedule.total_cycles is required with explicit pulses")
+    pulses = []
+    for i, rp in enumerate(raw_pulses):
+        _check_section(rp, _PULSE_KEYS, f"schedule.pulses[{i}]")
+        s = _as_int(rp.get("s"), f"schedule.pulses[{i}].s")
+        amps = rp.get("amps", [1.0] * dim)
+        _require(isinstance(amps, (list, tuple)) and len(amps) == dim,
+                 f"schedule.pulses[{i}].amps must have {dim} entries")
+        amps = tuple(_as_float(a, f"schedule.pulses[{i}].amps") for a in amps)
+        kw = {k: _as_float(rp[k], f"schedule.pulses[{i}].{k}")
+              for k in _PULSE_WIDTHS if k in rp}
+        try:
+            pulses.append(PulseSpec(s=s, amps=amps, **kw))
+        except ValueError as exc:
+            raise ConfigError(f"schedule.pulses[{i}]: {exc}") from exc
+    raw_ramps = sc.get("ramps", [])
+    _require(isinstance(raw_ramps, list), "schedule.ramps must be a list")
+    ramps = []
+    for i, rr in enumerate(raw_ramps):
+        _check_section(rr, _RAMP_KEYS, f"schedule.ramps[{i}]")
+        try:
+            ramps.append(Ramp(
+                pulse_index=_as_int(rr.get("pulse"), f"schedule.ramps[{i}].pulse"),
+                field=rr.get("field"),
+                start_value=_as_float(rr.get("start"), f"schedule.ramps[{i}].start"),
+                end_value=_as_float(rr.get("end"), f"schedule.ramps[{i}].end"),
+                start_cycle=_as_int(rr.get("start_cycle"),
+                                    f"schedule.ramps[{i}].start_cycle"),
+                end_cycle=_as_int(rr.get("end_cycle"),
+                                  f"schedule.ramps[{i}].end_cycle")))
+        except ValueError as exc:
+            raise ConfigError(f"schedule.ramps[{i}]: {exc}") from exc
+    return Schedule(cycle=tuple(pulses), total_cycles=total_cycles,
+                    ramps=tuple(ramps))
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -171,8 +195,6 @@ def config_from_dict(doc: dict) -> RunConfig:
     _check_section(p, _PARAM_KEYS, "params")
     eta = _as_float(p.get("eta"), "params.eta")
     _require(eta >= 0, "params.eta must be >= 0")
-    gamma = _as_float(p.get("gamma", 0.01), "params.gamma")
-    _require(gamma > 0, "params.gamma must be > 0")
     wtau = _as_float(p.get("omega_tau_abs", 4.0), "params.omega_tau_abs")
     _require(wtau > 1, "params.omega_tau_abs must be > 1")
     area = p.get("omega0_tau_abs", "auto")
@@ -218,61 +240,27 @@ def config_from_dict(doc: dict) -> RunConfig:
     _check_section(sc, {"figure", "pulses", "ramps", "total_cycles",
                      "ramp_scale"}, "schedule")
     figure = sc.get("figure")
-    raw_pulses = sc.get("pulses")
-    _require((figure is None) != (raw_pulses is None),
+    _require((figure is None) != (sc.get("pulses") is None),
              "schedule: exactly one of figure/pulses")
     total_cycles = sc.get("total_cycles")
     if total_cycles is not None:
         total_cycles = _as_int(total_cycles, "schedule.total_cycles")
         _require(total_cycles >= 1, "schedule.total_cycles must be >= 1")
     ramp_scale = _as_float(sc.get("ramp_scale", 1.0), "schedule.ramp_scale")
-    _require(0 < ramp_scale <= 1, "schedule.ramp_scale must lie in (0, 1]")
-    pulses: tuple = ()
-    ramps: tuple = ()
-    if figure is not None:
-        _require(figure in FIGURE_IDS,
-                 f"schedule.figure must be one of {sorted(FIGURE_IDS)}")
-        _require(dim == 3, "figure schedules require a 3D basis")
-    else:
-        _require(isinstance(raw_pulses, list) and raw_pulses,
-                 "schedule.pulses must be a non-empty list")
-        _require(total_cycles is not None,
-                 "schedule.total_cycles is required with explicit pulses")
-        built = []
-        for i, rp in enumerate(raw_pulses):
-            _check_section(rp, _PULSE_KEYS, f"schedule.pulses[{i}]")
-            s = _as_int(rp.get("s"), f"schedule.pulses[{i}].s")
-            amps = rp.get("amps", [1.0] * dim)
-            _require(isinstance(amps, (list, tuple)) and len(amps) == dim,
-                     f"schedule.pulses[{i}].amps must have {dim} entries")
-            amps = tuple(_as_float(a, f"schedule.pulses[{i}].amps") for a in amps)
-            kw = {k: _as_float(rp[k], f"schedule.pulses[{i}].{k}")
-                  for k in _PULSE_WIDTHS if k in rp}
-            try:
-                built.append(PulseSpec(s=s, amps=amps, **kw))
-            except ValueError as exc:
-                raise ConfigError(f"schedule.pulses[{i}]: {exc}") from exc
-        pulses = tuple(built)
-        raw_ramps = sc.get("ramps", [])
-        _require(isinstance(raw_ramps, list), "schedule.ramps must be a list")
-        built_ramps = []
-        for i, rr in enumerate(raw_ramps):
-            _check_section(rr, _RAMP_KEYS, f"schedule.ramps[{i}]")
-            try:
-                built_ramps.append(Ramp(
-                    pulse_index=_as_int(rr.get("pulse"), f"schedule.ramps[{i}].pulse"),
-                    field=rr.get("field"),
-                    start_value=_as_float(rr.get("start"), f"schedule.ramps[{i}].start"),
-                    end_value=_as_float(rr.get("end"), f"schedule.ramps[{i}].end"),
-                    start_cycle=_as_int(rr.get("start_cycle"),
-                                        f"schedule.ramps[{i}].start_cycle"),
-                    end_cycle=_as_int(rr.get("end_cycle"),
-                                      f"schedule.ramps[{i}].end_cycle")))
-            except ValueError as exc:
-                raise ConfigError(f"schedule.ramps[{i}]: {exc}") from exc
-        ramps = tuple(built_ramps)
-    schedule = ScheduleConfig(figure=figure, pulses=pulses, ramps=ramps,
-                              total_cycles=total_cycles, ramp_scale=ramp_scale)
+    _require("ramp_scale" not in sc or figure == "fig3",
+             "schedule.ramp_scale is read by figure fig3 only")
+    try:
+        if figure is None:
+            schedule = _parse_pulses(sc, dim, total_cycles)
+        else:
+            _require(figure in FIGURE_IDS,
+                     f"schedule.figure must be one of {sorted(FIGURE_IDS)}")
+            _require(dim == 3, "figure schedules require a 3D basis")
+            schedule = figure_schedule(figure, eta=eta,
+                                       total_cycles=total_cycles,
+                                       ramp_scale=ramp_scale)
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
     rec = doc.get("recorder", {})
     _check_section(rec, {"stride", "events"}, "recorder")
@@ -311,12 +299,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     hysteresis = HysteresisConfig(threshold=threshold, source=source,
                                   targets=targets)
 
-    cfg = RunConfig(dim=dim, max_shell=max_shell, eta=eta, gamma=gamma,
+    cfg = RunConfig(dim=dim, max_shell=max_shell, eta=eta, schedule=schedule,
                     omega_tau_abs=wtau, omega0_tau_abs=area,
                     eta_sp_ratio=sp_ratio, resonance_window=window,
                     emission_pattern=pattern, quadrature_order=order,
                     n_atoms=n_atoms, n_traj=n_traj, seed=seed,
-                    initial=initial, schedule=schedule, recorder=recorder,
+                    initial=initial, recorder=recorder,
                     watched=watched, out_dir=out_dir, cache_dir=cache_dir,
                     criterion_target=criterion_target, hysteresis=hysteresis)
 
@@ -331,61 +319,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             basis.id_of(lv)
         except KeyError:
             raise ConfigError(f"{what} {lv} outside the basis")
-    cfg.build_schedule()  # schedule must assemble
     return cfg
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    sc: dict = {"ramp_scale": cfg.schedule.ramp_scale}
-    if cfg.schedule.figure is not None:
-        sc["figure"] = cfg.schedule.figure
-    else:
-        sc["pulses"] = []
-        for pu in cfg.schedule.pulses:
-            entry = {"s": pu.s, "amps": list(pu.amps)}
-            entry.update((k, getattr(pu, k)) for k in _PULSE_WIDTHS
-                         if getattr(pu, k) is not None)
-            sc["pulses"].append(entry)
-        sc["ramps"] = [{"pulse": r.pulse_index, "field": r.field,
-                        "start": r.start_value, "end": r.end_value,
-                        "start_cycle": r.start_cycle, "end_cycle": r.end_cycle}
-                       for r in cfg.schedule.ramps]
-    if cfg.schedule.total_cycles is not None:
-        sc["total_cycles"] = cfg.schedule.total_cycles
-
-    if cfg.initial.kind == "thermal":
-        ini = {"thermal_mean_shell": cfg.initial.mean_shell}
-    else:
-        ini = {"point_level": list(cfg.initial.level)}
-
-    doc = {
-        "basis": {"dim": cfg.dim, "max_shell": cfg.max_shell},
-        "params": {"eta": cfg.eta, "gamma": cfg.gamma,
-                   "omega_tau_abs": cfg.omega_tau_abs,
-                   "omega0_tau_abs": cfg.omega0_tau_abs,
-                   "eta_sp_ratio": cfg.eta_sp_ratio,
-                   "resonance_window": cfg.resonance_window,
-                   "emission_pattern": cfg.emission_pattern,
-                   "quadrature_order": cfg.quadrature_order},
-        "atoms": cfg.n_atoms,
-        "trajectories": cfg.n_traj,
-        "seed": cfg.seed,
-        "initial": ini,
-        "schedule": sc,
-        "recorder": {"stride": cfg.recorder.stride,
-                     "events": cfg.recorder.events},
-        "watched": [list(lv) for lv in cfg.watched],
-        "output": {"directory": cfg.out_dir},
-        "hysteresis": {"threshold": cfg.hysteresis.threshold,
-                       "targets": [list(lv) for lv in cfg.hysteresis.targets]},
-    }
-    if cfg.cache_dir is not None:
-        doc["cache_dir"] = cfg.cache_dir
-    if cfg.criterion_target is not None:
-        doc["criterion"] = {"target": list(cfg.criterion_target)}
-    if cfg.hysteresis.source is not None:
-        doc["hysteresis"]["source"] = list(cfg.hysteresis.source)
-    return doc
 
 
 def load_config(path: str) -> RunConfig:
@@ -398,7 +332,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(doc)
 
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

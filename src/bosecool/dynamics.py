@@ -95,7 +95,7 @@ class MatrixProvider:
         # ``structures`` may come filled by ``calibrate_pulse_area``; its
         # builds count here
         self._structures = StructureMemo() if structures is None else structures
-        self._static: dict[tuple, PulseRates] = {}
+        self._static: dict[PulseSpec, PulseRates] = {}
         self._sp: EmissionMatrix | None = None
         self._prepared: Schedule | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
@@ -135,10 +135,9 @@ class MatrixProvider:
         pulse = pulse.resolved(self.params)
         if not persist:
             return self._evaluate(pulse)
-        key = pulse.key()
-        if key not in self._static:
-            self._static[key] = self._load_or_build(pulse)
-        return self._static[key]
+        if pulse not in self._static:
+            self._static[pulse] = self._load_or_build(pulse)
+        return self._static[pulse]
 
     # -- spontaneous ---------------------------------------------------
 
@@ -817,15 +816,15 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
              else exact_initial_state(basis, initial, max_configs))
     sp_dense = provider.spontaneous_dense()
 
-    matrices: dict[tuple, np.ndarray] = {}
+    matrices: dict[PulseSpec, np.ndarray] = {}
     probs = state.probs.copy()
     for c in range(schedule.total_cycles):
         for pulse in resolve_cycle(schedule, c):
-            T = matrices.get(pulse.key())
+            T = matrices.get(pulse)
             if T is None:
                 T = _exact_pulse_matrix(state, provider.absorption(pulse),
                                         sp_dense)
-                matrices[pulse.key()] = T
+                matrices[pulse] = T
             probs = T @ probs
     return ExactState(configs=state.configs, probs=probs, index=state.index)
 

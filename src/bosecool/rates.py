@@ -527,7 +527,11 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
 
 
 def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
-    """Bytes the emission matrix path holds at its peak on ``basis``.
+    """Bytes of the arrays the emission matrix path holds at its peak on
+    ``basis``. Python objects and per-array overhead are not counted, so
+    on bases of about a hundred levels or fewer a build's tracemalloc
+    peak exceeds it (about 1.8x on 2D max_shell 3, 1.2x on 3D max_shell
+    6); from a few hundred levels up the estimate lies above the peak.
 
     8 per level pair for the dense matrix the build fills, the cache
     stores and loads in place and the run keeps. The build adds its

@@ -56,14 +56,11 @@ class PulseSpec:
 
     def resolved(self, params: SimParams) -> "PulseSpec":
         """This pulse with unset widths taken from ``params``. Rates depend
-        on the resolved pulse only, so its key() is their memo key."""
+        on the resolved pulse only, so the pulse itself is their memo key."""
         otau, wtau = self.omega0_tau_abs, self.omega_tau_abs
         return replace(
             self, omega0_tau_abs=params.omega0_tau_abs if otau is None else otau,
             omega_tau_abs=params.omega_tau_abs if wtau is None else wtau)
-
-    def key(self) -> tuple:
-        return (self.s, self.amps, self.omega0_tau_abs, self.omega_tau_abs)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bosecool import (PulseSpec, SimParams, condensation_criterion,
                       cycles_to_seconds, depletion_profile, enumerate_levels,
                       fano_factor, figure_schedule, find_dark_states,
-                      first_below, first_downward_crossing, franck_condon_1d,
+                      first_downward_crossing, franck_condon_1d,
                       hysteresis_extract, interference_pulse,
                       split_ramp_branches)
 
@@ -159,12 +159,6 @@ def test_criterion_validation():
         condensation_criterion([], basis, params, (0,))
     with pytest.raises(KeyError):
         condensation_criterion([PulseSpec(s=-1, amps=(1.0,))], basis, params, (9,))
-
-
-def test_first_below():
-    assert first_below(np.array([0.9, 0.6, 0.4, 0.7]), 0.5) == 2
-    assert first_below(np.array([0.9, 0.8]), 0.5) is None
-    assert first_below(np.array([0.5, 0.5]), 0.5) is None  # strict
 
 
 def test_first_downward_crossing_skips_prefix():

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (Basis, Configuration, SimParams, enumerate_levels,
-                      sample_initial_configuration, shell, thermal_distribution)
+                      sample_initial_configuration, thermal_distribution)
 
 from bosecool.basis import _BETA_LIMIT, _brentq, _shell_moments
 
@@ -40,13 +40,6 @@ def test_id_level_bijection():
     assert basis.lut[(1, 2, 3)] == basis.id_of((1, 2, 3))
     with pytest.raises(KeyError):
         basis.id_of((0, 0, 7))
-
-
-def test_shell_helper():
-    assert shell((0, 0, 0)) == 0
-    assert shell((1, 1, 1)) == 3
-    assert shell((5, 0, 2)) == 7
-    assert shell((4,)) == 4
 
 
 def test_shells_column():
@@ -203,8 +196,6 @@ def test_params_validation():
     assert SimParams(eta=2.0, eta_sp_ratio=0.5).eta_sp == 1.0
     with pytest.raises(ValueError):
         SimParams(eta=-0.1)
-    with pytest.raises(ValueError):
-        SimParams(eta=1.0, gamma=0.0)
     with pytest.raises(ValueError):
         SimParams(eta=1.0, omega_tau_abs=1.0)
     with pytest.raises(ValueError):

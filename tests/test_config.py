@@ -1,4 +1,4 @@
-"""Strict YAML config parsing and lossless round-trips."""
+"""Strict YAML config parsing into a run's validated schedule."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import os
 
 import pytest
 
+from bosecool import PulseSpec, Ramp, figure_schedule
 from bosecool.config import (ConfigError, RunConfig, config_from_dict,
-                             config_to_dict, load_config, save_config)
+                             load_config)
 
 
 def base_doc() -> dict:
@@ -39,7 +40,7 @@ def fig_doc() -> dict:
     }
 
 
-def test_round_trip_explicit_pulses_with_ramps():
+def test_explicit_pulses_parse_to_schedule():
     doc = base_doc()
     doc["schedule"]["pulses"] = [
         {"s": -1, "amps": [1.0]},
@@ -49,22 +50,40 @@ def test_round_trip_explicit_pulses_with_ramps():
         {"pulse": 1, "field": "a_x", "start": 1.0, "end": 0.2,
          "start_cycle": 0, "end_cycle": 25},
     ]
-    cfg = config_from_dict(doc)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    schedule = config_from_dict(doc).schedule
+    assert schedule.cycle == (PulseSpec(s=-1, amps=(1.0,)),
+                              PulseSpec(s=0, amps=(1.0,), omega0_tau_abs=0.3))
+    assert schedule.ramps == (Ramp(1, "a_x", 1.0, 0.2, 0, 25),)
+    assert schedule.total_cycles == 50
 
 
-def test_round_trip_figure_preset():
+def test_figure_preset_parses_to_schedule():
     cfg = config_from_dict(fig_doc())
-    again = config_from_dict(config_to_dict(cfg))
-    assert again == cfg
-    assert again.schedule.figure == "fig1"
-    assert again.criterion_target == (0, 0, 0)
+    assert cfg.schedule == figure_schedule("fig1", eta=2.0)
+    assert cfg.schedule.name == "fig1"
+    assert cfg.criterion_target == (0, 0, 0)
+
+
+def test_ramp_scale_only_with_fig3():
+    doc = base_doc()
+    doc["schedule"]["ramp_scale"] = 0.5
+    with pytest.raises(ConfigError, match="schedule.ramp_scale.*fig3"):
+        config_from_dict(doc)
+    doc = fig_doc()
+    doc["schedule"]["ramp_scale"] = 0.5
+    with pytest.raises(ConfigError, match="schedule.ramp_scale.*fig3"):
+        config_from_dict(doc)
+    doc["schedule"] = {"figure": "fig3", "ramp_scale": 0.1}
+    assert config_from_dict(doc).schedule == figure_schedule(
+        "fig3", eta=2.0, ramp_scale=0.1)
+    doc["schedule"]["ramp_scale"] = 1.5  # figure_schedule's own range check
+    with pytest.raises(ConfigError, match=r"schedule: ramp_scale must lie"):
+        config_from_dict(doc)
 
 
 def test_auto_area_marker_survives_round_trip():
     cfg = config_from_dict(fig_doc())
     assert cfg.omega0_tau_abs == "auto"
-    assert config_from_dict(config_to_dict(cfg)).omega0_tau_abs == "auto"
     # and cannot build params until an actual number is supplied
     with pytest.raises(ConfigError, match="auto"):
         cfg.build_params()
@@ -95,6 +114,8 @@ def test_defaults_fill_in():
     (lambda d: d.update(bogus=1), "config: unknown keys"),
     (lambda d: d["basis"].update(extra=2), "basis: unknown keys"),
     (lambda d: d["params"].update(etaa=0.5), "params: unknown keys"),
+    (lambda d: d["params"].update(gamma=0.01),
+     r"params: unknown keys \['gamma'\]"),
     (lambda d: d["schedule"]["pulses"][0].update(area=0.1),
      r"schedule.pulses\[0\]: unknown keys"),
     (lambda d: d["recorder"].update(step=3), "recorder: unknown keys"),
@@ -239,16 +260,6 @@ def test_every_shipped_preset_parses():
     for path in paths:
         cfg = load_config(path)
         assert isinstance(cfg, RunConfig)
-
-
-def test_save_then_load_is_identity(tmp_path):
-    doc = base_doc()
-    doc["cache_dir"] = "cache"
-    doc["criterion"] = {"target": [0]}
-    cfg = config_from_dict(doc)
-    path = str(tmp_path / "run.yaml")
-    save_config(cfg, path)
-    assert load_config(path) == cfg
 
 
 def test_load_errors_wrap_as_config_errors(tmp_path):

@@ -4,6 +4,7 @@ broken ``perfbench/tracer.py`` run shows up here first."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import warnings
@@ -91,6 +92,10 @@ def _shapes():
                                    {"omega0_resolved": X}),
         "RunConfig.build_params(area)": (RunConfig.build_params, (X, 0.5), {}),
         "RunConfig.build_params()": (RunConfig.build_params, (X,), {}),
+        "RunConfig.build_basis()": (RunConfig.build_basis, (X,), {}),
+        "RunConfig.build_schedule()": (RunConfig.build_schedule, (X,), {}),
+        "RunConfig.initial_distribution": (RunConfig.initial_distribution,
+                                           (X, X), {}),
         "emission_quadrature": (emission_quadrature, (3, X),
                                 {"polar_order": X}),
         "calibrate_pulse_area": (calibrate_pulse_area, (X, X, X, X), {}),
@@ -104,3 +109,12 @@ def test_untraced_call_shapes_bind(name):
     # shapes; a refactor that drops one must fail here, not mid-benchmark
     fn, args, kwargs = _shapes()[name]
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_config_fields_the_benchmark_reads():
+    # perfbench reads these RunConfig and InitialStateConfig fields directly
+    from bosecool.config import InitialStateConfig, RunConfig
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {"omega0_tau_abs", "n_atoms", "n_traj", "dim", "emission_pattern",
+            "quadrature_order", "cache_dir", "watched", "initial"} <= names
+    assert "level" in {f.name for f in dataclasses.fields(InitialStateConfig)}

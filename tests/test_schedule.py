@@ -17,7 +17,7 @@ def test_pulse_spec_validation():
     q = p.with_amp(2, -2.0)
     assert q.amps == (1.0, 0.5, -2.0)
     assert q.s == -1
-    assert p.key() != q.key()
+    assert p != q
     with pytest.raises(ValueError):
         PulseSpec(s=0, amps=())
     with pytest.raises(ValueError):
