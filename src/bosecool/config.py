@@ -249,6 +249,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     ramp_scale = _as_float(sc.get("ramp_scale", 1.0), "schedule.ramp_scale")
     _require("ramp_scale" not in sc or figure == "fig3",
              "schedule.ramp_scale is read by figure fig3 only")
+    _require("ramps" not in sc or figure is None,
+             "schedule.ramps is read with schedule.pulses only")
     try:
         if figure is None:
             schedule = _parse_pulses(sc, dim, total_cycles)

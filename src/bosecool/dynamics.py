@@ -35,6 +35,23 @@ pulse's turn, which is where that computation raises. Every kept or
 patched value is bitwise the one a fresh computation gives, so reuse
 changes no random number.
 
+While the kept inputs stay the same, cycles run as blocks. numpy's
+binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
+reads one uniform U and returns 0 exactly when U <= qn = (1 - p)**n,
+which ``_thresholds`` computes bitwise as numpy does, once per kept
+input. A block saves the generator's state, draws the uniforms of the
+rest of a stretch of cycles that share one rates list in one call and
+finds the first cycle with some U > qn; it restores the state and
+re-draws the quiet cycles' uniforms, so that busy cycle runs pulse by
+pulse from the stream position it would have had. Quiet cycles move no
+atom, so their rows repeat the last one; a cycle whose pulses are all
+dark draws nothing, so a dark stretch is skipped whole. Blocks run only
+where every level is in the inversion regime, at least two cycles of
+the stretch are left and a cycle is quiet with probability above
+``_QUIET_MIN``, as decided each time the kept inputs change. Elsewhere,
+and in every cycle that brings new rates, pulses run one by one. Blocks
+change no random number.
+
 A worker runs its trajectories window by window on rates it resolves
 once per window, where a ramped pulse gets new rates only in cycles that
 change its fields; those drop the pulse's kept inputs.
@@ -71,6 +88,10 @@ _SCALAR_DRAWS = 8
 # rates per ramp-moving cycle (14 KB on fig3). 64 is where demo1d's CPU time
 # stops falling; fig3 workers then peak at 60 MB.
 _WINDOW = 64
+# Cycles run as one block of uniforms only while a cycle draws no excitation
+# with at least this probability; below it a busy cycle comes so often that
+# saving and restoring the generator's state costs more than blocks save.
+_QUIET_MIN = 0.5
 
 
 class MatrixProvider:
@@ -291,6 +312,39 @@ def _draw_inputs(occ: np.ndarray, occ_ids: np.ndarray, depletion: np.ndarray):
     return ids, occ[ids], pa[hit], worst
 
 
+def _thresholds(n_occ, pa) -> list[float] | None:
+    """Each level's qn = (1 - p)**n for counts ``n_occ`` and probabilities
+    ``pa``, or None if some level draws outside the regime of numpy's
+    inversion binomial (p > 0.5 or n p > 30). In the regime a draw reads
+    one uniform U and returns 0 iff U <= qn, where numpy (2.4) computes qn
+    as exp(n log1p(-p)) with libm, as here; exp(n log(1 - p)) can differ
+    in the last bit."""
+    qn = []
+    for n, p in zip(n_occ, pa):
+        if p > 0.5 or p * n > 30.0:
+            return None
+        qn.append(math.exp(n * math.log1p(-p)))
+    return qn
+
+
+def _quiet_cycles(rng: np.random.Generator, qn: np.ndarray, cycles: int) -> int:
+    """How many of the next ``cycles`` cycles, each drawing one binomial per
+    entry of ``qn`` (the cycle's thresholds, in draw order), return 0 in
+    every draw. Leaves ``rng`` just past those cycles' draws, bitwise where
+    the binomials would have left it."""
+    bits = rng.bit_generator
+    saved = bits.state
+    loud = rng.random(cycles * qn.size).reshape(cycles, qn.size) > qn
+    first = int(loud.argmax())
+    if not loud.flat[first]:
+        return cycles
+    quiet = first // qn.size
+    bits.state = saved
+    if quiet:
+        rng.random(quiet * qn.size)
+    return quiet
+
+
 def _patch_inputs(inputs, occ: np.ndarray, depletion: np.ndarray, touched):
     """A pulse's kept ``_draw_inputs`` after an event changed the counts
     of the levels in ``touched``: bitwise what a fresh computation
@@ -462,9 +516,14 @@ class _Run:
         trajectories = [_Trajectory(self, key) for key in seed_keys]
         cycles = self.provider.cycle_rates(self.schedule)
         for start in range(0, self.schedule.total_cycles, _WINDOW):
-            window = list(islice(cycles, _WINDOW))
+            stretches = []  # [values, rates, cycles] of cycles sharing rates
+            for values, rates in islice(cycles, _WINDOW):
+                if stretches and stretches[-1][1] is rates:
+                    stretches[-1][2] += 1
+                else:
+                    stretches.append([values, rates, 1])
             for t in trajectories:
-                t.advance(start, window)
+                t.advance(start, stretches)
         return ([t.record() for t in trajectories],
                 self.provider.counters["ramp_evals"] - evals)
 
@@ -489,6 +548,11 @@ class _Trajectory:
         # the pulse's rates are no longer the object they were computed from
         self.rates: list = [None] * run.schedule.n_pulses
         self.inputs = self.rates.copy()
+        # each pulse's (kept inputs, their _thresholds), valid while the
+        # inputs are that object
+        self.thresholds = self.rates.copy()
+        # _plan() of the kept inputs; None once they change
+        self.plan = None
         self.rows: list[tuple] = []  # (done, watched occ, mean shell, values)
         self._row(0, run.schedule.field_values(0))
         self.events: list[tuple[int, int, int, int, int]] = []
@@ -498,54 +562,115 @@ class _Trajectory:
         self.rows.append((done, self.occ[self.run.watched].copy(),
                           float(self.run.shells_f @ self.occf / self.n_total),
                           values))
+        self.moved = False  # no atom has moved since the last row
 
-    def advance(self, start: int, window) -> None:
-        """Run cycles ``start``, ``start + 1``, ... on ``window``'s entries."""
-        run, occ, occf, rng = self.run, self.occ, self.occf, self.rng
-        occupied, occ_ids, inputs = self.occupied, self.occ_ids, self.inputs
-        p_max, n_warn, stride = self.p_max, self.n_warn, run.recorder.stride
-        for c, (values, rates) in enumerate(window, start):
+    def advance(self, c: int, stretches) -> None:
+        """Run cycles ``c``, ``c + 1``, ... through ``stretches``, each
+        (values, rates, cycles) of cycles that share one rates list."""
+        for values, rates, cycles in stretches:
             if rates is not self.rates:
                 for i, r in enumerate(rates):
                     if r is not self.rates[i]:
-                        inputs[i] = None
-                self.rates = rates
-            for i, pulse_rates in enumerate(rates):
-                if inputs[i] is None:
-                    if occ_ids is None:
-                        occ_ids = np.array(occupied, dtype=np.int64)
-                    inputs[i] = _draw_inputs(occ, occ_ids, pulse_rates.depletion)
-                pulse_events, p = _step(occ, occf, pulse_rates, run.sp_dense,
-                                        rng, inputs[i])
-                if p > p_max:
-                    p_max = p
-                if p > P_WARN:
-                    n_warn += 1
-                    if n_warn == 1:  # once per trajectory
-                        warnings.warn("per-atom excitation probability exceeded "
-                                      "0.5; rates are near the edge of the "
-                                      "perturbative regime", stacklevel=2)
-                if pulse_events:
-                    touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
-                    for t in touched:
-                        k = bisect_left(occupied, t)
-                        listed = k < len(occupied) and occupied[k] == t
-                        if listed != bool(occ[t]):
-                            if listed:
-                                del occupied[k]
-                            else:
-                                occupied.insert(k, t)
-                            occ_ids = None
-                    for j, kept in enumerate(inputs):
-                        if kept is not None:
-                            inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
-                                                      touched)
-                    if run.recorder.record_events:
-                        self.events.extend((c, i) + ev for ev in pulse_events)
-            done = c + 1
-            if done == run.schedule.total_cycles or stride and done % stride == 0:
-                self._row(done, values)
+                        self.inputs[i] = None
+                self.rates, self.plan = rates, None
+            end = c + cycles
+            while c < end:
+                if end - c > 1:
+                    if self.plan is None:
+                        self.plan = self._plan()
+                    if self.plan:
+                        c += self._quiet(c, end - c, values)
+                        if c == end:
+                            break
+                self._cycle(c, values, rates)
+                c += 1
+
+    def _plan(self):
+        """Whether cycles on the kept inputs run as blocks: False, or one
+        cycle's thresholds in draw order (None where every pulse is dark)
+        and its worst p."""
+        qn, worst = [], 0.0
+        for i, kept in enumerate(self.inputs):
+            if kept is None:
+                return False
+            if not kept[3]:
+                continue
+            cached = self.thresholds[i]
+            if cached is None or cached[0] is not kept:
+                _, n_occ, pa, _ = kept
+                if type(pa) is not list:
+                    n_occ, pa = n_occ.tolist(), pa.tolist()
+                cached = self.thresholds[i] = (kept, _thresholds(n_occ, pa))
+            if cached[1] is None:
+                return False
+            qn += cached[1]
+            worst = max(worst, kept[3])
+        if not qn:
+            return None, 0.0
+        return (np.array(qn), worst) if math.prod(qn) > _QUIET_MIN else False
+
+    def _quiet(self, c: int, cycles: int, values: tuple) -> int:
+        """Run the quiet cycles among ``c``, ``c + 1``, ... of a stretch
+        of ``cycles`` as a block; returns how many there were."""
+        qn, worst = self.plan
+        quiet = cycles if qn is None else _quiet_cycles(self.rng, qn, cycles)
+        if quiet:
+            self.p_max = max(self.p_max, worst)
+            self._rows(c, c + quiet, values)
+        return quiet
+
+    def _rows(self, c: int, done: int, values: tuple) -> None:
+        """Record the rows due once cycles ``c`` to ``done - 1`` are done,
+        where no atom moved after cycle ``c``."""
+        stride, total = self.run.recorder.stride, self.run.schedule.total_cycles
+        for d in range(c + 1, done + 1):
+            if d == total or stride and d % stride == 0:
+                if self.moved:
+                    self._row(d, values)
+                else:
+                    self.rows.append((d,) + self.rows[-1][1:3] + (values,))
+
+    def _cycle(self, c: int, values: tuple, rates: list) -> None:
+        """Run cycle ``c`` on ``rates`` pulse by pulse."""
+        run, occ, occf, rng = self.run, self.occ, self.occf, self.rng
+        occupied, occ_ids, inputs = self.occupied, self.occ_ids, self.inputs
+        p_max, n_warn = self.p_max, self.n_warn
+        for i, pulse_rates in enumerate(rates):
+            if inputs[i] is None:
+                if occ_ids is None:
+                    occ_ids = np.array(occupied, dtype=np.int64)
+                inputs[i] = _draw_inputs(occ, occ_ids, pulse_rates.depletion)
+                self.plan = None
+            pulse_events, p = _step(occ, occf, pulse_rates, run.sp_dense,
+                                    rng, inputs[i])
+            if p > p_max:
+                p_max = p
+            if p > P_WARN:
+                n_warn += 1
+                if n_warn == 1:  # once per trajectory
+                    warnings.warn("per-atom excitation probability exceeded "
+                                  "0.5; rates are near the edge of the "
+                                  "perturbative regime", stacklevel=3)
+            if pulse_events:
+                self.plan, self.moved = None, True
+                touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
+                for t in touched:
+                    k = bisect_left(occupied, t)
+                    listed = k < len(occupied) and occupied[k] == t
+                    if listed != bool(occ[t]):
+                        if listed:
+                            del occupied[k]
+                        else:
+                            occupied.insert(k, t)
+                        occ_ids = None
+                for j, kept in enumerate(inputs):
+                    if kept is not None:
+                        inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
+                                                  touched)
+                if run.recorder.record_events:
+                    self.events.extend((c, i) + ev for ev in pulse_events)
         self.occ_ids, self.p_max, self.n_warn = occ_ids, p_max, n_warn
+        self._rows(c, c + 1, values)
 
     def record(self) -> TrajectoryRecord:
         done, watched, shell, values = zip(*self.rows)

@@ -162,16 +162,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "no nonzero beam amplitude at cycle 5" in err
         assert err.count("\n") == 1
 
-    # knobs no computation reads: gamma, and ramp_scale outside fig3
+    # knobs no computation reads: gamma, ramp_scale outside fig3, and ramps
+    # beside a figure preset
     fig1 = {"basis": {"dim": 3, "max_shell": 4}, "params": {"eta": 2.0},
             "schedule": {"figure": "fig1", "ramp_scale": 0.5},
             "watched": [[0, 0, 0]], "output": {"directory": out}}
+    fig1_ramps = {**fig1, "schedule": {"figure": "fig1", "ramps": [
+        {"pulse": 99, "field": "bogus"}]}}
     gamma, pulses = sim_doc(out), sim_doc(out)
     gamma["params"]["gamma"] = 0.01
     pulses["schedule"]["ramp_scale"] = 0.5
     for doc, fragment in ((gamma, "params: unknown keys ['gamma']"),
                           (pulses, "schedule.ramp_scale"),
-                          (fig1, "schedule.ramp_scale")):
+                          (fig1, "schedule.ramp_scale"),
+                          (fig1_ramps, "schedule.ramps")):
         cfg = write_doc(tmp_path, doc, "knob.yaml")
         assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err

@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
@@ -832,12 +833,10 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_2d_cross_fade(monkeypatch,
         assert provider.counters["ramp_evals"] == 1 + 40
 
 
-def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
-    # a_y = -5 drives the occupied (0,0) past one excitation per atom
-    ramps = (Ramp(1, "a_y", -1.0, -5.0, 20, 80),)
-    basis, params, schedule, initial = ramped_2d_system(ramps, 100)
-    rec = RecorderSpec(watched_ids=(0,), stride=0, record_events=True)
-    step = dynamics._step
+def count_pulses(monkeypatch, n_pulses):
+    """A list that gains one entry per pulse a trajectory completes: one per
+    ``_step`` call and ``n_pulses`` per cycle that runs in a quiet block."""
+    step, quiet = dynamics._step, dynamics._Trajectory._quiet
     done = []
 
     def counted_step(*args):
@@ -845,7 +844,22 @@ def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
         done.append(1)
         return out
 
+    def counted_quiet(self, *args):
+        cycles = quiet(self, *args)
+        done.extend([1] * cycles * n_pulses)
+        return cycles
+
     monkeypatch.setattr(dynamics, "_step", counted_step)
+    monkeypatch.setattr(dynamics._Trajectory, "_quiet", counted_quiet)
+    return done
+
+
+def test_kept_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
+    # a_y = -5 drives the occupied (0,0) past one excitation per atom
+    ramps = (Ramp(1, "a_y", -1.0, -5.0, 20, 80),)
+    basis, params, schedule, initial = ramped_2d_system(ramps, 100)
+    rec = RecorderSpec(watched_ids=(0,), stride=0, record_events=True)
+    done = count_pulses(monkeypatch, schedule.n_pulses)
     for k in range(3):
         want = reference_trajectory(basis, params, schedule, initial, (3, k), rec)
         assert isinstance(want, int) and want > 20 * schedule.n_pulses
@@ -911,13 +925,56 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_3d_ramp(monkeypatch,
     assert n_events > 200 and n_warn > 0
 
 
+def blocked_1d_system(case):
+    """A 1D system whose quiet cycles run as blocks, built so that its
+    trajectories reach the edge ``case`` names:
+
+    - ``dark_mid_window``: the demo1d preset; two atoms walk down to level
+      0, dark for both sidebands, at some cycle inside a window, and the
+      rest of the run draws nothing;
+    - ``leaves_inversion``: 70 atoms in level 0 under a weak heating pulse
+      run in blocks until cycle 30, where that pulse's area steps up so
+      that n p > 30 (numpy's BTPE draws level 0) and heated atoms meet a
+      cooling pulse with p > 0.5;
+    - ``window_edge``: two atoms in level 0 under weak heating, quiet for
+      about 100 cycles at a time, so quiet stretches cross window edges.
+      The cooling pulse comes first in the cycle, so an atom the heating
+      lifts meets it in the next cycle, often in a block that lasts to
+      the end; that block's p is then the trajectory's p_max.
+    """
+    if case == "dark_mid_window":
+        basis, params = enumerate_levels(1, 5), SimParams(eta=0.7, omega0_tau_abs=0.4)
+        cycle, ramps, total, start = ((PulseSpec(s=-1, amps=(1.0,)),
+                                       PulseSpec(s=-2, amps=(1.0,))), (), 200, (5, 2))
+    elif case == "leaves_inversion":
+        basis, params = enumerate_levels(1, 4), SimParams(eta=0.7, omega0_tau_abs=0.9)
+        cycle = (PulseSpec(s=1, amps=(0.05,)), PulseSpec(s=-1, amps=(1.8,)))
+        ramps, total, start = (Ramp(0, "a_x", 0.05, 1.55, 29, 30),), 40, (0, 70)
+    else:
+        basis, params = enumerate_levels(1, 4), SimParams(eta=0.7, omega0_tau_abs=0.4)
+        cycle, ramps, total, start = ((PulseSpec(s=-1, amps=(0.5,)),
+                                       PulseSpec(s=1, amps=(0.4,))), (), 150, (0, 2))
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[start[0]] = start[1]
+    return (basis, params, Schedule(cycle=cycle, total_cycles=total, ramps=ramps),
+            Configuration(occ))
+
+
+BLOCKED_1D = ("dark_mid_window", "leaves_inversion", "window_edge")
+ENSEMBLE_CASES = {**{case: (lambda case=case: ramped_2d_system(*RAMPED_2D[case]))
+                     for case in RAMPED_2D},
+                  **{case: (lambda case=case: blocked_1d_system(case))
+                     for case in BLOCKED_1D}}
+
+
 @pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
-@pytest.mark.parametrize("case", list(RAMPED_2D))
+@pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
 def test_ensemble_trajectories_match_the_reference_2d(monkeypatch, case,
                                                       scalar_draws):
-    # workers share each window's ramped rates across their block; every
-    # trajectory must still be the oracle's at its own (seed, index)
-    basis, params, schedule, initial = ramped_2d_system(*RAMPED_2D[case])
+    # workers share each window's ramped rates across their block, and a
+    # trajectory runs quiet cycles as blocks of uniforms; every trajectory
+    # must still be the oracle's at its own (seed, index), in 2D and 1D
+    basis, params, schedule, initial = ENSEMBLE_CASES[case]()
     rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
     wants = [reference_trajectory(basis, params, schedule, initial, (3, k), rec)
@@ -934,6 +991,132 @@ def test_ensemble_trajectories_match_the_reference_2d(monkeypatch, case,
                 assert got.tobytes() == exp.tobytes()
         assert sum(ev.shape[0] for ev in ens.events) > 0
         assert ens.ramp_evals == threads * reference_ramp_evals(params, schedule)
+
+
+@pytest.mark.parametrize("case", BLOCKED_1D)
+def test_blocks_reach_their_edge_for_any_window(monkeypatch, case):
+    basis, params, schedule, initial = blocked_1d_system(case)
+    rec = RecorderSpec(watched_ids=(0, 1), stride=7, record_events=True)
+    quiet, thresholds = dynamics._Trajectory._quiet, dynamics._thresholds
+    blocks, regime = [], []  # (cycle, cycles left, quiet cycles, dark)
+
+    def logged_quiet(self, c, cycles, values):
+        n = quiet(self, c, cycles, values)
+        blocks.append((c, cycles, n, self.plan[0] is None))
+        return n
+
+    def logged_thresholds(n_occ, pa):
+        qn = thresholds(n_occ, pa)
+        regime.append(qn is not None)
+        return qn
+
+    monkeypatch.setattr(dynamics._Trajectory, "_quiet", logged_quiet)
+    monkeypatch.setattr(dynamics, "_thresholds", logged_thresholds)
+    n_events = 0
+    for k in range(6):
+        want = reference_trajectory(basis, params, schedule, initial, (6, k), rec)
+        for window in (1, schedule.total_cycles, 64):
+            monkeypatch.setattr(dynamics, "_WINDOW", window)
+            blocks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = run_trajectory(basis, params, schedule, initial, None,
+                                     (6, k), rec)
+            assert_records_identical(got, want)
+            assert window > 1 or not blocks
+        n_events += got.events.shape[0]
+        if case == "dark_mid_window":  # a dark jump from inside a window
+            assert any(dark and c % 64 for c, _, _, dark in blocks)
+        elif case == "window_edge":  # quiet up to an edge, on from it
+            assert any(c + n == q + c == 64 and not dark
+                       for c, n, q, dark in blocks)
+            assert any(c == 64 and not dark for c, _, _, dark in blocks)
+        else:  # blocks up to the ramp, none after it
+            assert any(c + n == q + c == 30 for c, n, q, _ in blocks)
+            assert all(c < 30 for c, _, _, _ in blocks)
+    assert n_events > 0
+    if case == "leaves_inversion":
+        assert not all(regime) and any(regime)
+
+
+def stream_position(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+# (n, p) where n p is exactly 30, the last product numpy draws by inversion
+_INVERSION_EDGES = ((60, 0.5), (64, 0.46875), (80, 0.375))
+
+
+@st.composite
+def quiet_cycle_cases(draw):
+    """A Philox seed, one cycle's levels (count n, probability p) in
+    numpy's inversion regime and a number of cycles. Some levels' p is
+    moved so that qn lies within a few ULP of the uniform the level's draw
+    would read were every level before it quiet."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    levels = draw(st.lists(st.one_of(
+        st.tuples(st.integers(1, 59), st.one_of(
+            st.floats(1e-9, 0.02), st.floats(0.0, 0.5, exclude_min=True),
+            st.just(0.5))),
+        st.sampled_from(_INVERSION_EDGES)), min_size=1, max_size=12))
+    u = np.random.Generator(np.random.Philox(seed)).random(len(levels))
+    for j, (n, p) in enumerate(levels):
+        ulps = draw(st.one_of(st.none(), st.integers(-3, 3)))
+        if ulps is None or u[j] < 0.5 ** n:
+            continue
+        target = float(u[j]) + ulps * math.ulp(float(u[j]))
+        p = -math.expm1(math.log(target) / n)
+        for _ in range(64):  # qn falls as p grows
+            qn = math.exp(n * math.log1p(-p))
+            if qn == target:
+                break
+            p = math.nextafter(p, 1.0 if qn > target else 0.0)
+        if 0.0 < p <= 0.5 and p * n <= 30.0:
+            levels[j] = (n, p)
+    return seed, levels, draw(st.integers(1, 40))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(quiet_cycle_cases())
+def test_quiet_blocks_follow_numpy_inversion_binomial(case):
+    # numpy's binomial draws a level in its inversion regime from one
+    # uniform U and returns 0 exactly when U <= qn; a block rests on that
+    seed, levels, cycles = case
+    n = np.array([k for k, _ in levels], dtype=np.int64)
+    p = np.array([q for _, q in levels])
+    qn = dynamics._thresholds(n.tolist(), p.tolist())
+    assert qn is not None
+
+    def stream():
+        return np.random.Generator(np.random.Philox(seed))
+
+    quiet = bool((stream().random(len(levels)) <= qn).all())
+    scalar = stream()
+    assert quiet == (not any([scalar.binomial(k, q) for k, q in levels]))
+    assert quiet == (not stream().binomial(n, p).any())
+
+    block, ref = stream(), stream()
+    got = dynamics._quiet_cycles(block, np.array(qn), cycles)
+    want = 0
+    while want < cycles:
+        before = ref.bit_generator.state
+        if any([ref.binomial(k, q) for k, q in levels]):
+            ref.bit_generator.state = before
+            break
+        want += 1
+    assert got == want and (got > 0) == quiet
+    assert stream_position(block) == stream_position(ref)
+    assert block.random() == ref.random()
+
+
+def test_thresholds_refuse_levels_outside_inversion():
+    for n, p in _INVERSION_EDGES:
+        assert dynamics._thresholds([n], [p]) is not None
+        assert dynamics._thresholds([n + 1], [p]) is None
+    assert dynamics._thresholds([1, 1], [0.1, math.nextafter(0.5, 1.0)]) is None
+    assert dynamics._thresholds([2, 1], [0.25, 1.0]) is None
 
 
 def test_ensemble_is_the_same_for_any_window(monkeypatch):
@@ -974,15 +1157,7 @@ def test_patched_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
     occ[0] = 3
     initial = Configuration(occ)
     rec = RecorderSpec(watched_ids=(0,), stride=0, record_events=True)
-    step = dynamics._step
-    done = []
-
-    def counted_step(*args):
-        out = step(*args)
-        done.append(1)
-        return out
-
-    monkeypatch.setattr(dynamics, "_step", counted_step)
+    done = count_pulses(monkeypatch, schedule.n_pulses)
     steps = []
     for k in range(8):
         want = reference_trajectory(basis, params, schedule, initial, (5, k), rec)
