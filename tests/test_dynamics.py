@@ -961,20 +961,18 @@ def blocked_1d_system(case):
 
 
 BLOCKED_1D = ("dark_mid_window", "leaves_inversion", "window_edge")
-ENSEMBLE_CASES = {**{case: (lambda case=case: ramped_2d_system(*RAMPED_2D[case]))
-                     for case in RAMPED_2D},
-                  **{case: (lambda case=case: blocked_1d_system(case))
-                     for case in BLOCKED_1D}}
 
 
 @pytest.mark.parametrize("scalar_draws", [0, dynamics._SCALAR_DRAWS])
-@pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
+@pytest.mark.parametrize("case", list(RAMPED_2D) + list(BLOCKED_1D))
 def test_ensemble_trajectories_match_the_reference_2d(monkeypatch, case,
                                                       scalar_draws):
     # workers share each window's ramped rates across their block, and a
     # trajectory runs quiet cycles as blocks of uniforms; every trajectory
     # must still be the oracle's at its own (seed, index), in 2D and 1D
-    basis, params, schedule, initial = ENSEMBLE_CASES[case]()
+    basis, params, schedule, initial = (
+        ramped_2d_system(*RAMPED_2D[case]) if case in RAMPED_2D
+        else blocked_1d_system(case))
     rec = RecorderSpec(watched_ids=(0, 4), stride=7, record_events=True)
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)
     wants = [reference_trajectory(basis, params, schedule, initial, (3, k), rec)
