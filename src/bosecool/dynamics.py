@@ -38,14 +38,13 @@ changes no random number.
 While the kept inputs stay the same, cycles run as blocks. numpy's
 binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
 reads one uniform U and returns 0 exactly when U <= qn = (1 - p)**n,
-which ``_thresholds`` computes bitwise as numpy does, once per kept
-input. A block saves the generator's state, draws the uniforms of the
+which ``_thresholds`` computes bitwise as numpy (>= 2.4) does, each
+time the kept inputs change. A block saves the generator's state, draws the uniforms of the
 rest of a stretch of cycles that share one rates list in one call and
 finds the first cycle with some U > qn; it restores the state and
 re-draws the quiet cycles' uniforms, so that busy cycle runs pulse by
-pulse from the stream position it would have had. Quiet cycles move no
-atom, so their rows repeat the last one; a cycle whose pulses are all
-dark draws nothing, so a dark stretch is skipped whole. Blocks run only
+pulse from the stream position it would have had. A cycle whose pulses
+are all dark draws nothing, so a dark stretch is skipped whole. Blocks run only
 where every level is in the inversion regime, at least two cycles of
 the stretch are left and a cycle is quiet with probability above
 ``_QUIET_MIN``, as decided each time the kept inputs change. Elsewhere,
@@ -316,9 +315,9 @@ def _thresholds(n_occ, pa) -> list[float] | None:
     """Each level's qn = (1 - p)**n for counts ``n_occ`` and probabilities
     ``pa``, or None if some level draws outside the regime of numpy's
     inversion binomial (p > 0.5 or n p > 30). In the regime a draw reads
-    one uniform U and returns 0 iff U <= qn, where numpy (2.4) computes qn
-    as exp(n log1p(-p)) with libm, as here; exp(n log(1 - p)) can differ
-    in the last bit."""
+    one uniform U and returns 0 iff U <= qn, where numpy (>= 2.4, the
+    floor in pyproject.toml) computes qn as exp(n log1p(-p)) with libm,
+    as here; exp(n log(1 - p)) can differ in the last bit."""
     qn = []
     for n, p in zip(n_occ, pa):
         if p > 0.5 or p * n > 30.0:
@@ -548,9 +547,6 @@ class _Trajectory:
         # the pulse's rates are no longer the object they were computed from
         self.rates: list = [None] * run.schedule.n_pulses
         self.inputs = self.rates.copy()
-        # each pulse's (kept inputs, their _thresholds), valid while the
-        # inputs are that object
-        self.thresholds = self.rates.copy()
         # _plan() of the kept inputs; None once they change
         self.plan = None
         self.rows: list[tuple] = []  # (done, watched occ, mean shell, values)
@@ -562,7 +558,6 @@ class _Trajectory:
         self.rows.append((done, self.occ[self.run.watched].copy(),
                           float(self.run.shells_f @ self.occf / self.n_total),
                           values))
-        self.moved = False  # no atom has moved since the last row
 
     def advance(self, c: int, stretches) -> None:
         """Run cycles ``c``, ``c + 1``, ... through ``stretches``, each
@@ -590,21 +585,19 @@ class _Trajectory:
         cycle's thresholds in draw order (None where every pulse is dark)
         and its worst p."""
         qn, worst = [], 0.0
-        for i, kept in enumerate(self.inputs):
+        for kept in self.inputs:
             if kept is None:
                 return False
-            if not kept[3]:
+            _, n_occ, pa, p = kept
+            if not p:
                 continue
-            cached = self.thresholds[i]
-            if cached is None or cached[0] is not kept:
-                _, n_occ, pa, _ = kept
-                if type(pa) is not list:
-                    n_occ, pa = n_occ.tolist(), pa.tolist()
-                cached = self.thresholds[i] = (kept, _thresholds(n_occ, pa))
-            if cached[1] is None:
+            if type(pa) is not list:
+                n_occ, pa = n_occ.tolist(), pa.tolist()
+            pulse_qn = _thresholds(n_occ, pa)
+            if pulse_qn is None:
                 return False
-            qn += cached[1]
-            worst = max(worst, kept[3])
+            qn += pulse_qn
+            worst = max(worst, p)
         if not qn:
             return None, 0.0
         return (np.array(qn), worst) if math.prod(qn) > _QUIET_MIN else False
@@ -620,15 +613,11 @@ class _Trajectory:
         return quiet
 
     def _rows(self, c: int, done: int, values: tuple) -> None:
-        """Record the rows due once cycles ``c`` to ``done - 1`` are done,
-        where no atom moved after cycle ``c``."""
+        """Record the rows due once cycles ``c`` to ``done - 1`` are done."""
         stride, total = self.run.recorder.stride, self.run.schedule.total_cycles
         for d in range(c + 1, done + 1):
             if d == total or stride and d % stride == 0:
-                if self.moved:
-                    self._row(d, values)
-                else:
-                    self.rows.append((d,) + self.rows[-1][1:3] + (values,))
+                self._row(d, values)
 
     def _cycle(self, c: int, values: tuple, rates: list) -> None:
         """Run cycle ``c`` on ``rates`` pulse by pulse."""
@@ -652,7 +641,7 @@ class _Trajectory:
                                   "0.5; rates are near the edge of the "
                                   "perturbative regime", stacklevel=3)
             if pulse_events:
-                self.plan, self.moved = None, True
+                self.plan = None
                 touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
                 for t in touched:
                     k = bisect_left(occupied, t)
