@@ -38,18 +38,18 @@ changes no random number.
 While the kept inputs stay the same, cycles run as blocks. numpy's
 binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
 reads one uniform U and returns 0 exactly when U <= qn = (1 - p)**n,
-which ``_thresholds`` computes bitwise as numpy (>= 2.4) does, each
-time the kept inputs change. A block saves the generator's state, draws the uniforms of the
-rest of a stretch of cycles that share one rates list in one call and
-finds the first cycle with some U > qn; it restores the state and
-re-draws the quiet cycles' uniforms, so that busy cycle runs pulse by
-pulse from the stream position it would have had. A cycle whose pulses
-are all dark draws nothing, so a dark stretch is skipped whole. Blocks run only
-where every level is in the inversion regime, at least two cycles of
-the stretch are left and a cycle is quiet with probability above
-``_QUIET_MIN``, as decided each time the kept inputs change. Elsewhere,
-and in every cycle that brings new rates, pulses run one by one. Blocks
-change no random number.
+which ``_thresholds`` computes bitwise as numpy (>= 2.4) does, each time
+the kept inputs change. A block saves the generator's state, draws the
+uniforms of the rest of a stretch of cycles that share one rates list in
+one call and finds the first cycle with some U > qn; it restores the
+state and re-draws the quiet cycles' uniforms, so that busy cycle runs
+pulse by pulse from the stream position it would have had. A cycle whose
+pulses are all dark draws nothing, so a dark stretch is skipped whole.
+Blocks run only where every level is in the inversion regime, at least
+two cycles of the stretch are left and a cycle is quiet with probability
+above ``_QUIET_MIN``, as decided each time the kept inputs change.
+Elsewhere, and in every cycle that brings new rates, pulses run one by
+one. Blocks change no random number.
 
 A worker runs its trajectories window by window on rates it resolves
 once per window, where a ramped pulse gets new rates only in cycles that
