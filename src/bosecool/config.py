@@ -52,6 +52,15 @@ def _as_level(value, dim: int, where: str) -> tuple:
     return tuple(_as_int(v, where) for v in value)
 
 
+def _as_levels(values, dim: int, where: str) -> tuple:
+    """Distinct levels: a repeated one would be read, and counted, twice."""
+    _require(isinstance(values, list), f"{where} must be a list of levels")
+    levels = tuple(_as_level(v, dim, where) for v in values)
+    for i, lv in enumerate(levels):
+        _require(lv not in levels[:i], f"{where}: level {lv} is listed twice")
+    return levels
+
+
 @dataclass(frozen=True)
 class InitialStateConfig:
     kind: str                    # thermal | point
@@ -272,9 +281,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _require(isinstance(events, bool), "recorder.events must be a boolean")
     recorder = RecorderConfig(stride=stride, events=events)
 
-    raw_watched = doc.get("watched", [])
-    _require(isinstance(raw_watched, list), "watched must be a list of levels")
-    watched = tuple(_as_level(lv, dim, "watched") for lv in raw_watched)
+    watched = _as_levels(doc.get("watched", []), dim, "watched")
 
     out = doc.get("output", {})
     _check_section(out, {"directory"}, "output")
@@ -296,8 +303,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _require(0 < threshold < 1, "hysteresis.threshold must lie in (0, 1)")
     source = (None if "source" not in hys else
               _as_level(hys["source"], dim, "hysteresis.source"))
-    targets = tuple(_as_level(lv, dim, "hysteresis.targets")
-                    for lv in hys.get("targets", []))
+    targets = _as_levels(hys.get("targets", []), dim, "hysteresis.targets")
     hysteresis = HysteresisConfig(threshold=threshold, source=source,
                                   targets=targets)
 

@@ -26,14 +26,11 @@ for any worker count and any execution order.
 A trajectory keeps each pulse's draw inputs (the occupied levels it
 couples, their counts and probabilities, the worst probability) from one
 pulse to the next, so a quiet pulse costs only its binomial draws. An
-event patches every kept entry with the levels it moved: an entry that
-couples none of them stays as it is, one that lists all of them still
-occupied takes their new counts, and a short entry gains or loses
-levels in place. A long (array) entry whose levels change, or one that
-a level past P_HARD would join, is dropped and computed afresh at its
-pulse's turn, which is where that computation raises. Every kept or
-patched value is bitwise the one a fresh computation gives, so reuse
-changes no random number.
+event drops the inputs of each pulse that couples a level it moved; they
+are computed afresh when the next block is planned or at the pulse's
+turn, where a computation that raises is left to raise. Inputs that
+couple no moved level read nothing the event changed, so reuse changes
+no random number.
 
 While the kept inputs stay the same, cycles run as blocks. numpy's
 binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
@@ -61,7 +58,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -288,27 +284,39 @@ def _draw_index(weights: np.ndarray, rng: np.random.Generator,
 _DARK = ([], [], [], 0.0)
 
 
-def _draw_inputs(occ: np.ndarray, occ_ids: np.ndarray, depletion: np.ndarray):
+def _draw_inputs(occ: np.ndarray, occupied, depletion: np.ndarray):
     """What one pulse's excitation draw reads: the occupied levels the
     pulse couples (ascending), their counts, their per-atom probabilities
     2 Gamma_m and the worst of these (0.0 when no occupied level
     couples). Ids, counts and probabilities are lists for at most
     ``_SCALAR_DRAWS`` levels, arrays above. Raises where an occupied
-    level's probability exceeds P_HARD."""
-    pa = 2.0 * depletion[occ_ids]
-    hit = pa > 0.0
-    if not hit.any():
+    level's probability exceeds P_HARD. ``occupied`` holds the occupied
+    levels in ascending order; up to ``_SCALAR_DRAWS`` of them are read
+    in plain Python, more as an int64 array, bitwise alike."""
+    if len(occupied) <= _SCALAR_DRAWS:
+        ids = [m for m in occupied if depletion[m] > 0.0]
+        n_occ = [int(occ[m]) for m in ids]
+        pa = [2.0 * float(depletion[m]) for m in ids]
+        worst = max(pa, default=0.0)
+    else:
+        occ_ids = np.asarray(occupied, dtype=np.int64)
+        pa = 2.0 * depletion[occ_ids]
+        hit = pa > 0.0
+        if not hit.any():
+            return _DARK
+        worst = float(pa.max())
+        ids = occ_ids[hit]
+        n_occ, pa = occ[ids], pa[hit]
+        if ids.size <= _SCALAR_DRAWS:
+            ids, n_occ, pa = ids.tolist(), n_occ.tolist(), pa.tolist()
+    if not worst:
         return _DARK
-    worst = float(pa.max())
     if worst > P_HARD:
         raise PhysicsValidityError(
             f"per-atom excitation probability {worst:.4f} exceeds 1 for an "
             "occupied level; the perturbative step law is invalid at this "
             "pulse area")
-    ids = occ_ids[hit]
-    if ids.size <= _SCALAR_DRAWS:
-        return ids.tolist(), occ[ids].tolist(), pa[hit].tolist(), worst
-    return ids, occ[ids], pa[hit], worst
+    return ids, n_occ, pa, worst
 
 
 def _thresholds(n_occ, pa) -> list[float] | None:
@@ -344,50 +352,6 @@ def _quiet_cycles(rng: np.random.Generator, qn: np.ndarray, cycles: int) -> int:
     return quiet
 
 
-def _patch_inputs(inputs, occ: np.ndarray, depletion: np.ndarray, touched):
-    """A pulse's kept ``_draw_inputs`` after an event changed the counts
-    of the levels in ``touched``: bitwise what a fresh computation
-    returns, or None where only that computation, at the pulse's own
-    turn, should decide (arrays whose levels change, or a level past
-    P_HARD joining, which must raise there)."""
-    coupled = [t for t in touched if depletion[t] > 0.0]
-    if not coupled:
-        return inputs
-    ids, n_occ, pa, worst = inputs
-    if type(pa) is not list:  # arrays: new counts, or a fresh computation
-        k = np.searchsorted(ids, coupled)
-        if k.max() < ids.size and (ids[k] == coupled).all() and occ[coupled].all():
-            return ids, occ[ids], pa, worst
-        return None
-    if all(t in ids and occ[t] for t in coupled):  # counts only
-        n_occ = n_occ.copy()
-        for t in coupled:
-            n_occ[ids.index(t)] = int(occ[t])
-        return ids, n_occ, pa, worst
-    ids, n_occ, pa = ids.copy(), n_occ.copy(), pa.copy()
-    for t in coupled:
-        k = bisect_left(ids, t)
-        n = int(occ[t])
-        if k < len(ids) and ids[k] == t:
-            if n:
-                n_occ[k] = n
-            else:
-                del ids[k], n_occ[k], pa[k]
-        elif n:
-            p = 2.0 * float(depletion[t])
-            if p > P_HARD:
-                return None
-            ids.insert(k, t)
-            n_occ.insert(k, n)
-            pa.insert(k, p)
-    if not ids:
-        return _DARK
-    if len(ids) <= _SCALAR_DRAWS:
-        return ids, n_occ, pa, max(pa)
-    return (np.array(ids, dtype=np.int64), np.array(n_occ, dtype=np.int64),
-            np.array(pa), max(pa))
-
-
 def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
           sp_dense: np.ndarray, rng: np.random.Generator, inputs=None):
     """Advance one pulse in place. Returns (events, worst per-atom p).
@@ -399,8 +363,8 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
 
     ``inputs`` is this pulse's ``_draw_inputs`` for the current ``occ``
     and ``rates``; without it they are computed here. A caller that
-    keeps them must patch them (``_patch_inputs``) once a step returns
-    events and drop them once ``rates`` change.
+    keeps them must drop them once ``rates`` change, or once a step
+    returns events that move a level ``rates`` couple.
     """
     if inputs is None:
         inputs = _draw_inputs(occ, np.flatnonzero(occ), rates.depletion)
@@ -541,10 +505,10 @@ class _Trajectory:
                 run.basis, run.initial, run.n_atoms, self.rng).occ
         self.occf = self.occ.astype(np.float64)
         self.n_total = float(self.occ.sum())
-        self.occupied = np.flatnonzero(self.occ).tolist()
-        self.occ_ids = np.array(self.occupied, dtype=np.int64)
-        # each pulse's draw inputs, patched after an event and dropped when
-        # the pulse's rates are no longer the object they were computed from
+        self.occupied = None  # occ's nonzero levels for _inputs; None once moved
+        # each pulse's draw inputs, dropped after an event that moves a level
+        # the pulse couples and when its rates are no longer the object they
+        # were computed from
         self.rates: list = [None] * run.schedule.n_pulses
         self.inputs = self.rates.copy()
         # _plan() of the kept inputs; None once they change
@@ -580,14 +544,29 @@ class _Trajectory:
                 self._cycle(c, values, rates)
                 c += 1
 
+    def _inputs(self, i: int):
+        """Pulse ``i``'s draw inputs at the current occupancies, now kept, so
+        the plan of the kept inputs no longer holds."""
+        if self.occupied is None:  # a list up to _SCALAR_DRAWS levels
+            ids = np.flatnonzero(self.occ)
+            self.occupied = ids.tolist() if ids.size <= _SCALAR_DRAWS else ids
+        self.inputs[i] = _draw_inputs(self.occ, self.occupied,
+                                      self.rates[i].depletion)
+        self.plan = None
+        return self.inputs[i]
+
     def _plan(self):
         """Whether cycles on the kept inputs run as blocks: False, or one
         cycle's thresholds in draw order (None where every pulse is dark)
-        and its worst p."""
-        qn, worst = [], 0.0
-        for kept in self.inputs:
+        and its worst p. Computes the missing inputs it reaches; one whose
+        computation raises stays missing, to raise at its pulse's turn."""
+        qn, worst, quiet = [], 0.0, 1.0
+        for i, kept in enumerate(self.inputs):
             if kept is None:
-                return False
+                try:
+                    kept = self._inputs(i)
+                except PhysicsValidityError:
+                    return False
             _, n_occ, pa, p = kept
             if not p:
                 continue
@@ -596,11 +575,13 @@ class _Trajectory:
             pulse_qn = _thresholds(n_occ, pa)
             if pulse_qn is None:
                 return False
+            # every qn <= 1, so the product only falls
+            quiet = math.prod(pulse_qn, start=quiet)
+            if quiet <= _QUIET_MIN:
+                return False
             qn += pulse_qn
             worst = max(worst, p)
-        if not qn:
-            return None, 0.0
-        return (np.array(qn), worst) if math.prod(qn) > _QUIET_MIN else False
+        return (np.array(qn), worst) if qn else (None, 0.0)
 
     def _quiet(self, c: int, cycles: int, values: tuple) -> int:
         """Run the quiet cycles among ``c``, ``c + 1``, ... of a stretch
@@ -622,14 +603,10 @@ class _Trajectory:
     def _cycle(self, c: int, values: tuple, rates: list) -> None:
         """Run cycle ``c`` on ``rates`` pulse by pulse."""
         run, occ, occf, rng = self.run, self.occ, self.occf, self.rng
-        occupied, occ_ids, inputs = self.occupied, self.occ_ids, self.inputs
-        p_max, n_warn = self.p_max, self.n_warn
+        inputs, p_max, n_warn = self.inputs, self.p_max, self.n_warn
         for i, pulse_rates in enumerate(rates):
             if inputs[i] is None:
-                if occ_ids is None:
-                    occ_ids = np.array(occupied, dtype=np.int64)
-                inputs[i] = _draw_inputs(occ, occ_ids, pulse_rates.depletion)
-                self.plan = None
+                self._inputs(i)
             pulse_events, p = _step(occ, occf, pulse_rates, run.sp_dense,
                                     rng, inputs[i])
             if p > p_max:
@@ -641,24 +618,14 @@ class _Trajectory:
                                   "0.5; rates are near the edge of the "
                                   "perturbative regime", stacklevel=3)
             if pulse_events:
-                self.plan = None
+                self.plan = self.occupied = None
                 touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
-                for t in touched:
-                    k = bisect_left(occupied, t)
-                    listed = k < len(occupied) and occupied[k] == t
-                    if listed != bool(occ[t]):
-                        if listed:
-                            del occupied[k]
-                        else:
-                            occupied.insert(k, t)
-                        occ_ids = None
-                for j, kept in enumerate(inputs):
-                    if kept is not None:
-                        inputs[j] = _patch_inputs(kept, occ, rates[j].depletion,
-                                                  touched)
+                for j, r in enumerate(rates):
+                    if any(r.depletion[t] > 0.0 for t in touched):
+                        inputs[j] = None
                 if run.recorder.record_events:
                     self.events.extend((c, i) + ev for ev in pulse_events)
-        self.occ_ids, self.p_max, self.n_warn = occ_ids, p_max, n_warn
+        self.p_max, self.n_warn = p_max, n_warn
         self._rows(c, c + 1, values)
 
     def record(self) -> TrajectoryRecord:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import glob
 import os
+import re
 
 import pytest
 
@@ -187,6 +188,22 @@ def test_levels_outside_basis_rejected(key, level):
         doc["criterion"] = {"target": level}
         match = "outside the basis"
     with pytest.raises(ConfigError, match=match):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("watched", [[0], [1], [0]], "watched: level (0,) is listed twice"),
+    ("hysteresis", {"source": [5], "targets": [[1], [0], [1]]},
+     "hysteresis.targets: level (1,) is listed twice"),
+    ("hysteresis", {"source": [5], "targets": 5},
+     "hysteresis.targets must be a list of levels"),
+])
+def test_level_lists_rejected(key, value, message):
+    # a repeated watched level would write its observables.csv columns twice,
+    # and a repeated target would count twice in the hysteresis target series
+    doc = base_doc()
+    doc[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(doc)
 
 

@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
@@ -1166,6 +1166,105 @@ def test_patched_draw_inputs_raise_at_the_reference_pulse(monkeypatch):
         assert len(done) == want
         steps.append(want)
     assert min(steps) > schedule.n_pulses and len(set(steps)) > 1
+
+
+def test_events_drop_only_the_inputs_that_couple_a_moved_level():
+    # pulse 0 moves atoms between levels 0 and 1 only; pulse 1 couples only
+    # level 3, so its kept inputs must outlive pulse 0's events untouched
+    basis, params, schedule = make_1d_system(max_shell=5, pulses=(-1, -2),
+                                             cycles=50)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[[0, 1, 3]] = (2, 1, 1)
+    run = dynamics._Run(basis, params, schedule, Configuration(occ), None,
+                        RecorderSpec(watched_ids=(0,)), None)
+    sp = np.zeros((basis.size, basis.size), order="F")
+    sp[:2, :2] = 1.0
+    sp[3, 3] = 1.0
+    run.sp_dense = sp
+    rates = [pulse_rates(basis.size, [(0, 0, 0.2), (1, 1, 0.2)]),
+             pulse_rates(basis.size, [(3, 3, 1e-9)])]
+    t = dynamics._Trajectory(run, (11,))
+    t.rates = rates
+    for c in range(schedule.total_cycles):
+        before = [t._inputs(i) if kept is None else kept
+                  for i, kept in enumerate(t.inputs)]
+        t._cycle(c, (), rates)
+        if t.events:
+            break
+    assert {ev[2] for ev in t.events} | {ev[4] for ev in t.events} <= {0, 1}
+    assert t.inputs[1] is before[1]
+    assert t.inputs[0] is None  # dropped at its own turn, refilled by the plan
+    t._plan()
+    assert t.inputs[0] == dynamics._draw_inputs(t.occ, np.flatnonzero(t.occ),
+                                                rates[0].depletion)
+
+
+def numpy_draw_inputs(occ, occupied, depletion):
+    """``_draw_inputs`` as numpy computes it for long level sets, with the
+    result a short set gets: lists, or ``_DARK`` where nothing couples."""
+    occ_ids = np.array(occupied, dtype=np.int64)
+    pa = 2.0 * depletion[occ_ids]
+    hit = pa > 0.0
+    if not hit.any():
+        return dynamics._DARK
+    worst = float(pa.max())
+    if worst > dynamics.P_HARD:
+        raise PhysicsValidityError("exceeds 1")
+    ids = occ_ids[hit]
+    return ids.tolist(), occ[ids].tolist(), pa[hit].tolist(), worst
+
+
+_DEPLETION_EDGES = (0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 0.0),
+                    math.nextafter(0.5, 1.0))
+
+
+@st.composite
+def scalar_draw_cases(draw):
+    """0 to ``_SCALAR_DRAWS`` occupied levels of 12, each level's depletion
+    dark, subnormal, ordinary or next to where 2 Gamma_m crosses P_HARD."""
+    size = 12
+    occupied = sorted(draw(st.sets(st.integers(0, size - 1),
+                                   max_size=dynamics._SCALAR_DRAWS)))
+    occ = np.zeros(size, dtype=np.int64)
+    for m in occupied:
+        occ[m] = draw(st.integers(1, 500))
+    depletion = np.array([draw(st.one_of(
+        st.sampled_from(_DEPLETION_EDGES),
+        st.floats(0.0, 0.6, allow_subnormal=True))) for _ in range(size)])
+    return occ, occupied, depletion
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(scalar_draw_cases())
+@example((np.array([3, 0, 1]), [0, 2], np.array([0.5, 0.0, 0.0])))
+@example((np.array([3, 0, 1]), [0, 2],
+          np.array([0.1, 0.3, math.nextafter(0.5, 1.0)])))
+@example((np.array([0, 2, 0]), [1], np.array([0.2, 0.0, 0.2])))
+def test_scalar_draw_inputs_match_numpy(case):
+    # up to _SCALAR_DRAWS occupied levels, _draw_inputs reads them in plain
+    # Python; that must be bitwise what the array path gives, and raise
+    # exactly where it raises: at p > P_HARD, not at p == P_HARD
+    occ, occupied, depletion = case
+    try:
+        want = numpy_draw_inputs(occ, occupied, depletion)
+    except PhysicsValidityError:
+        with pytest.raises(PhysicsValidityError, match="exceeds 1"):
+            dynamics._draw_inputs(occ, occupied, depletion)
+        return
+    got = dynamics._draw_inputs(occ, occupied, depletion)
+    if want is dynamics._DARK:
+        assert got is dynamics._DARK
+        return
+    ids, n_occ, pa, worst = got
+    assert (ids, n_occ) == want[:2]
+    assert bits(pa) == bits(want[2]) and bits([worst]) == bits([want[3]])
+    assert [type(x) for x in got] == [list, list, list, float]
+    assert {type(x) for x in ids + n_occ} == {int}
+    assert {type(p) for p in pa} == {float}
 
 
 def test_ramp_through_all_zero_beams_is_refused_at_construction():

@@ -10,6 +10,7 @@ import inspect
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bosecool import (EmissionMatrix, SimParams, build_spontaneous_rates,
@@ -118,3 +119,33 @@ def test_config_fields_the_benchmark_reads():
     assert {"omega0_tau_abs", "n_atoms", "n_traj", "dim", "emission_pattern",
             "quadrature_order", "cache_dir", "watched", "initial"} <= names
     assert "level" in {f.name for f in dataclasses.fields(InitialStateConfig)}
+
+
+def test_sampler_step_is_bound_by_name(monkeypatch):
+    # the tracer counts pulses by replacing the module's ``_step``, which
+    # must return (events, p); without ``_step`` it skips those counters
+    # silently, so a rename has to fail here
+    from bosecool import (Configuration, PulseSpec, RecorderSpec, Schedule,
+                          run_trajectory)
+    dynamics = importlib.import_module("bosecool.dynamics")
+    assert "_step" in vars(dynamics)
+    step, outs = dynamics._step, []
+
+    def counted_step(*args, **kwargs):
+        outs.append(step(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(dynamics, "_step", counted_step)
+    basis = enumerate_levels(1, 3)
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=20)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[3] = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        run_trajectory(basis, SimParams(eta=0.9, omega0_tau_abs=0.8), schedule,
+                       Configuration(occ), None, 1, RecorderSpec(watched_ids=(0,)))
+    assert any(events for events, _ in outs)
+    for out in outs:
+        events, p = out
+        assert type(out) is tuple and type(events) is tuple and type(p) is float
+        assert all(len(ev) == 3 for ev in events)
