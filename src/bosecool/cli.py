@@ -81,20 +81,6 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-@dataclasses.dataclass
-class _Prepared:
-    cfg: RunConfig
-    basis: Basis
-    params: object
-    schedule: object
-    provider: MatrixProvider
-    distribution: np.ndarray
-    watched_levels: tuple
-    watched_ids: tuple
-    omega0_resolved: float
-    omega0_was_auto: bool
-
-
 def _physical_memory() -> int | None:
     """Physical memory in bytes, or None where the platform cannot say."""
     try:
@@ -116,69 +102,61 @@ def _check_emission_memory(basis: Basis, quadrature) -> None:
             "lower basis.max_shell")
 
 
-def _prepare(cfg: RunConfig, extra_watched=(),
-             emission: bool = True) -> _Prepared:
-    """Resolve a config into a run; ``emission`` says whether the command
-    needs the emission matrix, whose memory is checked first."""
+def _watched(cfg: RunConfig, extra=()) -> list:
+    """The levels a run records: ``cfg.watched``, then those of ``extra``
+    not among them."""
+    levels = list(dict.fromkeys((*cfg.watched, *extra)))
+    if not levels:
+        raise ConfigError("at least one watched level is required")
+    return levels
+
+
+def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
+    """The provider of a config's basis, params and resolved pulse area;
+    ``emission`` says whether the command needs the emission matrix, whose
+    memory is checked first."""
     basis = cfg.build_basis()
     quadrature = emission_quadrature(cfg.dim, cfg.emission_pattern,
                                      polar_order=cfg.quadrature_order)
     if emission:
         _check_emission_memory(basis, quadrature)
-    schedule = cfg.schedule
-    distribution = cfg.initial_distribution(basis)
-
-    watched_levels = list(cfg.watched)
-    for lv in extra_watched:
-        if lv not in watched_levels:
-            watched_levels.append(lv)
-    if not watched_levels:
-        raise ConfigError("at least one watched level is required")
-    watched_ids = tuple(basis.id_of(lv) for lv in watched_levels)
-
-    was_auto = cfg.omega0_tau_abs == "auto"
     structures = StructureMemo()  # calibration's structures serve the run too
-    if was_auto:
+    if cfg.omega0_tau_abs == "auto":
         probe = cfg.build_params(omega0_resolved=0.5)
-        expected = cfg.n_atoms * distribution
-        omega0 = calibrate_pulse_area(basis, probe, schedule, expected,
+        expected = cfg.n_atoms * cfg.initial_distribution(basis)
+        omega0 = calibrate_pulse_area(basis, probe, cfg.schedule, expected,
                                       structures=structures)
     else:
         omega0 = float(cfg.omega0_tau_abs)
-    params = cfg.build_params(omega0_resolved=omega0)
-
     if cfg.cache_dir is not None:
         os.makedirs(cfg.cache_dir, exist_ok=True)
-    provider = MatrixProvider(basis, params, cache_dir=cfg.cache_dir,
-                              quadrature=quadrature, structures=structures)
-    return _Prepared(cfg=cfg, basis=basis, params=params, schedule=schedule,
-                     provider=provider, distribution=distribution,
-                     watched_levels=tuple(watched_levels),
-                     watched_ids=watched_ids, omega0_resolved=omega0,
-                     omega0_was_auto=was_auto)
+    return MatrixProvider(basis, cfg.build_params(omega0_resolved=omega0),
+                          cache_dir=cfg.cache_dir, quadrature=quadrature,
+                          structures=structures)
 
 
-def _run(prep: _Prepared, threads: int) -> tuple[EnsembleResult, float]:
+def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,
+         threads: int) -> tuple[EnsembleResult, float]:
     """The ensemble and its wall time; matrices load or build untimed."""
-    cfg = prep.cfg
-    recorder = RecorderSpec(watched_ids=prep.watched_ids,
+    basis = provider.basis
+    recorder = RecorderSpec(watched_ids=tuple(basis.id_of(lv) for lv in watched),
                             stride=cfg.recorder.stride,
                             record_events=cfg.recorder.events)
-    prep.provider.prepare(prep.schedule)
+    provider.prepare(cfg.schedule)
     start = time.monotonic()
-    result = run_ensemble(prep.basis, prep.params, prep.schedule,
-                          prep.distribution, cfg.n_atoms, cfg.n_traj,
-                          cfg.seed, recorder, provider=prep.provider,
+    result = run_ensemble(basis, provider.params, cfg.schedule,
+                          cfg.initial_distribution(basis), cfg.n_atoms,
+                          cfg.n_traj, cfg.seed, recorder, provider=provider,
                           threads=threads)
     return result, time.monotonic() - start
 
 
-def _observables_csv(prep: _Prepared, result: EnsembleResult) -> str:
-    cfg = prep.cfg
+def _observables_csv(cfg: RunConfig, watched: list,
+                     result: EnsembleResult) -> str:
     buf = io.StringIO()
     cols = ["cycle"]
     cols += [f"ramp{pi}_{fld}" for pi, fld in result.ramp_fields]
-    for lv in prep.watched_levels:
+    for lv in watched:
         tag = _level_tag(lv)
         cols += [f"frac_{tag}_mean", f"frac_{tag}_std"]
     cols.append("mean_shell")
@@ -189,7 +167,7 @@ def _observables_csv(prep: _Prepared, result: EnsembleResult) -> str:
     for r in range(result.cycles.shape[0]):
         row = [str(int(result.cycles[r]))]
         row += [_fmt(v) for v in result.ramp_values[r]]
-        for j in range(len(prep.watched_ids)):
+        for j in range(len(watched)):
             row.append(_fmt(frac_mean[r, j]))
             row.append(_fmt(frac_std[r, j]))
         row.append(_fmt(result.mean_shell_mean[r]))
@@ -206,24 +184,24 @@ def _events_csv(result: EnsembleResult) -> str:
     return buf.getvalue()
 
 
-def _summary_text(prep: _Prepared, result: EnsembleResult, command: str,
-                  threads: int, wall: float, extra_lines=()) -> str:
-    cfg = prep.cfg
+def _summary_text(cfg: RunConfig, provider: MatrixProvider, watched: list,
+                  result: EnsembleResult, command: str, threads: int,
+                  wall: float, extra_lines=()) -> str:
     frac_mean = result.watched_mean / cfg.n_atoms
     first = frac_mean[:, 0]
     above = np.flatnonzero(first > 0.9)
     to_90 = str(int(result.cycles[above[0]])) if above.size else "none"
-    counters = prep.provider.counters
+    counters = provider.counters
     lines = [
         f"command: {command}",
         f"seed: {cfg.seed}",
         f"threads: {threads}",
         f"atoms: {cfg.n_atoms}",
         f"trajectories: {cfg.n_traj}",
-        f"total_cycles: {prep.schedule.total_cycles}",
-        f"omega0_tau_abs: {_fmt(prep.omega0_resolved)}"
-        + (" (auto)" if prep.omega0_was_auto else ""),
-        f"final_fraction_{_level_tag(prep.watched_levels[0])}: "
+        f"total_cycles: {cfg.schedule.total_cycles}",
+        f"omega0_tau_abs: {_fmt(provider.params.omega0_tau_abs)}"
+        + (" (auto)" if cfg.omega0_tau_abs == "auto" else ""),
+        f"final_fraction_{_level_tag(watched[0])}: "
         + _fmt(first[-1]),
         f"cycles_to_0.9: {to_90}",
         f"p_max: {_fmt(result.p_max)}",
@@ -244,23 +222,25 @@ def _summary_text(prep: _Prepared, result: EnsembleResult, command: str,
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     threads = _threads(args)
-    prep = _prepare(cfg)
-    result, wall = _run(prep, threads)
+    watched = _watched(cfg)
+    provider = _prepare(cfg)
+    result, wall = _run(cfg, provider, watched, threads)
     _write_outputs(cfg.out_dir, {
-        "observables.csv": _observables_csv(prep, result),
+        "observables.csv": _observables_csv(cfg, watched, result),
         "events.csv": _events_csv(result),
-        "summary.txt": _summary_text(prep, result, "simulate", threads, wall)})
+        "summary.txt": _summary_text(cfg, provider, watched, result,
+                                     "simulate", threads, wall)})
     return 0
 
 
 def cmd_darkstates(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    prep = _prepare(cfg, emission=False)
-    pulses = resolve_cycle(prep.schedule, 0)
-    exact = find_dark_states(pulses, prep.basis, prep.params,
-                             provider=prep.provider)
-    near = find_dark_states(pulses, prep.basis, prep.params, tol=1e-3,
-                            provider=prep.provider)
+    provider = _prepare(cfg, emission=False)
+    pulses = resolve_cycle(cfg.schedule, 0)
+    exact = find_dark_states(pulses, provider.basis, provider.params,
+                             provider=provider)
+    near = find_dark_states(pulses, provider.basis, provider.params, tol=1e-3,
+                            provider=provider)
     lines = [f"pulses: {len(pulses)}",
              f"exact_dark_count: {len(exact)}"]
     lines += [f"dark: level={lv} depletion={_fmt(g)}" for lv, g in exact]
@@ -274,11 +254,11 @@ def cmd_criterion(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if cfg.criterion_target is None:
         raise ConfigError("criterion.target is required for this command")
-    prep = _prepare(cfg, extra_watched=(cfg.criterion_target,))
-    pulses = resolve_cycle(prep.schedule, 0)
-    report = condensation_criterion(pulses, prep.basis, prep.params,
-                                    cfg.criterion_target,
-                                    provider=prep.provider,
+    provider = _prepare(cfg)
+    basis = provider.basis
+    pulses = resolve_cycle(cfg.schedule, 0)
+    report = condensation_criterion(pulses, basis, provider.params,
+                                    cfg.criterion_target, provider=provider,
                                     n_atoms=cfg.n_atoms)
     lines = [
         f"target: {report.target_level}",
@@ -288,10 +268,10 @@ def cmd_criterion(args) -> int:
         f"indeterminate_sources: {report.indeterminate_source_ids.size}",
     ]
     for i in report.violating_ids[:50]:
-        lines.append(f"violating: level={prep.basis.level(int(i))} "
+        lines.append(f"violating: level={basis.level(int(i))} "
                      f"net_drain={_fmt(report.tilde[int(i)])}")
     for i in report.indeterminate_source_ids[:50]:
-        lines.append(f"indeterminate_source: level={prep.basis.level(int(i))}")
+        lines.append(f"indeterminate_source: level={basis.level(int(i))}")
     if report.cooling_time_cycles is not None:
         lines.append(f"cooling_time_cycles: {_fmt(report.cooling_time_cycles)}")
         lines.append(f"cooling_time_seconds: {_fmt(report.cooling_time_seconds)}")
@@ -311,15 +291,15 @@ def cmd_hysteresis(args) -> int:
         raise ConfigError("hysteresis.source level is required")
     if not cfg.hysteresis.targets:
         raise ConfigError("hysteresis.targets must list at least one level")
-    prep = _prepare(cfg, extra_watched=(cfg.hysteresis.source,
-                                        *cfg.hysteresis.targets))
-    if not prep.schedule.ramps:
+    if not cfg.schedule.ramps:
         raise ConfigError("no ramp declared in the schedule")
-    result, wall = _run(prep, threads)
+    watched = _watched(cfg, (cfg.hysteresis.source, *cfg.hysteresis.targets))
+    provider = _prepare(cfg)
+    result, wall = _run(cfg, provider, watched, threads)
 
     ramp = result.ramp_values[:, 0]
     frac = result.watched_mean / cfg.n_atoms
-    idx = {lv: prep.watched_levels.index(lv)
+    idx = {lv: watched.index(lv)
            for lv in (cfg.hysteresis.source, *cfg.hysteresis.targets)}
     source_series = frac[:, idx[cfg.hysteresis.source]]
     target_series = sum(frac[:, idx[lv]] for lv in cfg.hysteresis.targets)
@@ -346,10 +326,11 @@ def cmd_hysteresis(args) -> int:
         f"found_both: {res.found_both}",
     ]
     _write_outputs(cfg.out_dir, {
-        "observables.csv": _observables_csv(prep, result),
+        "observables.csv": _observables_csv(cfg, watched, result),
         "events.csv": _events_csv(result),
         "hysteresis.txt": "\n".join(extra) + "\n",
-        "summary.txt": _summary_text(prep, result, "hysteresis", threads, wall,
+        "summary.txt": _summary_text(cfg, provider, watched, result,
+                                     "hysteresis", threads, wall,
                                      extra_lines=extra)})
     return 0
 

@@ -28,7 +28,7 @@ couples, their counts and probabilities, the worst probability) from one
 pulse to the next, so a quiet pulse costs only its binomial draws. An
 event drops the inputs of each pulse that couples a level it moved; they
 are computed afresh when the next block is planned or at the pulse's
-turn, where a computation that raises is left to raise. Inputs that
+turn, where the step refuses inputs past the hard bound. Inputs that
 couple no moved level read nothing the event changed, so reuse changes
 no random number.
 
@@ -288,11 +288,11 @@ def _draw_inputs(occ: np.ndarray, occupied, depletion: np.ndarray):
     """What one pulse's excitation draw reads: the occupied levels the
     pulse couples (ascending), their counts, their per-atom probabilities
     2 Gamma_m and the worst of these (0.0 when no occupied level
-    couples). Ids, counts and probabilities are lists for at most
-    ``_SCALAR_DRAWS`` levels, arrays above. Raises where an occupied
-    level's probability exceeds P_HARD. ``occupied`` holds the occupied
-    levels in ascending order; up to ``_SCALAR_DRAWS`` of them are read
-    in plain Python, more as an int64 array, bitwise alike."""
+    couples), which ``_step`` refuses above P_HARD. Ids, counts and
+    probabilities are lists for at most ``_SCALAR_DRAWS`` levels, arrays
+    above. ``occupied`` holds the occupied levels in ascending order; up
+    to ``_SCALAR_DRAWS`` of them are read in plain Python, more as an
+    int64 array, bitwise alike."""
     if len(occupied) <= _SCALAR_DRAWS:
         ids = [m for m in occupied if depletion[m] > 0.0]
         n_occ = [int(occ[m]) for m in ids]
@@ -311,11 +311,6 @@ def _draw_inputs(occ: np.ndarray, occupied, depletion: np.ndarray):
             ids, n_occ, pa = ids.tolist(), n_occ.tolist(), pa.tolist()
     if not worst:
         return _DARK
-    if worst > P_HARD:
-        raise PhysicsValidityError(
-            f"per-atom excitation probability {worst:.4f} exceeds 1 for an "
-            "occupied level; the perturbative step law is invalid at this "
-            "pulse area")
     return ids, n_occ, pa, worst
 
 
@@ -352,9 +347,10 @@ def _quiet_cycles(rng: np.random.Generator, qn: np.ndarray, cycles: int) -> int:
     return quiet
 
 
-def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
-          sp_dense: np.ndarray, rng: np.random.Generator, inputs=None):
-    """Advance one pulse in place. Returns (events, worst per-atom p).
+def _step(occ: np.ndarray, rates: PulseRates, sp_dense: np.ndarray,
+          rng: np.random.Generator, inputs=None):
+    """Advance one pulse in place. Returns (events, worst per-atom p);
+    raises before any draw where that p exceeds P_HARD.
 
     Draw order is fixed: one binomial per occupied coupled level in
     ascending level order, one permutation for the emission order, then
@@ -371,6 +367,11 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     occ_ids, n_occ, pa, worst = inputs
     if not worst:
         return (), 0.0
+    if worst > P_HARD:
+        raise PhysicsValidityError(
+            f"per-atom excitation probability {worst:.4f} exceeds 1 for an "
+            "occupied level; the perturbative step law is invalid at this "
+            "pulse area")
     if type(pa) is list:
         counts = [rng.binomial(k, q) for k, q in zip(n_occ, pa)]
         if not any(counts):
@@ -384,7 +385,6 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
     total = int(counts.sum())
     absorbed = np.repeat(occ_ids, counts)
     occ[occ_ids] -= counts
-    occf[occ_ids] -= counts.astype(np.float64)
     emit_order = rng.permutation(total) if total > 1 else np.zeros(1, int)
 
     excited = np.empty(total, dtype=np.int64)
@@ -394,7 +394,7 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
 
     # Bose-enhanced weights Gamma_sp[:, l] * (occ + 1), with occ + 1 kept
     # up to date and both buffers reused across this pulse's emissions
-    occ1 = occf + 1.0
+    occ1 = occ + 1.0
     weights = np.empty_like(occ1)
     cw = np.empty_like(occ1)
     events = []
@@ -403,7 +403,6 @@ def _step(occ: np.ndarray, occf: np.ndarray, rates: PulseRates,
         l = int(excited[i])
         n = _draw_index(np.multiply(sp_dense[:, l], occ1, out=weights), rng, cw)
         occ[n] += 1
-        occf[n] += 1.0
         occ1[n] += 1.0
         events.append((m, l, n))
     return tuple(events), worst
@@ -414,8 +413,7 @@ def pulse_step(config: Configuration, rates: PulseRates, sp_dense: np.ndarray,
     """One stochastic pulse applied to a copy of ``config``; ``sp_dense``
     is the dense emission matrix."""
     out = config.copy()
-    occf = out.occ.astype(np.float64)
-    events, p = _step(out.occ, occf, rates, sp_dense, rng)
+    events, p = _step(out.occ, rates, sp_dense, rng)
     return PulseStepOutcome(config=out, p_excite=p, events=events)
 
 
@@ -503,7 +501,6 @@ class _Trajectory:
         else:  # the draw consumes the leading output of the stream
             self.occ = sample_initial_configuration(
                 run.basis, run.initial, run.n_atoms, self.rng).occ
-        self.occf = self.occ.astype(np.float64)
         self.n_total = float(self.occ.sum())
         self.occupied = None  # occ's nonzero levels for _inputs; None once moved
         # each pulse's draw inputs, dropped after an event that moves a level
@@ -520,7 +517,7 @@ class _Trajectory:
 
     def _row(self, done: int, values: tuple) -> None:
         self.rows.append((done, self.occ[self.run.watched].copy(),
-                          float(self.run.shells_f @ self.occf / self.n_total),
+                          float(self.run.shells_f @ self.occ / self.n_total),
                           values))
 
     def advance(self, c: int, stretches) -> None:
@@ -558,15 +555,12 @@ class _Trajectory:
     def _plan(self):
         """Whether cycles on the kept inputs run as blocks: False, or one
         cycle's thresholds in draw order (None where every pulse is dark)
-        and its worst p. Computes the missing inputs it reaches; one whose
-        computation raises stays missing, to raise at its pulse's turn."""
+        and its worst p. Computes the missing inputs it reaches; a p past
+        P_HARD lies outside inversion, so its step raises at its turn."""
         qn, worst, quiet = [], 0.0, 1.0
         for i, kept in enumerate(self.inputs):
             if kept is None:
-                try:
-                    kept = self._inputs(i)
-                except PhysicsValidityError:
-                    return False
+                kept = self._inputs(i)
             _, n_occ, pa, p = kept
             if not p:
                 continue
@@ -602,13 +596,13 @@ class _Trajectory:
 
     def _cycle(self, c: int, values: tuple, rates: list) -> None:
         """Run cycle ``c`` on ``rates`` pulse by pulse."""
-        run, occ, occf, rng = self.run, self.occ, self.occf, self.rng
+        run, occ, rng = self.run, self.occ, self.rng
         inputs, p_max, n_warn = self.inputs, self.p_max, self.n_warn
         for i, pulse_rates in enumerate(rates):
             if inputs[i] is None:
                 self._inputs(i)
-            pulse_events, p = _step(occ, occf, pulse_rates, run.sp_dense,
-                                    rng, inputs[i])
+            pulse_events, p = _step(occ, pulse_rates, run.sp_dense, rng,
+                                    inputs[i])
             if p > p_max:
                 p_max = p
             if p > P_WARN:

@@ -1,4 +1,5 @@
-"""Shared pytest hooks: one summary line per acceptance criterion."""
+"""Shared pytest hooks: one summary line per acceptance criterion, with
+the time its test call took."""
 
 from __future__ import annotations
 
@@ -27,11 +28,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             if found is None:
                 continue
             n = int(found.group(1))
-            slot = outcome.setdefault(n, {"passed": False, "bad": False})
+            slot = outcome.setdefault(n, {"passed": False, "bad": False,
+                                          "seconds": None})
+            call = getattr(rep, "when", "") == "call"
+            if call:
+                slot["seconds"] = rep.duration
             if getattr(rep, "failed", False) or getattr(rep, "skipped", False):
                 slot["bad"] = True
-            elif (getattr(rep, "when", "") == "call"
-                  and getattr(rep, "passed", False)):
+            elif call and getattr(rep, "passed", False):
                 slot["passed"] = True
     if not outcome:
         return
@@ -39,5 +43,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for n in sorted(outcome):
         ok = outcome[n]["passed"] and not outcome[n]["bad"]
         title = _TITLES.get(n, "unnamed")
+        seconds = outcome[n]["seconds"]
+        took = "" if seconds is None else f" ({seconds:.1f} s)"
         terminalreporter.write_line(
-            f"ACCEPTANCE {n} ({title}): {'PASS' if ok else 'FAIL'}")
+            f"ACCEPTANCE {n} ({title}): {'PASS' if ok else 'FAIL'}{took}")

@@ -135,6 +135,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc, "noramp.yaml")
     assert run_cli(["hysteresis", "--config", cfg]) == 2
     assert "no ramp" in capsys.readouterr().err
+    # the ramp check comes before the pulse area is calibrated, which this
+    # config cannot be: its atoms start in the level the pulse leaves dark
+    doc = {"basis": {"dim": 1, "max_shell": 3},
+           "params": {"eta": 0.7, "omega0_tau_abs": "auto"},
+           "initial": {"point_level": [0]},
+           "schedule": {"pulses": [{"s": -1}], "total_cycles": 10},
+           "hysteresis": {"source": [1], "targets": [[0]]},
+           "output": {"directory": out}}
+    cfg = write_doc(tmp_path, doc, "noramp_auto.yaml")
+    assert run_cli(["hysteresis", "--config", cfg]) == 2
+    assert "error: config: no ramp" in capsys.readouterr().err
 
     cfg = write_doc(tmp_path, sim_doc(out), "seed.yaml")
     assert run_cli(["simulate", "--config", cfg, "--seed", "-1"]) == 2
@@ -308,6 +319,11 @@ def test_darkstates_reports_the_ground_level(tmp_path):
     text = read(out, "darkstates.txt")
     assert "exact_dark_count: 1" in text
     assert "dark: level=(0,) depletion=0" in text
+    # darkstates reads no watched level, so it needs none
+    del doc["watched"]
+    doc["output"]["directory"] = str(tmp_path / "unwatched")
+    assert run_cli(["darkstates", "--config", write_doc(tmp_path, doc)]) == 0
+    assert read(str(tmp_path / "unwatched"), "darkstates.txt") == text
 
 
 def test_criterion_reports_condensing(tmp_path):

@@ -59,8 +59,7 @@ def sample_steps(occ0, rates, sp, n_steps, seed):
     all_events = []
     for _ in range(n_steps):
         occ = template.copy()
-        occf = occ.astype(np.float64)
-        events, _ = _step(occ, occf, rates, sp, rng)
+        events, _ = _step(occ, rates, sp, rng)
         all_events.append(events)
         assert occ.sum() == template.sum()
     return all_events
@@ -672,7 +671,6 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
     sp = provider.spontaneous_dense()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
     occ = initial.occ.copy()
-    occf = occ.astype(np.float64)
     shells = basis.shells.astype(np.float64)
     n_total = float(occ.sum())
     watched = np.asarray(recorder.watched_ids, dtype=np.int64)
@@ -683,7 +681,7 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
     p_max, n_warn, steps = 0.0, 0, 0
 
     def row(done, pulses):
-        rows.append((done, occ[watched].copy(), float(shells @ occf / n_total),
+        rows.append((done, occ[watched].copy(), float(shells @ occ / n_total),
                      [pulses[i].field_value(f) for i, f in fields]))
 
     for c in range(schedule.total_cycles):
@@ -693,7 +691,7 @@ def _reference_trajectory(basis, params, schedule, initial, seed_key, recorder):
         for i, pulse in enumerate(pulses):
             rates = provider.absorption(pulse, persist=i not in ramped)
             try:
-                pulse_events, p = _step(occ, occf, rates, sp, rng)
+                pulse_events, p = _step(occ, rates, sp, rng)
             except PhysicsValidityError:
                 return steps
             steps += 1
@@ -1208,8 +1206,6 @@ def numpy_draw_inputs(occ, occupied, depletion):
     if not hit.any():
         return dynamics._DARK
     worst = float(pa.max())
-    if worst > dynamics.P_HARD:
-        raise PhysicsValidityError("exceeds 1")
     ids = occ_ids[hit]
     return ids.tolist(), occ[ids].tolist(), pa[hit].tolist(), worst
 
@@ -1246,15 +1242,9 @@ def bits(values):
 @example((np.array([0, 2, 0]), [1], np.array([0.2, 0.0, 0.2])))
 def test_scalar_draw_inputs_match_numpy(case):
     # up to _SCALAR_DRAWS occupied levels, _draw_inputs reads them in plain
-    # Python; that must be bitwise what the array path gives, and raise
-    # exactly where it raises: at p > P_HARD, not at p == P_HARD
+    # Python; that must be bitwise what the array path gives
     occ, occupied, depletion = case
-    try:
-        want = numpy_draw_inputs(occ, occupied, depletion)
-    except PhysicsValidityError:
-        with pytest.raises(PhysicsValidityError, match="exceeds 1"):
-            dynamics._draw_inputs(occ, occupied, depletion)
-        return
+    want = numpy_draw_inputs(occ, occupied, depletion)
     got = dynamics._draw_inputs(occ, occupied, depletion)
     if want is dynamics._DARK:
         assert got is dynamics._DARK
@@ -1265,6 +1255,28 @@ def test_scalar_draw_inputs_match_numpy(case):
     assert [type(x) for x in got] == [list, list, list, float]
     assert {type(x) for x in ids + n_occ} == {int}
     assert {type(p) for p in pa} == {float}
+
+
+def test_step_refuses_kept_inputs_past_the_hard_bound_before_drawing():
+    # level 0 depletes at 0.5, so its per-atom p is exactly P_HARD; kept
+    # inputs one ulp past it raise in either form and leave the stream and
+    # the occupancies untouched, while P_HARD itself draws
+    rates = pulse_rates(2, [(1, 0, 0.5)])
+    sp = np.eye(2)
+    past = math.nextafter(dynamics.P_HARD, 2.0)
+    for kept in (([0], [2], [past], past),
+                 (np.array([0]), np.array([2]), np.array([past]), past)):
+        occ, rng = np.array([2, 0]), rng_of(3)
+        before = stream_position(rng)
+        with pytest.raises(PhysicsValidityError, match="exceeds 1"):
+            _step(occ, rates, sp, rng, kept)
+        assert stream_position(rng) == before
+        assert occ.tolist() == [2, 0]
+    kept = dynamics._draw_inputs(occ, [0], rates.depletion)
+    assert kept == ([0], [2], [dynamics.P_HARD], dynamics.P_HARD)
+    events, p = _step(occ, rates, sp, rng, kept)
+    assert p == dynamics.P_HARD and events == ((0, 1, 1), (0, 1, 1))
+    assert occ.tolist() == [0, 2] and stream_position(rng) != before
 
 
 def test_ramp_through_all_zero_beams_is_refused_at_construction():
