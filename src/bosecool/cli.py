@@ -137,17 +137,18 @@ def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
 
 def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,
          threads: int) -> tuple[EnsembleResult, float]:
-    """The ensemble and its wall time; matrices load or build untimed."""
+    """The ensemble and its wall time; matrices load or build untimed,
+    after the initial state is checked."""
     basis = provider.basis
+    initial = cfg.initial_distribution(basis)
     recorder = RecorderSpec(watched_ids=tuple(basis.id_of(lv) for lv in watched),
                             stride=cfg.recorder.stride,
                             record_events=cfg.recorder.events)
     provider.prepare(cfg.schedule)
     start = time.monotonic()
-    result = run_ensemble(basis, provider.params, cfg.schedule,
-                          cfg.initial_distribution(basis), cfg.n_atoms,
-                          cfg.n_traj, cfg.seed, recorder, provider=provider,
-                          threads=threads)
+    result = run_ensemble(basis, provider.params, cfg.schedule, initial,
+                          cfg.n_atoms, cfg.n_traj, cfg.seed, recorder,
+                          provider=provider, threads=threads)
     return result, time.monotonic() - start
 
 

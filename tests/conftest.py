@@ -1,5 +1,5 @@
 """Shared pytest hooks: one summary line per acceptance criterion, with
-the time its test call took."""
+the time its test calls took."""
 
 from __future__ import annotations
 
@@ -25,17 +25,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for reports in terminalreporter.stats.values():
         for rep in reports:
             found = _PATTERN.search(getattr(rep, "nodeid", ""))
-            if found is None:
-                continue
+            if found is None or not hasattr(rep, "when"):
+                continue  # deselected tests are listed as items, not reports
             n = int(found.group(1))
             slot = outcome.setdefault(n, {"passed": False, "bad": False,
                                           "seconds": None})
-            call = getattr(rep, "when", "") == "call"
-            if call:
-                slot["seconds"] = rep.duration
-            if getattr(rep, "failed", False) or getattr(rep, "skipped", False):
+            call = rep.when == "call"
+            if call:  # a criterion may have several tests
+                slot["seconds"] = (slot["seconds"] or 0.0) + rep.duration
+            if rep.failed or rep.skipped:
                 slot["bad"] = True
-            elif call and getattr(rep, "passed", False):
+            elif call and rep.passed:
                 slot["passed"] = True
     if not outcome:
         return

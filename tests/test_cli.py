@@ -319,11 +319,35 @@ def test_darkstates_reports_the_ground_level(tmp_path):
     text = read(out, "darkstates.txt")
     assert "exact_dark_count: 1" in text
     assert "dark: level=(0,) depletion=0" in text
-    # darkstates reads no watched level, so it needs none
+
+
+def test_darkstates_needs_no_watched_level(tmp_path):
+    # darkstates reads no watched level: without one it writes what it
+    # writes with one
+    doc = sim_doc(str(tmp_path / "watched"))
+    assert run_cli(["darkstates", "--config", write_doc(tmp_path, doc)]) == 0
     del doc["watched"]
     doc["output"]["directory"] = str(tmp_path / "unwatched")
     assert run_cli(["darkstates", "--config", write_doc(tmp_path, doc)]) == 0
-    assert read(str(tmp_path / "unwatched"), "darkstates.txt") == text
+    assert read(str(tmp_path / "unwatched"), "darkstates.txt") == \
+        read(str(tmp_path / "watched"), "darkstates.txt")
+
+
+def test_unattainable_thermal_start_exits_2_before_any_build(tmp_path, capsys):
+    # the six-level ladder's hottest mean shell is below 5; simulate refuses
+    # that start before it builds or stores a matrix, while darkstates and
+    # criterion read no initial state
+    doc = sim_doc(str(tmp_path / "out"))
+    doc["initial"] = {"thermal_mean_shell": 5.0}
+    doc["criterion"] = {"target": [0]}
+    doc["cache_dir"] = str(tmp_path / "cache")
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 2
+    assert "not attainable" in capsys.readouterr().err
+    assert not glob.glob(str(tmp_path / "cache" / "*"))
+    assert not os.path.exists(tmp_path / "out")
+    for command in ("darkstates", "criterion"):
+        assert run_cli([command, "--config", cfg]) == 0
 
 
 def test_criterion_reports_condensing(tmp_path):
