@@ -20,11 +20,10 @@ import numpy as np
 
 from .analysis import (condensation_criterion, find_dark_states,
                        hysteresis_extract, split_ramp_branches)
-from .basis import Basis
 from .cache import CacheError
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
-                       StructureMemo, calibrate_pulse_area, run_ensemble)
+                       calibrate_pulse_area, run_ensemble)
 from .rates import (PhysicsValidityError, emission_memory_bytes,
                     emission_quadrature)
 from .schedule import resolve_cycle
@@ -89,17 +88,15 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_emission_memory(basis: Basis, quadrature) -> None:
-    """Refuse, before any large allocation, a basis whose emission
-    matrix cannot fit in physical memory."""
-    need = emission_memory_bytes(basis, quadrature)
+def _check_memory(what: str, need: int) -> None:
+    """Refuse, before it is allocated, ``what`` if its ``need`` bytes
+    cannot fit in physical memory."""
     have = _physical_memory()
     if have is not None and need > have:
         raise ConfigError(
-            f"the emission matrix of {basis.fingerprint()} needs about "
-            f"{need:,} bytes ({need / 2**30:.1f} GiB), more than the "
-            f"{have:,} bytes ({have / 2**30:.1f} GiB) of physical memory; "
-            "lower basis.max_shell")
+            f"{what} needs about {need:,} bytes ({need / 2**30:.1f} GiB), "
+            f"more than the {have:,} bytes ({have / 2**30:.1f} GiB) of "
+            "physical memory; lower basis.max_shell")
 
 
 def _watched(cfg: RunConfig, extra=()) -> list:
@@ -113,26 +110,29 @@ def _watched(cfg: RunConfig, extra=()) -> list:
 
 def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
     """The provider of a config's basis, params and resolved pulse area;
-    ``emission`` says whether the command needs the emission matrix, whose
-    memory is checked first."""
+    ``emission`` says whether the command needs the emission matrix. The
+    basis's enumeration tables, and the emission matrix where needed, are
+    checked against physical memory before they are allocated."""
+    # enumeration holds an index grid (dim int64 per cell) and a lut (one
+    # int64 per cell) over all (max_shell + 1)**dim quantum-number tuples
+    _check_memory(f"enumerating basis(dim={cfg.dim},max_shell={cfg.max_shell})",
+                  8 * (cfg.dim + 1) * (cfg.max_shell + 1) ** cfg.dim)
     basis = cfg.build_basis()
     quadrature = emission_quadrature(cfg.dim, cfg.emission_pattern,
                                      polar_order=cfg.quadrature_order)
     if emission:
-        _check_emission_memory(basis, quadrature)
-    structures = StructureMemo()  # calibration's structures serve the run too
+        _check_memory(f"the emission matrix of {basis.fingerprint()}",
+                      emission_memory_bytes(basis, quadrature))
     if cfg.omega0_tau_abs == "auto":
         probe = cfg.build_params(omega0_resolved=0.5)
         expected = cfg.n_atoms * cfg.initial_distribution(basis)
-        omega0 = calibrate_pulse_area(basis, probe, cfg.schedule, expected,
-                                      structures=structures)
+        omega0 = calibrate_pulse_area(basis, probe, cfg.schedule, expected)
     else:
         omega0 = float(cfg.omega0_tau_abs)
     if cfg.cache_dir is not None:
         os.makedirs(cfg.cache_dir, exist_ok=True)
     return MatrixProvider(basis, cfg.build_params(omega0_resolved=omega0),
-                          cache_dir=cfg.cache_dir, quadrature=quadrature,
-                          structures=structures)
+                          cache_dir=cfg.cache_dir, quadrature=quadrature)
 
 
 def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,

@@ -316,17 +316,15 @@ def config_from_dict(doc: dict) -> RunConfig:
                     watched=watched, out_dir=out_dir, cache_dir=cache_dir,
                     criterion_target=criterion_target, hysteresis=hysteresis)
 
-    basis = cfg.build_basis()  # level references must resolve
+    # level references must lie in the basis, which is not built here
     refs = [("watched level", lv) for lv in cfg.watched]
     refs += [("level", lv) for lv in (cfg.criterion_target, cfg.hysteresis.source,
                                       *cfg.hysteresis.targets) if lv is not None]
     if cfg.initial.kind == "point":
         refs.append(("initial.point_level", cfg.initial.level))
     for what, lv in refs:
-        try:
-            basis.id_of(lv)
-        except KeyError:
-            raise ConfigError(f"{what} {lv} outside the basis")
+        _require(min(lv) >= 0 and sum(lv) <= max_shell,
+                 f"{what} {lv} outside the basis")
     return cfg
 
 

@@ -94,36 +94,40 @@ class MatrixProvider:
 
     A static pulse (``persist=True``) is loaded from ``cache_dir`` or
     built and stored there, once, and then served from memory. Any other
-    pulse is evaluated from its memoized amplitude-independent structure
-    on every call and kept nowhere, so a per-cycle amplitude only costs
-    an O(size) evaluation. The emission matrix is loaded or built (and
-    stored) once and kept as its dense column-major array only.
+    pulse is evaluated from its amplitude-independent structure on every
+    call and kept nowhere, so a per-cycle amplitude only costs an O(size)
+    evaluation. Structures are built on first use and kept until
+    ``prepare``, which keeps only the ramped pulses'. The emission matrix
+    is loaded or built (and stored) once and kept as its dense
+    column-major array only.
     """
 
     def __init__(self, basis: Basis, params: SimParams,
                  cache_dir: str | None = None,
-                 quadrature: EmissionQuadrature | None = None,
-                 structures: StructureMemo | None = None):
+                 quadrature: EmissionQuadrature | None = None):
         self.basis = basis
         self.params = params
         self.cache_dir = cache_dir
         self.quadrature = quadrature or emission_quadrature(basis.dim)
-        # ``structures`` may come filled by ``calibrate_pulse_area``; its
-        # builds count here
-        self._structures = StructureMemo() if structures is None else structures
+        # by a resolved pulse's (s, omega_tau_abs): the basis and params
+        # are fixed, and a structure depends on neither amplitudes nor area
+        self._structures: dict[tuple, AbsorptionStructure] = {}
         self._static: dict[PulseSpec, PulseRates] = {}
         self._sp: EmissionMatrix | None = None
         self._prepared: Schedule | None = None
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
-                         "structure_builds": self._structures.builds,
-                         "ramp_evals": 0}
+                         "structure_builds": 0, "ramp_evals": 0}
 
     # -- absorption ----------------------------------------------------
 
     def structure(self, pulse: PulseSpec) -> AbsorptionStructure:
-        """The memoized amplitude-independent structure of a resolved pulse."""
-        st = self._structures.get(self.basis, self.params, pulse)
-        self.counters["structure_builds"] = self._structures.builds
+        """The amplitude-independent structure of a resolved pulse."""
+        key = (pulse.s, pulse.omega_tau_abs)
+        st = self._structures.get(key)
+        if st is None:
+            st = self._structures[key] = absorption_structure(
+                self.basis, self.params, pulse.s, pulse.omega_tau_abs)
+            self.counters["structure_builds"] += 1
         return st
 
     def _evaluate(self, pulse: PulseSpec) -> PulseRates:
@@ -182,7 +186,7 @@ class MatrixProvider:
         """Build everything a run needs up front (parent process side).
 
         Static pulses are served from memory from then on, so only the
-        ramped pulses' structures stay in the memo. Preparing the schedule
+        ramped pulses' structures are kept. Preparing the schedule
         prepared last again does nothing, so a caller can prepare outside
         its timing and hand the provider to ``run_ensemble``.
         """
@@ -190,13 +194,12 @@ class MatrixProvider:
             return
         self.spontaneous_dense()
         pulses = [p.resolved(self.params) for p in schedule.cycle]
-        ramped = [p for i, p in enumerate(pulses) if schedule.is_ramped(i)]
         for i, pulse in enumerate(pulses):
             if not schedule.is_ramped(i):
                 self.absorption(pulse, persist=True)
-        self._structures.retain(self.basis, self.params, ramped)
-        for pulse in ramped:  # amplitudes change; matrix cannot
-            self.structure(pulse)
+        # amplitudes change, so a ramped pulse keeps its structure, not a matrix
+        self._structures = {(p.s, p.omega_tau_abs): self.structure(p)
+                            for i, p in enumerate(pulses) if schedule.is_ramped(i)}
         self._prepared = schedule
 
     def cycle_rates(self, schedule: Schedule):
@@ -220,38 +223,6 @@ class MatrixProvider:
                         rates[i] = structure.evaluate(*pulse)
                         self.counters["ramp_evals"] += 1
             yield values, rates
-
-
-class StructureMemo:
-    """Absorption structures built on first use, by what they depend on:
-    the basis, ``eta``, the resonance window and a resolved pulse's ``s``
-    and width, not its amplitudes or area. So one memo serves a pulse-area
-    calibration and the run at the calibrated area. ``builds`` counts the
-    structures built."""
-
-    def __init__(self):
-        self._memo: dict[tuple, AbsorptionStructure] = {}
-        self.builds = 0
-
-    @staticmethod
-    def _key(basis: Basis, params: SimParams, pulse: PulseSpec) -> tuple:
-        return (basis.fingerprint(), params.eta, params.resonance_window,
-                pulse.s, pulse.omega_tau_abs)
-
-    def get(self, basis: Basis, params: SimParams,
-            pulse: PulseSpec) -> AbsorptionStructure:
-        key = self._key(basis, params, pulse)
-        st = self._memo.get(key)
-        if st is None:
-            st = self._memo[key] = absorption_structure(basis, params, pulse.s,
-                                                        pulse.omega_tau_abs)
-            self.builds += 1
-        return st
-
-    def retain(self, basis: Basis, params: SimParams, pulses) -> None:
-        """Drop every structure but those of ``pulses``."""
-        keys = {self._key(basis, params, p) for p in pulses}
-        self._memo = {k: v for k, v in self._memo.items() if k in keys}
 
 
 # ------------------------------------------------------------- stepping
@@ -448,6 +419,20 @@ class TrajectoryRecord:
     seed_key: tuple
 
 
+def _provider_for(basis: Basis, params: SimParams,
+                  provider: MatrixProvider | None) -> MatrixProvider:
+    """``provider``, refused unless built for ``basis`` and ``params``, or
+    a new provider for them."""
+    if provider is None:
+        return MatrixProvider(basis, params)
+    if (provider.basis.fingerprint() != basis.fingerprint()
+            or provider.params != params):
+        raise ValueError(f"the provider serves {provider.basis.fingerprint()} "
+                         f"at {provider.params}, not {basis.fingerprint()} "
+                         f"at {params}")
+    return provider
+
+
 class _Run:
     """What the trajectories of a run share."""
 
@@ -463,7 +448,7 @@ class _Run:
             n_atoms = initial.n_atoms
         elif n_atoms is None:
             raise ValueError("n_atoms is required when sampling the initial state")
-        self.provider = provider or MatrixProvider(basis, params)
+        self.provider = _provider_for(basis, params, provider)
         self.provider.prepare(schedule)
         self.basis, self.initial, self.n_atoms = basis, initial, n_atoms
         self.schedule, self.recorder = schedule.resolved(params), recorder
@@ -662,7 +647,6 @@ class EnsembleResult:
     watched_mean: np.ndarray         # (rows, n_watched), occupancies
     watched_std: np.ndarray
     mean_shell_mean: np.ndarray
-    mean_shell_std: np.ndarray
     final_occ: np.ndarray            # (n_traj, size)
     events: list[np.ndarray]
     n_atoms: int
@@ -734,7 +718,6 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
         watched_mean=watched.mean(axis=0),
         watched_std=watched.std(axis=0, ddof=ddof),
         mean_shell_mean=shells.mean(axis=0),
-        mean_shell_std=shells.std(axis=0, ddof=ddof),
         final_occ=np.stack([r.final_occ for r in records]),
         events=[r.events for r in records],
         n_atoms=run.n_atoms,
@@ -883,10 +866,7 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     of configurations, so it only suits small bases and atom numbers.
     Ramped schedules are supported but rebuild matrices per distinct pulse.
     """
-    schedule = schedule.resolved(params)
-    if provider is None:
-        provider = MatrixProvider(basis, params)
-        provider.prepare(schedule)
+    provider = _provider_for(basis, params, provider)
     state = (initial if isinstance(initial, ExactState)
              else exact_initial_state(basis, initial, max_configs))
     sp_dense = provider.spontaneous_dense()
@@ -935,8 +915,7 @@ _AREA_CAP, _OCCUPANCY_FLOOR, _HARD_MARGIN = 0.9, 0.5, 0.98
 
 
 def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
-                         expected_occ: np.ndarray, target: float = 0.5,
-                         structures: StructureMemo | None = None) -> float:
+                         expected_occ: np.ndarray, target: float = 0.5) -> float:
     """Pulse area such that the worst per-atom excitation probability,
     over levels the initial state actually populates, is ``target``.
 
@@ -947,11 +926,8 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     occupancy fluctuation can trip the step law's hard error. The
     quadratic scaling p ~ (omega0 tau)^2 makes both bounds single
     solves; the result is capped at ``_AREA_CAP`` to stay perturbative
-    (the step law itself needs omega0 tau < 1).
-
-    ``structures`` is a structure memo to fill and reuse; pass the same
-    memo to the ``MatrixProvider`` of the run, and no structure is built
-    twice.
+    (the step law itself needs omega0 tau < 1). The absorption
+    structures it builds are dropped when it returns.
     """
     if not 0 < target <= 1:
         raise ValueError("target must lie in (0, 1]")
@@ -962,9 +938,8 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
     worst_any = 0.0
-    structures = StructureMemo() if structures is None else structures
     for pulse in resolve_cycle(schedule.resolved(params), 0):
-        struct = structures.get(basis, params, pulse)
+        struct = absorption_structure(basis, params, pulse.s, pulse.omega_tau_abs)
         dep = struct.evaluate(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))
         worst_any = max(worst_any, 2.0 * float(dep.max()))

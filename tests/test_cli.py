@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import yaml
 
 import bosecool
 from bosecool import cli, emission_quadrature, enumerate_levels
 from bosecool.cli import CACHE_ENV, main
+from bosecool.config import load_config
 from bosecool.rates import emission_memory_bytes
 
 OBS_HEADER = "cycle,frac_0_mean,frac_0_std,frac_1_mean,frac_1_std,mean_shell"
@@ -247,6 +250,41 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
         assert run_cli(["criterion", "--config", cfg]) == 0
 
 
+def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
+                                                   monkeypatch):
+    # 2001**3 quantum-number tuples: the enumeration tables alone would
+    # take 256 GB, so every command refuses before any is allocated
+    from bosecool import config
+
+    def unreachable(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(config, "enumerate_levels", unreachable)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 30)
+    out = str(tmp_path / "out")
+    doc = {
+        "basis": {"dim": 3, "max_shell": 2000},
+        "params": {"eta": 2.0},
+        "atoms": 3,
+        "initial": {"point_level": [2000, 0, 0]},
+        "schedule": {"figure": "fig3"},
+        "watched": [[0, 0, 0]],
+        "criterion": {"target": [0, 0, 0]},
+        "hysteresis": {"source": [0, 0, 1], "targets": [[0, 1, 0]]},
+        "output": {"directory": out},
+    }
+    cfg = write_doc(tmp_path, doc)
+    need = 8 * 4 * 2001 ** 3
+    for command in ("simulate", "darkstates", "criterion", "hysteresis"):
+        assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config: enumerating basis(dim=3,max_shell=2000) "
+                       f"needs about {need:,} bytes (238.8 GiB), more than "
+                       f"the {16 << 30:,} bytes (16.0 GiB) of physical "
+                       "memory; lower basis.max_shell\n")
+    assert not os.path.exists(out)
+
+
 def test_overdriven_pulse_exits_3(tmp_path, capsys):
     # 3-beam diagonal on a hot level pushes per-atom probability past 1
     doc = {
@@ -411,20 +449,10 @@ def test_hysteresis_command_end_to_end(tmp_path):
                       "frac_0_mean,frac_0_std,mean_shell")
 
 
-def test_auto_area_run_builds_each_structure_once(tmp_path, monkeypatch):
-    # fig3's eight pulses on a small basis: calibration and the run share
-    # one structure memo, cold cache or warm
-    from bosecool import dynamics
-    calls = []
-    build = dynamics.absorption_structure
-
-    def counted(*args, **kwargs):
-        calls.append(args[2:])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "absorption_structure", counted)
-    out = str(tmp_path / "out")
-    doc = {
+def fig3_auto_doc(tmp_path) -> dict:
+    """fig3's eight pulses, one of them ramped, at a calibrated area on a
+    small basis."""
+    return {
         "basis": {"dim": 3, "max_shell": 4},
         "params": {"eta": 2.0, "omega0_tau_abs": "auto"},
         "atoms": 3,
@@ -434,15 +462,57 @@ def test_auto_area_run_builds_each_structure_once(tmp_path, monkeypatch):
         "schedule": {"figure": "fig3", "ramp_scale": 0.0001},
         "recorder": {"stride": 100, "events": False},
         "watched": [[0, 0, 0]],
-        "output": {"directory": out},
+        "output": {"directory": str(tmp_path / "out")},
         "cache_dir": str(tmp_path / "cache"),
     }
+
+
+def built_structures(monkeypatch) -> list:
+    """(arguments after basis and params, weak reference) of each
+    absorption structure built from now on."""
+    from bosecool import dynamics
+    built = []
+    build = dynamics.absorption_structure
+
+    def tracked(*args, **kwargs):
+        st = build(*args, **kwargs)
+        built.append((args[2:], weakref.ref(st)))
+        return st
+
+    monkeypatch.setattr(dynamics, "absorption_structure", tracked)
+    return built
+
+
+def test_auto_area_calibration_and_run_build_their_own_structures(
+        tmp_path, monkeypatch):
+    # calibration builds one structure per pulse and drops them; the
+    # provider builds each it needs once: all eight on an empty cache, only
+    # the ramped pulse's on a warm one
+    built = built_structures(monkeypatch)
+    doc = fig3_auto_doc(tmp_path)
+    out = doc["output"]["directory"]
     cfg = write_doc(tmp_path, doc)
-    for _ in range(2):
-        calls.clear()
+    for run_builds in (8, 1):
+        built.clear()
         assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
-        assert len(calls) == len(set(calls)) == 8
-        assert "structure_builds: 8" in read(out, "summary.txt").splitlines()
+        assert len(built) == 8 + run_builds
+        assert len({key for key, _ in built[8:]}) == run_builds
+        assert (f"structure_builds: {run_builds}"
+                in read(out, "summary.txt").splitlines())
+
+
+def test_calibration_structures_are_freed_before_the_run(tmp_path, monkeypatch):
+    # the emission load sets a run's peak memory, so nothing the
+    # calibration built may still be alive when the provider is returned
+    built = built_structures(monkeypatch)
+    cfg = load_config(write_doc(tmp_path, fig3_auto_doc(tmp_path)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        provider = cli._prepare(cfg)
+    gc.collect()
+    assert len(built) == 8  # all calibration's: the provider built none yet
+    assert [ref() for _, ref in built] == [None] * 8
+    assert provider.counters["structure_builds"] == 0
 
 
 def child_env() -> dict:

@@ -175,6 +175,7 @@ def test_explicit_pulses_need_total_cycles():
     ("watched", [9]),
     ("point", [9]),
     ("criterion", [9]),
+    ("watched", [-1]),
 ])
 def test_levels_outside_basis_rejected(key, level):
     doc = base_doc()

@@ -27,7 +27,7 @@ from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       exact_initial_state, exact_propagate, figure_schedule,
                       franck_condon_1d, pulse_step, resolve_cycle,
                       run_ensemble, run_trajectory)
-from bosecool.dynamics import PulseRates, StructureMemo, _step
+from bosecool.dynamics import PulseRates, _step
 from bosecool.rates import (REL_CUTOFF, EmissionMatrix, RateMatrix,
                             _kappa_table_cache)
 
@@ -540,24 +540,43 @@ def test_provider_memoizes_and_persists(tmp_path):
     assert_allclose(second.spontaneous_dense(), first.spontaneous_dense())
 
 
-def test_run_ensemble_keeps_a_prepared_provider(monkeypatch):
+def test_run_ensemble_keeps_a_prepared_provider():
     # the command line prepares before it times run_ensemble, which must
     # not resolve and look up every pulse again
     basis, params, schedule = make_1d_system(cycles=5)
     provider = MatrixProvider(basis, params)
-    retained = []
-    real_retain = provider._structures.retain
-    monkeypatch.setattr(provider._structures, "retain",
-                        lambda *a: retained.append(a) or real_retain(*a))
     provider.prepare(schedule)
+    kept = provider._structures  # each prepare that does its work replaces it
     counters = dict(provider.counters)
     recorder = RecorderSpec(watched_ids=(0,))
     run_ensemble(basis, params, schedule, np.full(basis.size, 0.25), 3, 2,
                  5, recorder, provider=provider)
-    assert len(retained) == 1
+    assert provider._structures is kept
     assert provider.counters == counters
     provider.prepare(Schedule(cycle=schedule.cycle, total_cycles=4))
-    assert len(retained) == 2  # another schedule is prepared anew
+    assert provider._structures is not kept  # another schedule is prepared anew
+
+
+@pytest.mark.parametrize("other", ["params", "basis"])
+def test_provider_for_other_physics_is_refused(other):
+    basis, params, schedule = make_1d_system(max_shell=5, eta=0.7, area=0.4)
+    provider = MatrixProvider(basis, params)
+    if other == "params":
+        params = SimParams(eta=0.9, omega_tau_abs=6.0, omega0_tau_abs=0.2)
+    else:
+        basis = enumerate_levels(1, 4)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[-1] = 2
+    initial, rec = Configuration(occ), RecorderSpec(watched_ids=(0,))
+    with pytest.raises(ValueError, match="the provider serves"):
+        run_ensemble(basis, params, schedule, initial, None, 2, 1, rec,
+                     provider=provider)
+    with pytest.raises(ValueError, match="the provider serves"):
+        run_trajectory(basis, params, schedule, initial, None, 1, rec,
+                       provider=provider)
+    with pytest.raises(ValueError, match="the provider serves"):
+        exact_propagate(basis, params, schedule, initial, provider=provider)
+    assert not any(provider.counters.values())  # refused before any build
 
 
 def test_provider_ramp_evaluations_share_structure():
@@ -601,34 +620,20 @@ def test_provider_serves_persisted_pulses_once():
     assert provider.counters["abs_builds"] == 1
 
 
-def test_structure_memo_keys_on_params_and_keeps_ramped_after_prepare():
+def test_provider_keeps_only_ramped_structures_after_prepare():
     basis = enumerate_levels(1, 3)
     params = SimParams(eta=0.9, omega0_tau_abs=0.4)
-    memo = StructureMemo()
-    pulse = PulseSpec(s=-1, amps=(1.0,)).resolved(params)
-    st = memo.get(basis, params, pulse)
-    # the area is not part of a structure; eta and the window are
-    assert memo.get(basis, dataclasses.replace(params, omega0_tau_abs=0.2),
-                    pulse) is st
-    for other in (dataclasses.replace(params, eta=1.1),
-                  dataclasses.replace(params, resonance_window=1)):
-        assert memo.get(basis, other, pulse) is not st
-    assert memo.get(enumerate_levels(1, 4), params, pulse) is not st
-    assert memo.builds == 4
-
-    # after prepare only the ramped pulse's structure is kept
-    memo = StructureMemo()
     schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),
                                PulseSpec(s=0, amps=(1.0,))), total_cycles=4,
                         ramps=(Ramp(1, "a_x", 1.0, 0.5, 0, 4),))
-    provider = MatrixProvider(basis, params, structures=memo)
+    provider = MatrixProvider(basis, params)
     provider.prepare(schedule)
     assert provider.counters["structure_builds"] == 2
     static, ramped = (p.resolved(params) for p in schedule.cycle)
-    memo.get(basis, params, ramped)
-    assert memo.builds == 2
-    memo.get(basis, params, static)
-    assert memo.builds == 3
+    provider.structure(ramped)
+    assert provider.counters["structure_builds"] == 2
+    provider.structure(static)
+    assert provider.counters["structure_builds"] == 3
 
 
 def test_ramp_columns_record_the_area_in_effect():
