@@ -38,18 +38,17 @@ class Basis:
     levels: np.ndarray
     shells: np.ndarray
     lut: np.ndarray = field(repr=False)
-    _index: dict = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.levels.shape[0]
 
     def id_of(self, level: TrapLevel) -> int:
-        try:
-            return self._index[tuple(int(q) for q in level)]
-        except KeyError:
+        q = tuple(int(x) for x in level)
+        if len(q) != self.dim or min(q) < 0 or sum(q) > self.max_shell:
             raise KeyError(f"level {level!r} outside basis "
-                           f"(dim={self.dim}, max_shell={self.max_shell})") from None
+                           f"(dim={self.dim}, max_shell={self.max_shell})")
+        return int(self.lut[q])
 
     def level(self, level_id: int) -> TrapLevel:
         return tuple(int(q) for q in self.levels[level_id])
@@ -82,12 +81,23 @@ def enumerate_levels(dim: int, max_shell: int) -> Basis:
 
     lut = np.full((max_shell + 1,) * dim, -1, dtype=np.int64)
     lut[tuple(levels[:, j] for j in range(dim))] = np.arange(levels.shape[0])
-    index = {tuple(int(q) for q in row): i for i, row in enumerate(levels)}
 
     expected = math.comb(max_shell + dim, dim)
     assert levels.shape[0] == expected
     return Basis(dim=dim, max_shell=max_shell, levels=levels, shells=shells,
-                 lut=lut, _index=index)
+                 lut=lut)
+
+
+def enumeration_bytes(dim: int, max_shell: int) -> int:
+    """An upper bound on the bytes of the arrays ``enumerate_levels(dim,
+    max_shell)`` holds at its peak: per each of the (max_shell + 1)**dim
+    quantum-number tuples, the index grid (dim int64), its shell sums and
+    the lut (one int64 each) and their mask (one byte); per level, the
+    kept tuples, their sort keys and order, the returned levels and
+    shells and the lut's ids and index arrays (20 dim + 36 bytes)."""
+    cells = (max_shell + 1) ** dim
+    levels = math.comb(max_shell + dim, dim)
+    return (8 * dim + 17) * cells + (20 * dim + 36) * levels
 
 
 @dataclass(frozen=True)

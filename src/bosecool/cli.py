@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (condensation_criterion, find_dark_states,
                        hysteresis_extract, split_ramp_branches)
+from .basis import enumeration_bytes
 from .cache import CacheError
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
@@ -113,10 +114,8 @@ def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
     ``emission`` says whether the command needs the emission matrix. The
     basis's enumeration tables, and the emission matrix where needed, are
     checked against physical memory before they are allocated."""
-    # enumeration holds an index grid (dim int64 per cell) and a lut (one
-    # int64 per cell) over all (max_shell + 1)**dim quantum-number tuples
     _check_memory(f"enumerating basis(dim={cfg.dim},max_shell={cfg.max_shell})",
-                  8 * (cfg.dim + 1) * (cfg.max_shell + 1) ** cfg.dim)
+                  enumeration_bytes(cfg.dim, cfg.max_shell))
     basis = cfg.build_basis()
     quadrature = emission_quadrature(cfg.dim, cfg.emission_pattern,
                                      polar_order=cfg.quadrature_order)

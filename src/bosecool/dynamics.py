@@ -23,14 +23,25 @@ Trajectories draw from counter-based Philox streams keyed by
 (master seed, trajectory index), so an ensemble is bitwise reproducible
 for any worker count and any execution order.
 
+Each emission lands in the first level whose prefix sum of Bose-enhanced
+weights exceeds u times their sequential total T, for one uniform u. On a
+basis of more than 2 ``_HEAD`` levels the draw first bounds T by the dot
+product of the same weights, widened by its proven rounding error, and
+walks the first ``_HEAD`` prefix sums in plain Python; the first one
+above u times the bound's lower end is the draw if it also lies above u
+times its upper end. Elsewhere it sums every level from the same u. The
+prefix sums are the full sum's own, bit for bit, so the shortcut changes
+no random number and no level drawn.
+
 A trajectory keeps each pulse's draw inputs (the occupied levels it
 couples, their counts and probabilities, the worst probability) from one
-pulse to the next, so a quiet pulse costs only its binomial draws. An
-event drops the inputs of each pulse that couples a level it moved; they
-are computed afresh when the next block is planned or at the pulse's
-turn, where the step refuses inputs past the hard bound. Inputs that
-couple no moved level read nothing the event changed, so reuse changes
-no random number.
+pulse to the next, so a quiet pulse costs only its binomial draws. A
+pulse's events drop the inputs of each pulse that couples a level whose
+count they changed; events that return each atom to its source level, or
+swap atoms between levels, drop nothing. Dropped inputs are computed
+afresh when the next block is planned or at the pulse's turn, where the
+step refuses inputs past the hard bound. Inputs that couple no changed
+level read nothing the events changed, so reuse changes no random number.
 
 While the kept inputs stay the same, cycles run as blocks. numpy's
 binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
@@ -87,6 +98,9 @@ _WINDOW = 64
 # with at least this probability; below it a busy cycle comes so often that
 # saving and restoring the generator's state costs more than blocks save.
 _QUIET_MIN = 0.5
+# Levels an emission draw walks in plain Python before it takes the full
+# prefix sum; on fig3 most destinations lie in the first ten.
+_HEAD = 24
 
 
 class MatrixProvider:
@@ -236,18 +250,56 @@ class PulseStepOutcome:
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator,
-                cw: np.ndarray | None = None) -> int:
-    """Index drawn with probability proportional to ``weights``; the
-    cumulative sum goes into ``cw`` when given."""
+                cw: np.ndarray | None = None, u: float | None = None) -> int:
+    """Index drawn with probability proportional to ``weights``, from
+    ``u`` if given, else from one ``rng.random()``; the cumulative sum
+    goes into ``cw`` when given."""
     cw = np.add.accumulate(weights, out=cw)  # np.cumsum, minus its wrapper
     total = cw[-1]
     if not total > 0.0:
         raise PhysicsValidityError("no open channel to draw from")
-    k = int(cw.searchsorted(rng.random() * total, side="right"))
+    if u is None:
+        u = rng.random()
+    k = int(cw.searchsorted(u * total, side="right"))
     if k >= weights.size or weights[k] == 0.0:
         nz = np.flatnonzero(weights)
         k = int(nz[min(np.searchsorted(nz, k), nz.size - 1)])
     return k
+
+
+def _emission_index(col: np.ndarray, occ1: np.ndarray, head: list | None,
+                    rng: np.random.Generator, weights: np.ndarray,
+                    cw: np.ndarray) -> int:
+    """``_draw_index(col * occ1, rng, cw)``, bit for bit, read where it can
+    be from the shortest prefix of the sequential sum that settles it.
+
+    ``head`` holds ``occ1[:_HEAD]`` as floats, or None to take the full
+    path. The full path draws the first k with cw[k] > fl(u T), T the
+    sequential total. The dot product D = col . occ1 bounds T: both err
+    from the exact sum by at most gamma_N of it (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3), so T lies in
+    [lo, hi] = D (1 -+ 4 N 2**-53), rounding included. As fl(u x) is
+    monotone in x, the first prefix above fl(u lo) is k if it also lies
+    above fl(u hi). Python's float product and sum round as numpy's
+    multiply and accumulate do, so the prefix is cw's. Where the bound
+    cannot settle the draw, or underflowing products could break it, the
+    full path draws from the same u."""
+    if head is not None:
+        total = float(np.dot(col, occ1))
+        eps = col.shape[0] * 2.0 ** -51
+        lo = total * (1.0 - eps)
+        if lo > 2.0 ** -1000:
+            u = rng.random()
+            x = u * lo
+            c = 0.0
+            for k, a in enumerate(col[:_HEAD].tolist()):
+                c += a * head[k]
+                if c > x:
+                    if c > u * (total * (1.0 + eps)):
+                        return k
+                    break
+            return _draw_index(np.multiply(col, occ1, out=weights), rng, cw, u)
+    return _draw_index(np.multiply(col, occ1, out=weights), rng, cw)
 
 
 # the draw inputs of a pulse that couples no occupied level (shared, so
@@ -271,11 +323,12 @@ def _draw_inputs(occ: np.ndarray, occupied, depletion: np.ndarray):
         worst = max(pa, default=0.0)
     else:
         occ_ids = np.asarray(occupied, dtype=np.int64)
-        pa = 2.0 * depletion[occ_ids]
-        hit = pa > 0.0
-        if not hit.any():
+        pa = depletion[occ_ids]
+        pa *= 2.0
+        worst = float(np.maximum.reduce(pa))
+        if not worst > 0.0:
             return _DARK
-        worst = float(pa.max())
+        hit = pa > 0.0
         ids = occ_ids[hit]
         n_occ, pa = occ[ids], pa[hit]
         if ids.size <= _SCALAR_DRAWS:
@@ -285,19 +338,16 @@ def _draw_inputs(occ: np.ndarray, occupied, depletion: np.ndarray):
     return ids, n_occ, pa, worst
 
 
-def _thresholds(n_occ, pa) -> list[float] | None:
-    """Each level's qn = (1 - p)**n for counts ``n_occ`` and probabilities
-    ``pa``, or None if some level draws outside the regime of numpy's
-    inversion binomial (p > 0.5 or n p > 30). In the regime a draw reads
-    one uniform U and returns 0 iff U <= qn, where numpy (>= 2.4, the
-    floor in pyproject.toml) computes qn as exp(n log1p(-p)) with libm,
-    as here; exp(n log(1 - p)) can differ in the last bit."""
-    qn = []
-    for n, p in zip(n_occ, pa):
-        if p > 0.5 or p * n > 30.0:
-            return None
-        qn.append(math.exp(n * math.log1p(-p)))
-    return qn
+def _threshold(n: int, p: float) -> float | None:
+    """qn = (1 - p)**n for a level of ``n`` atoms at probability ``p``, or
+    None if the level draws outside the regime of numpy's inversion
+    binomial (p > 0.5 or n p > 30). In the regime a draw reads one
+    uniform U and returns 0 iff U <= qn, where numpy (>= 2.4, the floor
+    in pyproject.toml) computes qn as exp(n log1p(-p)) with libm, as
+    here; exp(n log(1 - p)) can differ in the last bit."""
+    if p > 0.5 or p * n > 30.0:
+        return None
+    return math.exp(n * math.log1p(-p))
 
 
 def _quiet_cycles(rng: np.random.Generator, qn: np.ndarray, cycles: int) -> int:
@@ -326,7 +376,10 @@ def _step(occ: np.ndarray, rates: PulseRates, sp_dense: np.ndarray,
     Draw order is fixed: one binomial per occupied coupled level in
     ascending level order, one permutation for the emission order, then
     per excited atom a channel draw and a destination draw. Fixed order
-    keeps trajectories bitwise reproducible.
+    keeps trajectories bitwise reproducible. A destination draw reads one
+    uniform; where the basis has more than 2 ``_HEAD`` levels,
+    ``_emission_index`` settles it from the shortest prefix that a proven
+    bound on the total allows, and draws the same level as the full sum.
 
     ``inputs`` is this pulse's ``_draw_inputs`` for the current ``occ``
     and ``rates``; without it they are computed here. A caller that
@@ -347,35 +400,45 @@ def _step(occ: np.ndarray, rates: PulseRates, sp_dense: np.ndarray,
         counts = [rng.binomial(k, q) for k, q in zip(n_occ, pa)]
         if not any(counts):
             return (), worst
-        occ_ids = np.array(occ_ids, dtype=np.int64)
-        counts = np.array(counts, dtype=np.int64)
+        absorbed = []
+        for m, k in zip(occ_ids, counts):
+            if k:
+                absorbed += [int(m)] * k
+                occ[m] -= k
     else:
         counts = rng.binomial(n_occ, pa)
         if not counts.any():
             return (), worst
-    total = int(counts.sum())
-    absorbed = np.repeat(occ_ids, counts)
-    occ[occ_ids] -= counts
-    emit_order = rng.permutation(total) if total > 1 else np.zeros(1, int)
+        absorbed = np.repeat(occ_ids, counts).tolist()
+        occ[occ_ids] -= counts
+    total = len(absorbed)
+    emit_order = rng.permutation(total).tolist() if total > 1 else [0]
 
-    excited = np.empty(total, dtype=np.int64)
-    for i, m in enumerate(absorbed):
-        to, rate = rates.channels(m)
-        excited[i] = to[0] if to.size == 1 else to[_draw_index(rate, rng)]
+    indptr, chan_to = rates.chan_indptr, rates.chan_to
+    excited = []
+    for m in absorbed:
+        lo, hi = indptr[m], indptr[m + 1]
+        if hi - lo > 1:
+            lo += _draw_index(rates.chan_rate[lo:hi], rng)
+        excited.append(int(chan_to[lo]))
 
     # Bose-enhanced weights Gamma_sp[:, l] * (occ + 1), with occ + 1 kept
-    # up to date and both buffers reused across this pulse's emissions
+    # up to date (its first _HEAD entries also as floats where the basis
+    # is large enough for prefix draws) and both buffers reused across
+    # this pulse's emissions
     occ1 = occ + 1.0
+    head = occ1[:_HEAD].tolist() if sp_dense.shape[0] > 2 * _HEAD else None
     weights = np.empty_like(occ1)
     cw = np.empty_like(occ1)
     events = []
     for i in emit_order:
-        m = int(absorbed[i])
-        l = int(excited[i])
-        n = _draw_index(np.multiply(sp_dense[:, l], occ1, out=weights), rng, cw)
+        l = excited[i]
+        n = _emission_index(sp_dense[:, l], occ1, head, rng, weights, cw)
         occ[n] += 1
         occ1[n] += 1.0
-        events.append((m, l, n))
+        if head is not None and n < _HEAD:
+            head[n] += 1.0
+        events.append((absorbed[i], l, n))
     return tuple(events), worst
 
 
@@ -551,14 +614,15 @@ class _Trajectory:
                 continue
             if type(pa) is not list:
                 n_occ, pa = n_occ.tolist(), pa.tolist()
-            pulse_qn = _thresholds(n_occ, pa)
-            if pulse_qn is None:
-                return False
-            # every qn <= 1, so the product only falls
-            quiet = math.prod(pulse_qn, start=quiet)
-            if quiet <= _QUIET_MIN:
-                return False
-            qn += pulse_qn
+            for n, q in zip(n_occ, pa):
+                level_qn = _threshold(n, q)
+                if level_qn is None:
+                    return False
+                # every qn <= 1, so the product only falls
+                quiet *= level_qn
+                if quiet <= _QUIET_MIN:
+                    return False
+                qn.append(level_qn)
             worst = max(worst, p)
         return (np.array(qn), worst) if qn else (None, 0.0)
 
@@ -597,11 +661,16 @@ class _Trajectory:
                                   "0.5; rates are near the edge of the "
                                   "perturbative regime", stacklevel=3)
             if pulse_events:
-                self.plan = self.occupied = None
-                touched = {t for ev in pulse_events for t in (ev[0], ev[2])}
-                for j, r in enumerate(rates):
-                    if any(r.depletion[t] > 0.0 for t in touched):
-                        inputs[j] = None
+                net = {}  # level -> change of its count
+                for m, _, n in pulse_events:
+                    net[m] = net.get(m, 0) - 1
+                    net[n] = net.get(n, 0) + 1
+                moved = [t for t, d in net.items() if d]
+                if moved:
+                    self.plan = self.occupied = None
+                    for j, r in enumerate(rates):
+                        if any(r.depletion[t] > 0.0 for t in moved):
+                            inputs[j] = None
                 if run.recorder.record_events:
                     self.events.extend((c, i) + ev for ev in pulse_events)
         self.p_max, self.n_warn = p_max, n_warn

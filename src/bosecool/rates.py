@@ -230,11 +230,6 @@ class PulseRates:
         from_ids = np.repeat(np.arange(n), np.diff(self.chan_indptr))
         return RateMatrix((n, n), self.chan_to, from_ids, self.chan_rate)
 
-    def channels(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Excited levels and rates of source ``m``'s channels."""
-        lo, hi = self.chan_indptr[m], self.chan_indptr[m + 1]
-        return self.chan_to[lo:hi], self.chan_rate[lo:hi]
-
 
 # ------------------------------------------------------------ absorption
 

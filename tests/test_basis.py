@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bosecool import (Basis, Configuration, SimParams, enumerate_levels,
                       sample_initial_configuration, thermal_distribution)
 
-from bosecool.basis import _BETA_LIMIT, _brentq, _shell_moments
+from bosecool.basis import (_BETA_LIMIT, _brentq, _shell_moments,
+                            enumeration_bytes)
 
 from oracles import thermal_level_weights
 
@@ -36,10 +38,26 @@ def test_id_level_bijection():
     basis = enumerate_levels(3, 6)
     for lid in range(basis.size):
         assert basis.id_of(basis.level(lid)) == lid
-    # lookup table agrees with the dict path
     assert basis.lut[(1, 2, 3)] == basis.id_of((1, 2, 3))
-    with pytest.raises(KeyError):
-        basis.id_of((0, 0, 7))
+    assert type(basis.id_of(np.array([1, 2, 3]))) is int
+    # outside the truncation, a negative or a wrong-length tuple: the lut
+    # holds -1 there, wraps a negative index or cannot be indexed
+    for level in ((0, 0, 7), (7, 0, 0), (0, -1, 1), (0, 1), (0, 0, 0, 0)):
+        with pytest.raises(KeyError, match=r"outside basis \(dim=3, max_shell=6\)"):
+            basis.id_of(level)
+
+
+@pytest.mark.parametrize("dim, max_shell", [(1, 100_000), (2, 600), (3, 60)])
+def test_enumeration_stays_within_its_preflight_estimate(dim, max_shell):
+    # the preflight refuses a basis whose enumeration_bytes exceed physical
+    # memory, so enumeration must never hold more than that
+    tracemalloc.start()
+    try:
+        enumerate_levels(dim, max_shell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= enumeration_bytes(dim, max_shell)
 
 
 def test_shells_column():

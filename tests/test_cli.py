@@ -15,6 +15,7 @@ import yaml
 import bosecool
 from bosecool import cli, emission_quadrature, enumerate_levels
 from bosecool.cli import CACHE_ENV, main
+from bosecool.basis import enumeration_bytes
 from bosecool.config import load_config
 from bosecool.rates import emission_memory_bytes
 
@@ -252,8 +253,8 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
                                                    monkeypatch):
-    # 2001**3 quantum-number tuples: the enumeration tables alone would
-    # take 256 GB, so every command refuses before any is allocated
+    # 2001**3 quantum-number tuples: enumeration would take 425 GiB, so
+    # every command refuses before any table is allocated
     from bosecool import config
 
     def unreachable(*args):
@@ -274,12 +275,12 @@ def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
         "output": {"directory": out},
     }
     cfg = write_doc(tmp_path, doc)
-    need = 8 * 4 * 2001 ** 3
+    need = enumeration_bytes(3, 2000)
     for command in ("simulate", "darkstates", "criterion", "hysteresis"):
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err == ("error: config: enumerating basis(dim=3,max_shell=2000) "
-                       f"needs about {need:,} bytes (238.8 GiB), more than "
+                       f"needs about {need:,} bytes (425.5 GiB), more than "
                        f"the {16 << 30:,} bytes (16.0 GiB) of physical "
                        "memory; lower basis.max_shell\n")
     assert not os.path.exists(out)

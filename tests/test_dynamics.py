@@ -998,7 +998,7 @@ def test_ensemble_trajectories_match_the_reference_2d(monkeypatch, case,
 def test_blocks_reach_their_edge_for_any_window(monkeypatch, case):
     basis, params, schedule, initial = blocked_1d_system(case)
     rec = RecorderSpec(watched_ids=(0, 1), stride=7, record_events=True)
-    quiet, thresholds = dynamics._Trajectory._quiet, dynamics._thresholds
+    quiet, threshold = dynamics._Trajectory._quiet, dynamics._threshold
     blocks, regime = [], []  # (cycle, cycles left, quiet cycles, dark)
 
     def logged_quiet(self, c, cycles, values):
@@ -1006,13 +1006,13 @@ def test_blocks_reach_their_edge_for_any_window(monkeypatch, case):
         blocks.append((c, cycles, n, self.plan[0] is None))
         return n
 
-    def logged_thresholds(n_occ, pa):
-        qn = thresholds(n_occ, pa)
+    def logged_threshold(n, p):
+        qn = threshold(n, p)
         regime.append(qn is not None)
         return qn
 
     monkeypatch.setattr(dynamics._Trajectory, "_quiet", logged_quiet)
-    monkeypatch.setattr(dynamics, "_thresholds", logged_thresholds)
+    monkeypatch.setattr(dynamics, "_threshold", logged_threshold)
     n_events = 0
     for k in range(6):
         want = reference_trajectory(basis, params, schedule, initial, (6, k), rec)
@@ -1087,8 +1087,8 @@ def test_quiet_blocks_follow_numpy_inversion_binomial(case):
     seed, levels, cycles = case
     n = np.array([k for k, _ in levels], dtype=np.int64)
     p = np.array([q for _, q in levels])
-    qn = dynamics._thresholds(n.tolist(), p.tolist())
-    assert qn is not None
+    qn = [dynamics._threshold(k, q) for k, q in levels]
+    assert None not in qn
 
     def stream():
         return np.random.Generator(np.random.Philox(seed))
@@ -1114,10 +1114,11 @@ def test_quiet_blocks_follow_numpy_inversion_binomial(case):
 
 def test_thresholds_refuse_levels_outside_inversion():
     for n, p in _INVERSION_EDGES:
-        assert dynamics._thresholds([n], [p]) is not None
-        assert dynamics._thresholds([n + 1], [p]) is None
-    assert dynamics._thresholds([1, 1], [0.1, math.nextafter(0.5, 1.0)]) is None
-    assert dynamics._thresholds([2, 1], [0.25, 1.0]) is None
+        assert dynamics._threshold(n, p) is not None
+        assert dynamics._threshold(n + 1, p) is None
+    assert dynamics._threshold(1, 0.5) == 0.5
+    assert dynamics._threshold(1, math.nextafter(0.5, 1.0)) is None
+    assert dynamics._threshold(1, 1.0) is None
 
 
 def test_ensemble_is_the_same_for_any_window(monkeypatch):
@@ -1200,6 +1201,195 @@ def test_events_drop_only_the_inputs_that_couple_a_moved_level():
     t._plan()
     assert t.inputs[0] == dynamics._draw_inputs(t.occ, np.flatnonzero(t.occ),
                                                 rates[0].depletion)
+
+    # now every emission swaps levels 0 and 1: a pulse that excites both
+    # atoms of (1, 1) moves two atoms and no count, and keeps every kept
+    # input, the plan and the occupied list; one that moves a count drops
+    # pulse 0's inputs and the plan, but never pulse 1's
+    occ[[0, 1, 3]] = (1, 1, 1)
+    run = dynamics._Run(basis, params, schedule, Configuration(occ), None,
+                        RecorderSpec(watched_ids=(0,)), None)
+    sp = np.zeros((basis.size, basis.size), order="F")
+    sp[1, 0] = sp[0, 1] = sp[3, 3] = 1.0
+    run.sp_dense = sp
+    t = dynamics._Trajectory(run, (12,))
+    t.rates = rates
+    kept, moved = 0, 0
+    for c in range(schedule.total_cycles):
+        before = [t._inputs(i) if k is None else k for i, k in enumerate(t.inputs)]
+        t.plan = plan = t._plan()
+        occupied, counts, done = t.occupied, t.occ.copy(), len(t.events)
+        t._cycle(c, (), rates)
+        if len(t.events) == done:
+            continue
+        assert t.inputs[1] is before[1]
+        if (t.occ == counts).all():
+            kept += 1
+            assert all(a is b for a, b in zip(t.inputs, before))
+            assert t.plan is plan and t.occupied is occupied
+        else:
+            moved += 1
+            assert t.inputs[0] is None and t.plan is None
+    assert kept and moved
+
+
+def test_plan_stops_at_the_first_level_that_refuses_blocks(monkeypatch):
+    # level 0's qn = 0.6**2 = 0.36 is already at most _QUIET_MIN, so the
+    # plan evaluates no other level's threshold; quiet levels are all read
+    basis, params, schedule = make_1d_system(max_shell=5, pulses=(-1,))
+    occ = np.array([2, 1, 1, 1, 1, 0])
+    run = dynamics._Run(basis, params, schedule, Configuration(occ), None,
+                        RecorderSpec(watched_ids=(0,)), None)
+    threshold, calls = dynamics._threshold, []
+
+    def counted(n, p):
+        calls.append((n, p))
+        return threshold(n, p)
+
+    monkeypatch.setattr(dynamics, "_threshold", counted)
+    for dep, want in ((0.2, False), (0.01, True)):
+        t = dynamics._Trajectory(run, (1,))
+        t.rates = [pulse_rates(basis.size, [(m, m, dep) for m in range(5)])]
+        calls.clear()
+        plan = t._plan()
+        assert bool(plan) is want
+        if want:
+            assert calls == [(2, 0.02)] + [(1, 0.02)] * 4
+            assert plan[0].tolist() == [threshold(*c) for c in calls]
+        else:
+            assert calls == [(2, 0.4)]
+
+
+def test_accumulate_is_a_left_to_right_python_sum():
+    # the emission draw's prefix walk rests on numpy's float64 multiply and
+    # accumulate rounding as Python's float product and sequential sum do
+    r = np.random.default_rng(19)
+    for n in (1, 7, 64, 1771):
+        col = 10.0 ** r.uniform(-30, 0, n) * (r.random(n) > 0.3)
+        occ1 = r.integers(1, 10_001, n).astype(np.float64)
+        w = np.multiply(col, occ1)
+        assert w.tolist() == [a * b for a, b in zip(col.tolist(), occ1.tolist())]
+        sums, c = [], 0.0
+        for x in w.tolist():
+            c += x
+            sums.append(c)
+        assert np.add.accumulate(w).tolist() == sums
+
+
+class FixedUniform:
+    """A generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def emission_draws(col, occ1, rng_new, rng_ref):
+    """(the prefix draw, the full-sum draw) of one emission column."""
+    head = occ1[:dynamics._HEAD].tolist()
+    buffers = np.empty_like(occ1), np.empty_like(occ1)
+    got = dynamics._emission_index(col, occ1, head, rng_new, *buffers)
+    want = dynamics._draw_index(col * occ1, rng_ref)
+    return got, want
+
+
+@st.composite
+def emission_columns(draw):
+    """A Philox seed, an emission column of 2 _HEAD + 1 to 3,000 levels
+    whose non-zero values span up to 300 decades, with runs of zeros, and
+    occupancies up to 10**4."""
+    n = draw(st.integers(2 * dynamics._HEAD + 1, 3000))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.sampled_from((0, 3, 16, 60, 300)))
+    col = 10.0 ** -r.uniform(0, decades, n)
+    for _ in range(draw(st.integers(0, 6))):  # runs of zeros
+        start = r.integers(0, n)
+        col[start:start + r.integers(1, n // 2)] = 0.0
+    col *= draw(st.sampled_from((1.0, 1e-150, 1e-300, 1e-320, 1e290)))
+    tail = draw(st.sampled_from((1.0, 1e-6, 1e6)))  # weight beyond the head
+    col[dynamics._HEAD:] *= tail
+    top = draw(st.sampled_from((0, 1, 30, 10_000)))
+    occ1 = r.integers(0, top + 1, n) + 1.0
+    return draw(st.integers(0, 2**32 - 1)), col, occ1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(emission_columns())
+@example((5, np.zeros(60), np.ones(60)))
+@example((6, np.full(60, 5e-324), np.full(60, 3.0)))
+def test_prefix_emission_draw_is_the_full_sum_draw(case):
+    seed, col, occ1 = case
+    rng_new, rng_ref = rng_of(seed), rng_of(seed)
+    if not (col * occ1).sum() > 0.0:
+        for rng in (rng_new, rng_ref):
+            with pytest.raises(PhysicsValidityError, match="no open channel"):
+                emission_draws(col, occ1, rng, rng)
+    else:
+        got, want = emission_draws(col, occ1, rng_new, rng_ref)
+        assert got == want
+    assert stream_position(rng_new) == stream_position(rng_ref)
+    assert rng_new.random() == rng_ref.random()
+
+
+def test_step_draws_destinations_as_the_full_sum_draw(monkeypatch):
+    # 84 levels take the prefix draw; a pulse's emissions keep occ + 1 and
+    # its head up to date, so _step must equal one whose every destination
+    # is drawn from the full prefix sum
+    basis = enumerate_levels(3, 6)
+    assert basis.size > 2 * dynamics._HEAD
+    params = SimParams(eta=2.0, omega0_tau_abs=0.5)
+    provider = MatrixProvider(basis, params)
+    sp = provider.spontaneous_dense()
+    rates = provider.absorption(PulseSpec(s=-1, amps=(1.0, 1.0, 1.0)))
+    start = np.zeros(basis.size, dtype=np.int64)
+    start[:40] = np.random.default_rng(3).integers(0, 30, 40)
+
+    def full_sum(col, occ1, head, rng, weights, cw):
+        return dynamics._draw_index(np.multiply(col, occ1, out=weights), rng, cw)
+
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(dynamics, "_emission_index", full_sum)
+        occ, rng, events = start.copy(), rng_of(21), []
+        for _ in range(60):
+            events += _step(occ, rates, sp, rng)[0]
+        runs.append((events, occ.tolist(), stream_position(rng)))
+    assert len(runs[0][0]) > 200
+    assert runs[0] == runs[1]
+
+
+def test_prefix_emission_draw_widens_the_dot_product():
+    # u puts fl(u T) and fl(u D) on either side of a prefix sum in the head,
+    # T the sequential total and D the dot product: a draw that read D as
+    # T would settle on the wrong level
+    r = np.random.default_rng(5)
+    straddled = 0
+    for _ in range(200):
+        n = 3 * dynamics._HEAD
+        col = 10.0 ** r.uniform(-12, 0, n)
+        occ1 = r.integers(1, 10_001, n).astype(np.float64)
+        cw = np.add.accumulate(col * occ1)
+        t, d = cw[-1], float(np.dot(col, occ1))
+        for k in range(dynamics._HEAD - 1):
+            # the least u with fl(u T) >= cw[k] if D < T, else the largest
+            # with fl(u T) < cw[k]
+            u = float(cw[k] / t)
+            while u * t < cw[k]:
+                u = math.nextafter(u, 1.0)
+            while math.nextafter(u, 0.0) * t >= cw[k]:
+                u = math.nextafter(u, 0.0)
+            if d > t:
+                u = math.nextafter(u, 0.0)
+            if (u * t < cw[k]) == (u * d < cw[k]):
+                continue
+            straddled += 1
+            got, want = emission_draws(col, occ1, FixedUniform(u), FixedUniform(u))
+            assert got == want
+    assert straddled >= 20
 
 
 def numpy_draw_inputs(occ, occupied, depletion):
