@@ -90,7 +90,7 @@ def enumerate_levels(dim: int, max_shell: int) -> Basis:
 
 def enumeration_bytes(dim: int, max_shell: int) -> int:
     """An upper bound on the bytes of the arrays ``enumerate_levels(dim,
-    max_shell)`` holds at its peak: per each of the (max_shell + 1)**dim
+    max_shell)`` holds at its peak: for each of the (max_shell + 1)**dim
     quantum-number tuples, the index grid (dim int64), its shell sums and
     the lut (one int64 each) and their mask (one byte); per level, the
     kept tuples, their sort keys and order, the returned levels and

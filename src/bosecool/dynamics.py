@@ -278,12 +278,14 @@ def _emission_index(col: np.ndarray, occ1: np.ndarray, head: list | None,
     sequential total. The dot product D = col . occ1 bounds T: both err
     from the exact sum by at most gamma_N of it (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 3), so T lies in
-    [lo, hi] = D (1 -+ 4 N 2**-53), rounding included. As fl(u x) is
-    monotone in x, the first prefix above fl(u lo) is k if it also lies
-    above fl(u hi). Python's float product and sum round as numpy's
-    multiply and accumulate do, so the prefix is cw's. Where the bound
-    cannot settle the draw, or underflowing products could break it, the
-    full path draws from the same u."""
+    [lo, hi] = D (1 -+ 4 N 2**-53), a margin that also covers rounding lo
+    and hi. As fl(u x) is monotone in x, the first prefix above fl(u lo)
+    is k if it also lies above fl(u hi). Python's float product and sum
+    round as numpy's multiply and accumulate do, so the prefix is cw's.
+    Where the head cannot settle the draw, the full path draws from the
+    same u; where underflowing products could break the bound (lo at or
+    below 2**-1000, or a NaN), it draws u itself."""
+    u = None
     if head is not None:
         total = float(np.dot(col, occ1))
         eps = col.shape[0] * 2.0 ** -51
@@ -298,8 +300,7 @@ def _emission_index(col: np.ndarray, occ1: np.ndarray, head: list | None,
                     if c > u * (total * (1.0 + eps)):
                         return k
                     break
-            return _draw_index(np.multiply(col, occ1, out=weights), rng, cw, u)
-    return _draw_index(np.multiply(col, occ1, out=weights), rng, cw)
+    return _draw_index(np.multiply(col, occ1, out=weights), rng, cw, u)
 
 
 # the draw inputs of a pulse that couples no occupied level (shared, so
@@ -415,11 +416,12 @@ def _step(occ: np.ndarray, rates: PulseRates, sp_dense: np.ndarray,
     emit_order = rng.permutation(total).tolist() if total > 1 else [0]
 
     indptr, chan_to = rates.chan_indptr, rates.chan_to
+    chan_rate = rates.chan_rate
     excited = []
     for m in absorbed:
         lo, hi = indptr[m], indptr[m + 1]
         if hi - lo > 1:
-            lo += _draw_index(rates.chan_rate[lo:hi], rng)
+            lo += _draw_index(chan_rate[lo:hi], rng)
         excited.append(int(chan_to[lo]))
 
     # Bose-enhanced weights Gamma_sp[:, l] * (occ + 1), with occ + 1 kept
