@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, SimParams
-from .dynamics import MatrixProvider
+from .dynamics import MatrixProvider, _provider_for
 
 
 def _cycle_rates(pulses, basis, params, provider=None):
-    if provider is None:
-        provider = MatrixProvider(basis, params)
+    provider = _provider_for(basis, params, provider)
     return [provider.absorption(p) for p in pulses], provider
 
 

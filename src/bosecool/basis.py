@@ -73,6 +73,7 @@ def enumerate_levels(dim: int, max_shell: int) -> Basis:
     grids = np.indices((max_shell + 1,) * dim).reshape(dim, -1).T
     sums = grids.sum(axis=1)
     keep = grids[sums <= max_shell]
+    del grids, sums  # the lut below is the only other per-cell array
     keysums = keep.sum(axis=1)
     # lexsort: last key is the primary one
     order = np.lexsort(tuple(keep[:, j] for j in range(dim - 1, -1, -1)) + (keysums,))
@@ -91,13 +92,14 @@ def enumerate_levels(dim: int, max_shell: int) -> Basis:
 def enumeration_bytes(dim: int, max_shell: int) -> int:
     """An upper bound on the bytes of the arrays ``enumerate_levels(dim,
     max_shell)`` holds at its peak: for each of the (max_shell + 1)**dim
-    quantum-number tuples, the index grid (dim int64), its shell sums and
-    the lut (one int64 each) and their mask (one byte); per level, the
-    kept tuples, their sort keys and order, the returned levels and
-    shells and the lut's ids and index arrays (20 dim + 36 bytes)."""
+    quantum-number tuples, the index grid (dim int64), its shell sums (one
+    int64) and their mask (one byte), which are freed before the lut (one
+    int64) is allocated; per level, the kept tuples, their sort keys and
+    order, the returned levels and shells and the lut's ids and index
+    arrays (20 dim + 36 bytes)."""
     cells = (max_shell + 1) ** dim
     levels = math.comb(max_shell + dim, dim)
-    return (8 * dim + 17) * cells + (20 * dim + 36) * levels
+    return (8 * dim + 9) * cells + (20 * dim + 36) * levels
 
 
 @dataclass(frozen=True)

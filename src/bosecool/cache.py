@@ -22,6 +22,9 @@ The fingerprint string encodes every physics input of the build (basis,
 Lamb-Dicke parameters, pulse fields or quadrature layout), so a load
 against different physics fails loudly instead of silently reusing stale
 rates. Round trips are bit-exact: rates are stored as raw IEEE doubles.
+A fingerprint names physics inputs, not code: a code change that moves
+any bit of a stored matrix must bump ``VERSION``, or old files load
+silently and disagree with fresh builds.
 
 A store writes the emission body from the matrix's own buffer and a load
 reads it straight into the array it returns, so neither holds a second
@@ -60,7 +63,7 @@ class CacheMismatchError(CacheError):
 
 def cache_store(matrix: RateMatrix | EmissionMatrix,
                 path: str | os.PathLike) -> None:
-    """Write ``matrix`` atomically (temp file + rename in the target dir).
+    """Write ``matrix`` atomically (``atomic_write``).
 
     An emission matrix's body is written from its own buffer; an
     absorption record, a few thousand entries, is packed first.
@@ -82,13 +85,19 @@ def cache_store(matrix: RateMatrix | EmissionMatrix,
     sha = hashlib.sha256(head)
     sha.update(body)
 
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    atomic_write(path, (head, body, sha.digest()))
+
+
+def atomic_write(path: str | os.PathLike, parts) -> None:
+    """Write the byte ``parts`` to ``path`` through a hidden ``.tmp-``
+    file in its directory, created if missing, and a rename, so the path
+    holds either its old bytes or all of the new ones."""
+    directory = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for part in (head, body, sha.digest()):
+            for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
     except BaseException:

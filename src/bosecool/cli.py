@@ -13,7 +13,6 @@ import dataclasses
 import io
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .analysis import (condensation_criterion, find_dark_states,
                        hysteresis_extract, split_ramp_branches)
 from .basis import enumeration_bytes
-from .cache import CacheError
+from .cache import CacheError, atomic_write
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
                        calibrate_pulse_area, run_ensemble)
@@ -36,23 +35,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():
-        _atomic_write(os.path.join(out_dir, name), text)
+        atomic_write(os.path.join(out_dir, name), (text.encode("utf-8"),))
 
 
 def _level_tag(level) -> str:
@@ -128,8 +113,6 @@ def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
         omega0 = calibrate_pulse_area(basis, probe, cfg.schedule, expected)
     else:
         omega0 = float(cfg.omega0_tau_abs)
-    if cfg.cache_dir is not None:
-        os.makedirs(cfg.cache_dir, exist_ok=True)
     return MatrixProvider(basis, cfg.build_params(omega0_resolved=omega0),
                           cache_dir=cfg.cache_dir, quadrature=quadrature)
 

@@ -46,7 +46,7 @@ level read nothing the events changed, so reuse changes no random number.
 While the kept inputs stay the same, cycles run as blocks. numpy's
 binomial draws by inversion (BINV) where p <= 0.5 and n p <= 30: it
 reads one uniform U and returns 0 exactly when U <= qn = (1 - p)**n,
-which ``_thresholds`` computes bitwise as numpy (>= 2.4) does, each time
+which ``_threshold`` computes bitwise as numpy (>= 2.4) does, each time
 the kept inputs change. A block saves the generator's state, draws the
 uniforms of the rest of a stretch of cycles that share one rates list in
 one call and finds the first cycle with some U > qn; it restores the
@@ -989,6 +989,8 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
                          expected_occ: np.ndarray, target: float = 0.5) -> float:
     """Pulse area such that the worst per-atom excitation probability,
     over levels the initial state actually populates, is ``target``.
+    Only cycle-0 pulses without an area of their own (ramped or set per
+    pulse) take the calibrated one, so only they enter both bounds.
 
     Levels expected to hold fewer than ``_OCCUPANCY_FLOOR`` atoms do not
     constrain the target (they would let the empty hot tail of the basis
@@ -1009,7 +1011,10 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         populated = expected_occ >= expected_occ.max()
     worst_pop = 0.0
     worst_any = 0.0
-    for pulse in resolve_cycle(schedule.resolved(params), 0):
+    for pulse in resolve_cycle(schedule, 0):
+        if pulse.omega0_tau_abs is not None:  # keeps its own area
+            continue
+        pulse = pulse.resolved(params)
         struct = absorption_structure(basis, params, pulse.s, pulse.omega_tau_abs)
         dep = struct.evaluate(pulse.amps, omega0_tau_abs=0.5).depletion
         worst_pop = max(worst_pop, 2.0 * float(dep[populated].max()))

@@ -47,15 +47,15 @@ class PhysicsValidityError(RuntimeError):
 # ---------------------------------------------------------------- kernels
 
 
-def _laguerre_upward(n: int, alpha: int, x: float) -> float:
-    """Associated Laguerre L_n^(alpha)(x) by the three-term upward recurrence."""
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
+def _laguerre(n: int, alpha: int, x: float) -> list[float]:
+    """Associated Laguerre L_0^(alpha)(x) .. L_n^(alpha)(x) by the
+    three-term upward recurrence."""
+    prev, cur = 1.0, 1.0 + alpha - x
+    vals = [prev, cur]
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
+        vals.append(cur)
+    return vals[:n + 1]
 
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -75,7 +75,7 @@ def franck_condon_1d(n_out: int, n_in: int, kappa: float) -> complex:
         return 1.0 + 0.0j if d == 0 else 0.0 + 0.0j
     lo, hi = (n_out, n_in) if n_out < n_in else (n_in, n_out)
     x = kappa * kappa
-    lag = _laguerre_upward(lo, d, x)
+    lag = _laguerre(lo, d, x)[-1]
     log_mag = (-0.5 * x + d * math.log(abs(kappa))
                + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
     amp = math.exp(log_mag) * lag
@@ -88,16 +88,7 @@ def franck_condon_1d(n_out: int, n_in: int, kappa: float) -> complex:
 def fc_diag(n_max: int, kappa: float) -> np.ndarray:
     """Real diagonal amplitudes <n|e^{i kappa x}|n> for n = 0..n_max."""
     x = kappa * kappa
-    out = np.empty(n_max + 1)
-    pref = math.exp(-0.5 * x)
-    prev, cur = 1.0, 1.0 - x
-    out[0] = pref
-    if n_max >= 1:
-        out[1] = pref * cur
-    for k in range(1, n_max):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        out[k + 1] = pref * cur
-    return out
+    return math.exp(-0.5 * x) * np.array(_laguerre(n_max, 0, x))
 
 
 def fc_abs2_shift(n_max: int, delta: int, kappa: float) -> np.ndarray:
@@ -126,14 +117,7 @@ def fc_abs2_table(n_max: int, kappa: float) -> np.ndarray:
     for d in range(size):
         n_lo = np.arange(size - d)
         log_mag = -x + 2 * d * logk + lg[n_lo] - lg[n_lo + d]
-        prev, cur = 1.0, 1.0 + d - x
-        vals = np.empty(size - d)
-        vals[0] = 1.0
-        if size - d > 1:
-            vals[1] = cur
-        for k in range(1, size - d - 1):
-            prev, cur = cur, ((2 * k + 1 + d - x) * cur - (k + d) * prev) / (k + 1)
-            vals[k + 1] = cur
+        vals = np.array(_laguerre(size - d - 1, d, x))
         sq = np.exp(log_mag) * vals * vals
         idx = np.arange(size - d)
         out[idx + d, idx] = sq

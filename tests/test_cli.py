@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import glob
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 
+import pytest
 import yaml
 
 import bosecool
 from bosecool import cli, emission_quadrature, enumerate_levels
 from bosecool.cli import CACHE_ENV, main
 from bosecool.basis import enumeration_bytes
+from bosecool.cache import cache_load, cache_store
 from bosecool.config import load_config
 from bosecool.rates import emission_memory_bytes
 
@@ -253,7 +257,7 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
                                                    monkeypatch):
-    # 2001**3 quantum-number tuples: enumeration would take 425 GiB, so
+    # 2001**3 quantum-number tuples: enumeration would take 366 GiB, so
     # every command refuses before any table is allocated
     from bosecool import config
 
@@ -280,7 +284,7 @@ def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
         assert err == ("error: config: enumerating basis(dim=3,max_shell=2000) "
-                       f"needs about {need:,} bytes (425.5 GiB), more than "
+                       f"needs about {need:,} bytes (365.8 GiB), more than "
                        f"the {16 << 30:,} bytes (16.0 GiB) of physical "
                        "memory; lower basis.max_shell\n")
     assert not os.path.exists(out)
@@ -332,6 +336,63 @@ def test_cache_reuse_and_corruption(tmp_path, capsys):
     assert run_cli(["simulate", "--config", cfg, "--threads", "1",
                     "--out", str(tmp_path / "r3")]) == 4
     assert capsys.readouterr().err.startswith("error: io:")
+
+
+class _DiskFull:
+    """A binary file that writes the first bytes of its first part and
+    then fails, as a write to a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, part):
+        self.fh.write(bytes(part)[:8])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_interrupted_writes_keep_the_old_bytes(tmp_path, capsys, monkeypatch):
+    # a write that fails midway leaves its target as it was and no
+    # temporary file, for a command's outputs and a cache store alike; the
+    # temporary files are hidden, so no "*" or "*.rates" glob sees them
+    doc = sim_doc(str(tmp_path / "out"))
+    doc["cache_dir"] = str(tmp_path / "cache")
+    cfg = write_doc(tmp_path, doc)
+
+    def visible() -> dict:
+        return {p: open(p, "rb").read()
+                for p in sorted(glob.glob(str(tmp_path / "*" / "*")))}
+
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    before = visible()
+
+    temps = []
+    real_mkstemp, real_fdopen = tempfile.mkstemp, os.fdopen
+
+    def mkstemp(**kwargs):
+        fd, tmp = real_mkstemp(**kwargs)
+        temps.append(tmp)
+        return fd, tmp
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _DiskFull(
+        real_fdopen(fd, mode)))
+    # the warm run stores nothing, so only its first output is written
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    rates = glob.glob(str(tmp_path / "cache" / "*.rates"))[0]
+    with pytest.raises(OSError, match="No space left on device"):
+        cache_store(cache_load(rates), rates)
+
+    assert len(temps) == 2
+    assert all(os.path.basename(t).startswith(".tmp-") for t in temps)
+    assert not any(os.path.exists(t) for t in temps)
+    assert visible() == before
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
@@ -387,6 +448,38 @@ def test_unattainable_thermal_start_exits_2_before_any_build(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
     for command in ("darkstates", "criterion"):
         assert run_cli([command, "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("own", [0.99, 0.05])
+def test_calibration_leaves_out_pulses_with_their_own_area(tmp_path, own):
+    # the s = 0 pulse keeps its own area whatever the calibration finds,
+    # so only the s = -1 pulse, which alone calibrates to the cap, counts
+    doc = {
+        "basis": {"dim": 1, "max_shell": 5},
+        "params": {"eta": 0.1, "omega0_tau_abs": "auto"},
+        "atoms": 1,
+        "initial": {"point_level": [1]},
+        "schedule": {"pulses": [{"s": 0, "omega0_tau_abs": own}, {"s": -1}],
+                     "total_cycles": 10},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    provider = cli._prepare(load_config(write_doc(tmp_path, doc)),
+                            emission=False)
+    assert provider.params.omega0_tau_abs == 0.9
+
+
+def test_preset_pulse_areas_are_pinned():
+    want = {"fig1": 0.5527137918977827, "fig2": 0.9, "fig2_eta205": 0.9,
+            "fig3": 0.5600646403017431, "fig3_short": 0.5600646403017431}
+    configs = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "configs")
+    for name, area in want.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fig2_eta205 rounds its target
+            cfg = load_config(os.path.join(configs, f"{name}.yaml"))
+            provider = cli._prepare(cfg, emission=False)
+        assert cfg.omega0_tau_abs == "auto"
+        assert provider.params.omega0_tau_abs == area, name
 
 
 def test_criterion_reports_condensing(tmp_path):

@@ -21,11 +21,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       PulseSpec, Ramp, RecorderSpec, Schedule, SimParams,
                       TrajectoryRecord, calibrate_pulse_area,
-                      condensation_criterion, dynamics, emission_counts,
-                      emission_quadrature, enumerate_configurations,
-                      enumerate_levels,
+                      condensation_criterion, depletion_profile, dynamics,
+                      emission_counts, emission_quadrature,
+                      enumerate_configurations, enumerate_levels,
                       exact_initial_state, exact_propagate, figure_schedule,
-                      franck_condon_1d, pulse_step, resolve_cycle,
+                      find_dark_states, franck_condon_1d, pulse_step,
+                      resolve_cycle,
                       run_ensemble, run_trajectory)
 from bosecool.dynamics import PulseRates, _step
 from bosecool.rates import (REL_CUTOFF, EmissionMatrix, RateMatrix,
@@ -520,6 +521,10 @@ def test_calibration_validation():
     dark[0] = 10.0  # nothing below the ground level on a lowering pulse
     with pytest.raises(PhysicsValidityError, match="drives no excitation"):
         calibrate_pulse_area(basis, params, schedule, dark)
+    own = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,), omega0_tau_abs=0.5),),
+                   total_cycles=5)  # no pulse takes the calibrated area
+    with pytest.raises(PhysicsValidityError, match="drives no excitation"):
+        calibrate_pulse_area(basis, params, own, occ)
 
 
 def test_provider_memoizes_and_persists(tmp_path):
@@ -576,6 +581,14 @@ def test_provider_for_other_physics_is_refused(other):
                        provider=provider)
     with pytest.raises(ValueError, match="the provider serves"):
         exact_propagate(basis, params, schedule, initial, provider=provider)
+    # the analysis functions take the same check: a provider for other
+    # params would report that physics, one for another basis fail later
+    pulses = resolve_cycle(schedule, 0)
+    for analyse in (depletion_profile, find_dark_states):
+        with pytest.raises(ValueError, match="the provider serves"):
+            analyse(pulses, basis, params, provider=provider)
+    with pytest.raises(ValueError, match="the provider serves"):
+        condensation_criterion(pulses, basis, params, 0, provider=provider)
     assert not any(provider.counters.values())  # refused before any build
 
 
