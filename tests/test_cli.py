@@ -364,12 +364,11 @@ def test_interrupted_writes_keep_the_old_bytes(tmp_path, capsys, monkeypatch):
     doc["cache_dir"] = str(tmp_path / "cache")
     cfg = write_doc(tmp_path, doc)
 
-    def visible() -> dict:
-        return {p: open(p, "rb").read()
-                for p in sorted(glob.glob(str(tmp_path / "*" / "*")))}
+    def files() -> dict:  # hidden ones included
+        return {p: p.read_bytes() for p in sorted(tmp_path.glob("*/*"))}
 
     assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
-    before = visible()
+    before = files()
 
     temps = []
     real_mkstemp, real_fdopen = tempfile.mkstemp, os.fdopen
@@ -392,7 +391,7 @@ def test_interrupted_writes_keep_the_old_bytes(tmp_path, capsys, monkeypatch):
     assert len(temps) == 2
     assert all(os.path.basename(t).startswith(".tmp-") for t in temps)
     assert not any(os.path.exists(t) for t in temps)
-    assert visible() == before
+    assert files() == before
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
