@@ -169,7 +169,8 @@ class RateMatrix:
 class EmissionMatrix:
     """The emission branching matrix: ``dense[n, l]`` is the rate from
     excited level l to ground level n, float64 and column-major, so the
-    column an emission draw reads is contiguous."""
+    column an emission draw reads is contiguous. A loaded matrix is a
+    read-only view of its mapped cache file (``cache.cache_load``)."""
 
     dense: np.ndarray
     fingerprint: str = ""
@@ -513,7 +514,9 @@ def emission_memory_bytes(basis: Basis, quadrature: EmissionQuadrature) -> int:
     6); from a few hundred levels up the estimate lies above the peak.
 
     8 per level pair for the dense matrix the build fills, the cache
-    stores and loads in place and the run keeps. The build adds its
+    stores and the run keeps. A load maps the cache file instead of
+    allocating the matrix (``cache.cache_load``), so the same preflight,
+    unchanged, is conservative there. The build adds its
     recoil tables, one (max_shell+1)^2 table per distinct |direction
     component| (a 1D matrix fills its one table's buffer), and the larger
     of what its steps hold at once: in 1D or 2D four column blocks, for

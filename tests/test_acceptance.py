@@ -404,3 +404,39 @@ def test_criterion_9_ramped_hysteresis_is_thread_independent(tmp_path):
         outputs.append(files)
     assert outputs[0][1].count(b"\n") > 20  # events were logged
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_criterion_9_thread_independence_over_a_loaded_matrix(tmp_path):
+    # criterion 9's simulate run with a cache: one worker builds and
+    # stores the emission matrix, then two and three workers share the
+    # verified file's read-only mapping; the bytes must not change
+    doc = {
+        "basis": {"dim": 1, "max_shell": 5},
+        "params": {"eta": 0.7, "omega0_tau_abs": 0.4},
+        "atoms": 2,
+        "trajectories": 30,
+        "seed": 7,
+        "initial": {"point_level": [5]},
+        "schedule": {"pulses": [{"s": -1}, {"s": -2}], "total_cycles": 80},
+        "recorder": {"stride": 5, "events": True},
+        "watched": [[0], [1]],
+        "output": {"directory": str(tmp_path / "t1")},
+        "cache_dir": str(tmp_path / "cache"),
+    }
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    outputs = []
+    for threads, sp_builds in ((1, 1), (2, 0), (3, 0)):
+        out = str(tmp_path / f"t{threads}")
+        code = cli_main(["simulate", "--config", str(cfg),
+                         "--threads", str(threads), "--out", out])
+        assert code == 0
+        with open(os.path.join(out, "summary.txt"), encoding="utf-8") as fh:
+            assert f"sp_builds: {sp_builds}\n" in fh.read()
+        with open(os.path.join(out, "observables.csv"), "rb") as fh:
+            obs = fh.read()
+        with open(os.path.join(out, "events.csv"), "rb") as fh:
+            ev = fh.read()
+        outputs.append((obs, ev))
+    assert outputs[0][1].count(b"\n") > 20  # events were logged
+    assert outputs[0] == outputs[1] == outputs[2]

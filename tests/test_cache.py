@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
 import hashlib
+import mmap
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -108,9 +111,10 @@ def test_cache_filename_stable():
     assert name != cache_filename("abs|basis(dim=1,max_shell=6)|s=-1")
 
 
-def v2_file_bytes(matrix):
-    """A version-2 file as a writer that concatenates the whole body
-    before hashing it lays it out."""
+def file_bytes(matrix, version=3):
+    """A file of format ``version`` (3, or the retired 2, which has no
+    padding) as a writer that concatenates the whole body before hashing
+    it lays it out."""
     fp_bytes = matrix.fingerprint.encode("utf-8")
     if isinstance(matrix, EmissionMatrix):
         kind, (rows, cols) = 1, matrix.dense.shape
@@ -124,26 +128,19 @@ def v2_file_bytes(matrix):
         entries["from"] = matrix.from_ids
         entries["rate"] = matrix.rates
         body = entries.tobytes()
-    header = b"BCRATES1" + struct.pack("<IBxxxIIQI", 2, kind, rows, cols, n,
-                                       len(fp_bytes))
-    data = header + fp_bytes + body
+    header = b"BCRATES1" + struct.pack("<IBxxxIIQI", version, kind, rows,
+                                       cols, n, len(fp_bytes)) + fp_bytes
+    if version == 3:
+        header += bytes(-len(header) % 64)
+    data = header + body
     return data + hashlib.sha256(data).digest()
 
 
-def v1_emission_bytes(matrix):
-    """The retired version-1 emission file: a (u32 to, u32 from, f64 rate)
-    record of the non-zero entries in row-major order."""
-    to_ids, from_ids = np.nonzero(matrix.dense)
-    entries = np.empty(to_ids.size, dtype=[("to", "<u4"), ("from", "<u4"),
-                                           ("rate", "<f8")])
-    entries["to"] = to_ids
-    entries["from"] = from_ids
-    entries["rate"] = matrix.dense[to_ids, from_ids]
-    fp_bytes = matrix.fingerprint.encode("utf-8")
-    data = (b"BCRATES1" + struct.pack("<IBxxxIIQI", 1, 1, *matrix.dense.shape,
-                                      to_ids.size, len(fp_bytes))
-            + fp_bytes + entries.tobytes())
-    return data + hashlib.sha256(data).digest()
+def body_offset(matrix) -> int:
+    """Where the body of ``matrix``'s version-3 file starts: the header and
+    fingerprint rounded up to a multiple of 64 bytes."""
+    unpadded = 36 + len(matrix.fingerprint.encode("utf-8"))
+    return unpadded + -unpadded % 64
 
 
 EMISSION_PARAMS = SimParams(eta=2.0, omega0_tau_abs=0.4)
@@ -164,14 +161,19 @@ def emission():
 
 
 @pytest.mark.parametrize("make", [emission_matrix, small_matrix])
-def test_v2_layout(tmp_path, make):
+def test_v3_layout(tmp_path, make):
     mat = make()
     path = tmp_path / "m.rates"
     cache_store(mat, path)
-    assert path.read_bytes() == v2_file_bytes(mat)
+    raw = path.read_bytes()
+    assert raw == file_bytes(mat)
+    offset = body_offset(mat)
+    assert offset % 64 == 0
+    assert raw[36 + len(mat.fingerprint.encode("utf-8")):offset] == \
+        bytes(offset - 36 - len(mat.fingerprint.encode("utf-8")))
 
     ref = tmp_path / "ref.rates"
-    ref.write_bytes(v2_file_bytes(mat))
+    ref.write_bytes(file_bytes(mat))
     back = cache_load(ref, expected_fingerprint=mat.fingerprint)
     assert type(back) is type(mat)
     assert back.fingerprint == mat.fingerprint
@@ -190,12 +192,12 @@ def test_emission_round_trip_bit_exact(tmp_path, emission):
     assert emission.dense.flags.f_contiguous
     path = tmp_path / cache_filename(emission.fingerprint)
     cache_store(emission, path)
-    assert path.stat().st_size == 8 * emission.dense.size + 36 + \
-        len(emission.fingerprint.encode()) + 32
+    assert path.stat().st_size == body_offset(emission) + \
+        8 * emission.dense.size + 32
     back = cache_load(path, expected_fingerprint=emission.fingerprint)
     assert isinstance(back, EmissionMatrix)
     assert back.dense.dtype == np.float64
-    assert back.dense.flags.f_contiguous and back.dense.flags.writeable
+    assert back.dense.flags.f_contiguous and not back.dense.flags.writeable
     assert back.dense.shape == emission.dense.shape
     assert back.dense.tobytes(order="F") == emission.dense.tobytes(order="F")
     assert back.nnz == emission.nnz
@@ -244,14 +246,15 @@ def test_emission_wrong_payload_length(tmp_path, emission, field, delta):
         cache_load(path)
 
 
-def test_v1_emission_file_is_ignored(tmp_path, emission):
+def test_v2_emission_file_is_ignored(tmp_path, emission):
     basis = enumerate_levels(3, 12)
     quad = emission_quadrature(3)
-    old = tmp_path / (hashlib.sha256(emission.fingerprint.encode("utf-8"))
-                      .hexdigest()[:32] + ".rates")
-    old.write_bytes(v1_emission_bytes(emission))
+    old = tmp_path / (hashlib.sha256(f"v2|{emission.fingerprint}"
+                                     .encode("utf-8")).hexdigest()[:32]
+                      + ".rates")
+    old.write_bytes(file_bytes(emission, version=2))
     before = old.read_bytes(), old.stat().st_mtime_ns
-    with pytest.raises(CacheMismatchError, match="format version 1"):
+    with pytest.raises(CacheMismatchError, match="format version 2"):
         cache_load(old)
 
     provider = MatrixProvider(basis, EMISSION_PARAMS, cache_dir=str(tmp_path),
@@ -265,3 +268,60 @@ def test_v1_emission_file_is_ignored(tmp_path, emission):
     assert (old.read_bytes(), old.stat().st_mtime_ns) == before
     new = tmp_path / cache_filename(emission.fingerprint)
     assert new != old and new.exists()
+
+
+def test_emission_flipped_padding_byte(tmp_path, emission):
+    path, raw = emission_file(tmp_path, emission)
+    padding = body_offset(emission) - 36 - len(emission.fingerprint.encode())
+    assert padding > 0
+    raw[body_offset(emission) - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheCorruptError, match="checksum"):
+        cache_load(path, expected_fingerprint=emission.fingerprint)
+
+
+def test_emission_truncated_inside_body_or_digest(tmp_path, emission):
+    path, raw = emission_file(tmp_path, emission)
+    for cut in (body_offset(emission) + 8, len(raw) - 40, len(raw) - 1):
+        path.write_bytes(bytes(raw[:cut]))
+        with pytest.raises(CacheCorruptError, match="payload length"):
+            cache_load(path, expected_fingerprint=emission.fingerprint)
+
+
+def test_loaded_emission_is_a_read_only_view_of_the_file(tmp_path, emission):
+    path, _ = emission_file(tmp_path, emission)
+    nbytes = 8 * emission.dense.size
+    tracemalloc.start()
+    try:
+        back = cache_load(path, expected_fingerprint=emission.fingerprint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = back.dense
+    assert dense.flags.f_contiguous and dense.flags.aligned
+    assert not dense.flags.writeable and not dense.flags.owndata
+    # what the load allocates is the read buffer and a few small
+    # objects, not a copy of the body
+    assert peak < 0.05 * nbytes
+    owner = dense
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner, memoryview) and isinstance(owner.obj, mmap.mmap)
+    with pytest.raises(ValueError, match="read-only"):
+        dense[0, 0] = 1.0
+    # the view's bytes are the file's body, where the file puts them
+    mapped = np.frombuffer(path.read_bytes(), dtype="<f8", count=dense.size,
+                           offset=body_offset(emission))
+    assert dense.T.tobytes() == mapped.tobytes()
+    assert dense.tobytes(order="F") == emission.dense.tobytes(order="F")
+
+
+def test_mapping_failure_is_corruption(tmp_path, emission, monkeypatch):
+    path, _ = emission_file(tmp_path, emission)
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(CacheCorruptError, match="Cannot allocate memory"):
+        cache_load(path, expected_fingerprint=emission.fingerprint)

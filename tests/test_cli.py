@@ -5,7 +5,9 @@ from __future__ import annotations
 import errno
 import gc
 import glob
+import mmap
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -401,6 +403,42 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     cfg = write_doc(tmp_path, sim_doc(out))
     assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
     assert len(glob.glob(str(env_cache / "*.rates"))) == 3
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
+    # outputs and cache files get the mode open() gives a new file, not
+    # the owner-only mode of their temporary file
+    doc = sim_doc(str(tmp_path / "out"))
+    doc["cache_dir"] = str(tmp_path / "cache")
+    cfg = write_doc(tmp_path, doc)
+    old = os.umask(umask)
+    try:
+        assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    finally:
+        os.umask(old)
+    rates = sorted((tmp_path / "cache").glob("*.rates"))
+    assert len(rates) == 3
+    for path in (tmp_path / "out" / "observables.csv", *rates):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+
+
+def test_mapping_failure_exits_4(tmp_path, capsys, monkeypatch):
+    doc = sim_doc(str(tmp_path / "r1"))
+    doc["cache_dir"] = str(tmp_path / "cache")
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1",
+                    "--out", str(tmp_path / "r2")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: io:")
+    assert "Cannot allocate memory" in err
+    assert not (tmp_path / "r2").exists()
 
 
 def test_darkstates_reports_the_ground_level(tmp_path):
