@@ -168,9 +168,9 @@ def test_v3_layout(tmp_path, make):
     raw = path.read_bytes()
     assert raw == file_bytes(mat)
     offset = body_offset(mat)
+    unpadded = 36 + len(mat.fingerprint.encode("utf-8"))
     assert offset % 64 == 0
-    assert raw[36 + len(mat.fingerprint.encode("utf-8")):offset] == \
-        bytes(offset - 36 - len(mat.fingerprint.encode("utf-8")))
+    assert raw[unpadded:offset] == bytes(offset - unpadded)
 
     ref = tmp_path / "ref.rates"
     ref.write_bytes(file_bytes(mat))
@@ -272,9 +272,9 @@ def test_v2_emission_file_is_ignored(tmp_path, emission):
 
 def test_emission_flipped_padding_byte(tmp_path, emission):
     path, raw = emission_file(tmp_path, emission)
-    padding = body_offset(emission) - 36 - len(emission.fingerprint.encode())
-    assert padding > 0
-    raw[body_offset(emission) - 1] ^= 0x01
+    offset = body_offset(emission)
+    assert offset > 36 + len(emission.fingerprint.encode())  # padded
+    raw[offset - 1] ^= 0x01
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheCorruptError, match="checksum"):
         cache_load(path, expected_fingerprint=emission.fingerprint)

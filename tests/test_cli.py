@@ -405,7 +405,8 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     assert len(glob.glob(str(env_cache / "*.rates"))) == 3
 
 
-@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
 def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
     # outputs and cache files get the mode open() gives a new file, not
     # the owner-only mode of their temporary file
