@@ -78,15 +78,15 @@ class CriterionReport:
 
 def condensation_criterion(pulses, basis: Basis, params: SimParams,
                            target, provider: MatrixProvider | None = None,
-                           n_atoms: int = 1, omega_hz: float = 1e4,
-                           sp_ratio: float = 3.0) -> CriterionReport:
+                           n_atoms: int = 1) -> CriterionReport:
     """Net-drain test over the cycle's summed absorption rates.
 
     For every level n != target: the total absorption out of n, minus
     absorption out of the target weighted by the emission branching ratio
     into n versus back into the target. A source excited level with
     nonzero flow out of the target but zero emission back to it makes the
-    ratio ill-defined; such levels are reported, never guessed.
+    ratio ill-defined; such levels are reported, never guessed. Times in
+    seconds take ``cycles_to_seconds``' trap frequency and repump ratio.
     """
     if not pulses:
         raise ValueError("at least one pulse is required")
@@ -127,18 +127,16 @@ def condensation_criterion(pulses, basis: Basis, params: SimParams,
     if verdict == "condensing" and min_tilde > 0.0 and math.isfinite(min_tilde):
         cooling_cycles = 1.0 / min_tilde
         cooling_seconds = cycles_to_seconds(
-            cooling_cycles, omega_hz=omega_hz, n_pulses=n_pulses,
-            omega_tau_abs=params.omega_tau_abs, sp_ratio=sp_ratio)
+            cooling_cycles, n_pulses=n_pulses,
+            omega_tau_abs=params.omega_tau_abs)
     else:
         cooling_cycles = None
         cooling_seconds = None
 
     # condensate dephasing scales inversely with the atom number
     diffusion_cycle = float(from_target.sum()) / (2.0 * n_atoms)
-    cycle_seconds = cycles_to_seconds(1.0, omega_hz=omega_hz,
-                                      n_pulses=n_pulses,
-                                      omega_tau_abs=params.omega_tau_abs,
-                                      sp_ratio=sp_ratio)
+    cycle_seconds = cycles_to_seconds(1.0, n_pulses=n_pulses,
+                                      omega_tau_abs=params.omega_tau_abs)
     return CriterionReport(
         target_id=n0,
         target_level=basis.level(n0),

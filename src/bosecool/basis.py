@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,25 @@ def enumeration_bytes(dim: int, max_shell: int) -> int:
     cells = (max_shell + 1) ** dim
     levels = math.comb(max_shell + dim, dim)
     return (8 * dim + 9) * cells + (20 * dim + 36) * levels
+
+
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(what: str, need: int) -> None:
+    """Refuse, before it is allocated, ``what`` if its ``need`` bytes
+    cannot fit in physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{what} needs about {need:,} bytes ({need / 2**30:.1f} GiB), "
+            f"more than the {have:,} bytes ({have / 2**30:.1f} GiB) of "
+            "physical memory")
 
 
 @dataclass(frozen=True)

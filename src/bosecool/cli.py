@@ -9,7 +9,6 @@ rename), so an interrupted run never leaves truncated results.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from .analysis import (condensation_criterion, find_dark_states,
                        hysteresis_extract, split_ramp_branches)
-from .basis import enumeration_bytes
+from .basis import _check_memory as _check_basis_memory, enumeration_bytes
 from .cache import CacheError, atomic_write
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
@@ -44,18 +43,13 @@ def _level_tag(level) -> str:
     return "_".join(str(c) for c in level)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    env_cache = os.environ.get(CACHE_ENV)
-    if env_cache:
-        updates["cache_dir"] = env_cache
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _load(args) -> RunConfig:
+    """The command's config, with ``--seed``, ``--out`` and a non-empty
+    ``BOSECOOL_CACHE_DIR`` in place of the keys they replace."""
+    overrides = {"seed": args.seed, "output.directory": args.out,
+                 "cache_dir": os.environ.get(CACHE_ENV) or None}
+    return load_config(args.config, {k: v for k, v in overrides.items()
+                                     if v is not None})
 
 
 def _threads(args) -> int:
@@ -66,23 +60,12 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _physical_memory() -> int | None:
-    """Physical memory in bytes, or None where the platform cannot say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _check_memory(what: str, need: int) -> None:
-    """Refuse, before it is allocated, ``what`` if its ``need`` bytes
-    cannot fit in physical memory."""
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ConfigError(
-            f"{what} needs about {need:,} bytes ({need / 2**30:.1f} GiB), "
-            f"more than the {have:,} bytes ({have / 2**30:.1f} GiB) of "
-            "physical memory; lower basis.max_shell")
+    """``basis._check_memory``, refused as a config error."""
+    try:
+        _check_basis_memory(what, need)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; lower basis.max_shell") from exc
 
 
 def _watched(cfg: RunConfig, extra=()) -> list:
@@ -134,8 +117,7 @@ def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,
     return result, time.monotonic() - start
 
 
-def _observables_csv(cfg: RunConfig, watched: list,
-                     result: EnsembleResult) -> str:
+def _observables_csv(watched: list, result: EnsembleResult) -> str:
     buf = io.StringIO()
     cols = ["cycle"]
     cols += [f"ramp{pi}_{fld}" for pi, fld in result.ramp_fields]
@@ -145,8 +127,8 @@ def _observables_csv(cfg: RunConfig, watched: list,
     cols.append("mean_shell")
     buf.write(",".join(cols) + "\n")
 
-    frac_mean = result.watched_mean / cfg.n_atoms
-    frac_std = result.watched_std / cfg.n_atoms
+    frac_mean = result.watched_fraction_mean()
+    frac_std = result.watched_std / result.n_atoms
     for r in range(result.cycles.shape[0]):
         row = [str(int(result.cycles[r]))]
         row += [_fmt(v) for v in result.ramp_values[r]]
@@ -170,8 +152,7 @@ def _events_csv(result: EnsembleResult) -> str:
 def _summary_text(cfg: RunConfig, provider: MatrixProvider, watched: list,
                   result: EnsembleResult, command: str, threads: int,
                   wall: float, extra_lines=()) -> str:
-    frac_mean = result.watched_mean / cfg.n_atoms
-    first = frac_mean[:, 0]
+    first = result.watched_fraction_mean()[:, 0]
     above = np.flatnonzero(first > 0.9)
     to_90 = str(int(result.cycles[above[0]])) if above.size else "none"
     counters = provider.counters
@@ -203,13 +184,13 @@ def _summary_text(cfg: RunConfig, provider: MatrixProvider, watched: list,
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     threads = _threads(args)
     watched = _watched(cfg)
     provider = _prepare(cfg)
     result, wall = _run(cfg, provider, watched, threads)
     _write_outputs(cfg.out_dir, {
-        "observables.csv": _observables_csv(cfg, watched, result),
+        "observables.csv": _observables_csv(watched, result),
         "events.csv": _events_csv(result),
         "summary.txt": _summary_text(cfg, provider, watched, result,
                                      "simulate", threads, wall)})
@@ -217,7 +198,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_darkstates(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     provider = _prepare(cfg, emission=False)
     pulses = resolve_cycle(cfg.schedule, 0)
     exact = find_dark_states(pulses, provider.basis, provider.params,
@@ -234,7 +215,7 @@ def cmd_darkstates(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     if cfg.criterion_target is None:
         raise ConfigError("criterion.target is required for this command")
     provider = _prepare(cfg)
@@ -268,7 +249,7 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_hysteresis(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     threads = _threads(args)
     if cfg.hysteresis.source is None:
         raise ConfigError("hysteresis.source level is required")
@@ -281,7 +262,7 @@ def cmd_hysteresis(args) -> int:
     result, wall = _run(cfg, provider, watched, threads)
 
     ramp = result.ramp_values[:, 0]
-    frac = result.watched_mean / cfg.n_atoms
+    frac = result.watched_fraction_mean()
     idx = {lv: watched.index(lv)
            for lv in (cfg.hysteresis.source, *cfg.hysteresis.targets)}
     source_series = frac[:, idx[cfg.hysteresis.source]]
@@ -309,7 +290,7 @@ def cmd_hysteresis(args) -> int:
         f"found_both: {res.found_both}",
     ]
     _write_outputs(cfg.out_dir, {
-        "observables.csv": _observables_csv(cfg, watched, result),
+        "observables.csv": _observables_csv(watched, result),
         "events.csv": _events_csv(result),
         "hysteresis.txt": "\n".join(extra) + "\n",
         "summary.txt": _summary_text(cfg, provider, watched, result,

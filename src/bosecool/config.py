@@ -2,19 +2,20 @@
 
 Parsing is strict: unknown keys, missing variants, out-of-range values
 and knobs the run would ignore are configuration errors, not warnings.
-The validated form holds the run's ``Schedule``, built once at load; the
-"auto" pulse-area marker is kept as is (resolution happens at run time,
-not here).
+A key left over once its section is read is unknown. Ranges are checked
+by the types that use the values, built at load; the run's ``Schedule``
+is kept, the "auto" pulse-area marker too (resolved at run time).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .basis import Basis, SimParams, enumerate_levels, thermal_distribution
+from .rates import emission_quadrature
 from .schedule import (FIGURE_IDS, PulseSpec, Ramp, Schedule, figure_schedule)
 
 
@@ -25,13 +26,6 @@ class ConfigError(Exception):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
-
-
-def _check_section(section, allowed: set, where: str) -> None:
-    """Check that ``section`` is a mapping with no key outside ``allowed``."""
-    _require(isinstance(section, dict), f"{where} must be a mapping")
-    unknown = set(section) - allowed
-    _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _as_int(value, where: str) -> int:
@@ -46,16 +40,21 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
-def _as_level(value, dim: int, where: str) -> tuple:
+def _as_level(value, dim: int, max_shell: int, where: str) -> tuple:
+    """A level of the basis, checked by its quantum numbers: the basis is
+    not built at load."""
     _require(isinstance(value, (list, tuple)) and len(value) == dim,
              f"{where}: expected a {dim}-component level, got {value!r}")
-    return tuple(_as_int(v, where) for v in value)
+    level = tuple(_as_int(v, where) for v in value)
+    _require(min(level) >= 0 and sum(level) <= max_shell,
+             f"{where}: level {level} outside the basis")
+    return level
 
 
-def _as_levels(values, dim: int, where: str) -> tuple:
+def _as_levels(values, dim: int, max_shell: int, where: str) -> tuple:
     """Distinct levels: a repeated one would be read, and counted, twice."""
     _require(isinstance(values, list), f"{where} must be a list of levels")
-    levels = tuple(_as_level(v, dim, where) for v in values)
+    levels = tuple(_as_level(v, dim, max_shell, where) for v in values)
     for i, lv in enumerate(levels):
         _require(lv not in levels[:i], f"{where}: level {lv} is listed twice")
     return levels
@@ -70,15 +69,15 @@ class InitialStateConfig:
 
 @dataclass(frozen=True)
 class RecorderConfig:
-    stride: int = 1
-    events: bool = True
+    stride: int
+    events: bool
 
 
 @dataclass(frozen=True)
 class HysteresisConfig:
-    threshold: float = 0.5
-    source: tuple | None = None
-    targets: tuple = ()
+    threshold: float
+    source: tuple | None
+    targets: tuple
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,22 @@ class RunConfig:
     max_shell: int
     eta: float
     schedule: Schedule
-    omega_tau_abs: float = 4.0
-    omega0_tau_abs: float | str = "auto"
-    eta_sp_ratio: float = 1.0
-    resonance_window: int = 0
-    emission_pattern: str = "isotropic"
-    quadrature_order: int = 24
-    n_atoms: int = 1
-    n_traj: int = 1
-    seed: int = 0
-    initial: InitialStateConfig = field(
-        default_factory=lambda: InitialStateConfig("thermal", mean_shell=6.0))
-    recorder: RecorderConfig = field(default_factory=RecorderConfig)
-    watched: tuple = ()
-    out_dir: str = "out"
-    cache_dir: str | None = None
-    criterion_target: tuple | None = None
-    hysteresis: HysteresisConfig = field(default_factory=HysteresisConfig)
+    omega_tau_abs: float
+    omega0_tau_abs: float | str
+    eta_sp_ratio: float
+    resonance_window: int
+    emission_pattern: str
+    quadrature_order: int
+    n_atoms: int
+    n_traj: int
+    seed: int
+    initial: InitialStateConfig
+    recorder: RecorderConfig
+    watched: tuple
+    out_dir: str
+    cache_dir: str | None
+    criterion_target: tuple | None
+    hysteresis: HysteresisConfig
 
     # -- runtime builders ------------------------------------------------
 
@@ -134,201 +132,186 @@ class RunConfig:
         return dist
 
 
-_TOP_KEYS = {"basis", "params", "atoms", "trajectories", "seed", "initial",
-             "schedule", "recorder", "watched", "output", "cache_dir",
-             "criterion", "hysteresis"}
-_PARAM_KEYS = {"eta", "omega_tau_abs", "omega0_tau_abs",
-               "eta_sp_ratio", "resonance_window", "emission_pattern",
-               "quadrature_order"}
+_ABSENT = object()  # default of a key whose presence the parser tests
+
+
+def _take(section, where: str, **defaults) -> list:
+    """The values of ``section``'s keys named in ``defaults``, in that
+    order, each its default when absent; a key left over is unknown."""
+    _require(isinstance(section, dict), f"{where} must be a mapping")
+    rest = dict(section)
+    values = [rest.pop(key, default) for key, default in defaults.items()]
+    _require(not rest, f"{where}: unknown keys {sorted(rest)}")
+    return values
+
+
 _PULSE_WIDTHS = ("omega0_tau_abs", "omega_tau_abs")  # optional per pulse
-_PULSE_KEYS = {"s", "amps", *_PULSE_WIDTHS}
-_RAMP_KEYS = {"pulse", "field", "start", "end", "start_cycle", "end_cycle"}
 
 
-def _parse_pulses(sc: dict, dim: int, total_cycles: int | None) -> Schedule:
+def _parse_pulses(raw_pulses, raw_ramps, dim: int,
+                  total_cycles: int | None) -> Schedule:
     """The schedule of an explicit ``pulses`` list and its ``ramps``."""
-    raw_pulses = sc["pulses"]
     _require(isinstance(raw_pulses, list) and raw_pulses,
              "schedule.pulses must be a non-empty list")
     _require(total_cycles is not None,
              "schedule.total_cycles is required with explicit pulses")
     pulses = []
     for i, rp in enumerate(raw_pulses):
-        _check_section(rp, _PULSE_KEYS, f"schedule.pulses[{i}]")
-        s = _as_int(rp.get("s"), f"schedule.pulses[{i}].s")
-        amps = rp.get("amps", [1.0] * dim)
+        where = f"schedule.pulses[{i}]"
+        s, amps, *widths = _take(rp, where, s=None, amps=[1.0] * dim,
+                                 **dict.fromkeys(_PULSE_WIDTHS, _ABSENT))
+        s = _as_int(s, f"{where}.s")
         _require(isinstance(amps, (list, tuple)) and len(amps) == dim,
-                 f"schedule.pulses[{i}].amps must have {dim} entries")
-        amps = tuple(_as_float(a, f"schedule.pulses[{i}].amps") for a in amps)
-        kw = {k: _as_float(rp[k], f"schedule.pulses[{i}].{k}")
-              for k in _PULSE_WIDTHS if k in rp}
+                 f"{where}.amps must have {dim} entries")
+        amps = tuple(_as_float(a, f"{where}.amps") for a in amps)
+        kw = {k: _as_float(v, f"{where}.{k}")
+              for k, v in zip(_PULSE_WIDTHS, widths) if v is not _ABSENT}
         try:
             pulses.append(PulseSpec(s=s, amps=amps, **kw))
         except ValueError as exc:
-            raise ConfigError(f"schedule.pulses[{i}]: {exc}") from exc
-    raw_ramps = sc.get("ramps", [])
+            raise ConfigError(f"{where}: {exc}") from exc
     _require(isinstance(raw_ramps, list), "schedule.ramps must be a list")
     ramps = []
     for i, rr in enumerate(raw_ramps):
-        _check_section(rr, _RAMP_KEYS, f"schedule.ramps[{i}]")
+        where = f"schedule.ramps[{i}]"
+        pulse, fld, start, end, start_cycle, end_cycle = _take(
+            rr, where, pulse=None, field=None, start=None, end=None,
+            start_cycle=None, end_cycle=None)
         try:
             ramps.append(Ramp(
-                pulse_index=_as_int(rr.get("pulse"), f"schedule.ramps[{i}].pulse"),
-                field=rr.get("field"),
-                start_value=_as_float(rr.get("start"), f"schedule.ramps[{i}].start"),
-                end_value=_as_float(rr.get("end"), f"schedule.ramps[{i}].end"),
-                start_cycle=_as_int(rr.get("start_cycle"),
-                                    f"schedule.ramps[{i}].start_cycle"),
-                end_cycle=_as_int(rr.get("end_cycle"),
-                                  f"schedule.ramps[{i}].end_cycle")))
+                pulse_index=_as_int(pulse, f"{where}.pulse"), field=fld,
+                start_value=_as_float(start, f"{where}.start"),
+                end_value=_as_float(end, f"{where}.end"),
+                start_cycle=_as_int(start_cycle, f"{where}.start_cycle"),
+                end_cycle=_as_int(end_cycle, f"{where}.end_cycle")))
         except ValueError as exc:
-            raise ConfigError(f"schedule.ramps[{i}]: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     return Schedule(cycle=tuple(pulses), total_cycles=total_cycles,
                     ramps=tuple(ramps))
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    _require(isinstance(doc, dict), "config root must be a mapping")
-    _check_section(doc, _TOP_KEYS, "config")
+    (b, p, n_atoms, n_traj, seed, ini, sc, rec, watched, out, cache_dir,
+     crit, hys) = _take(
+        doc, "config", basis=None, params=None, atoms=1, trajectories=1,
+        seed=0, initial={"thermal_mean_shell": 6.0}, schedule=None,
+        recorder={}, watched=[], output={}, cache_dir=None, criterion={},
+        hysteresis={})
 
-    b = doc.get("basis")
     _require(isinstance(b, dict), "basis section is required")
-    _check_section(b, {"dim", "max_shell"}, "basis")
-    dim = _as_int(b.get("dim"), "basis.dim")
+    dim, max_shell = _take(b, "basis", dim=None, max_shell=None)
+    dim = _as_int(dim, "basis.dim")
     _require(dim in (1, 2, 3), "basis.dim must be 1, 2 or 3")
-    max_shell = _as_int(b.get("max_shell"), "basis.max_shell")
+    max_shell = _as_int(max_shell, "basis.max_shell")
     _require(max_shell >= 0, "basis.max_shell must be >= 0")
 
-    p = doc.get("params")
     _require(isinstance(p, dict), "params section is required")
-    _check_section(p, _PARAM_KEYS, "params")
-    eta = _as_float(p.get("eta"), "params.eta")
-    _require(eta >= 0, "params.eta must be >= 0")
-    wtau = _as_float(p.get("omega_tau_abs", 4.0), "params.omega_tau_abs")
-    _require(wtau > 1, "params.omega_tau_abs must be > 1")
-    area = p.get("omega0_tau_abs", "auto")
+    eta, wtau, area, sp_ratio, window, pattern, order = _take(
+        p, "params", eta=None, omega_tau_abs=4.0, omega0_tau_abs="auto",
+        eta_sp_ratio=1.0, resonance_window=0, emission_pattern="isotropic",
+        quadrature_order=24)
+    eta = _as_float(eta, "params.eta")
+    wtau = _as_float(wtau, "params.omega_tau_abs")
     if area != "auto":
         area = _as_float(area, "params.omega0_tau_abs")
-        _require(0 < area < 1, "params.omega0_tau_abs must lie in (0, 1)")
-    sp_ratio = _as_float(p.get("eta_sp_ratio", 1.0), "params.eta_sp_ratio")
-    _require(sp_ratio >= 0, "params.eta_sp_ratio must be >= 0")
-    window = _as_int(p.get("resonance_window", 0), "params.resonance_window")
-    _require(window >= 0, "params.resonance_window must be >= 0")
-    pattern = p.get("emission_pattern", "isotropic")
-    ok_pattern = pattern == "isotropic" or (
-        isinstance(pattern, str) and pattern.startswith("dipole:")
-        and pattern[7:] in ("x", "y", "z"))
-    _require(ok_pattern,
-             "params.emission_pattern must be 'isotropic' or 'dipole:<axis>'")
-    _require(pattern == "isotropic" or dim == 3,
-             "dipole emission patterns require a 3D basis")
-    order = _as_int(p.get("quadrature_order", 24), "params.quadrature_order")
-    _require(order >= 2, "params.quadrature_order must be >= 2")
+    sp_ratio = _as_float(sp_ratio, "params.eta_sp_ratio")
+    window = _as_int(window, "params.resonance_window")
+    order = _as_int(order, "params.quadrature_order")
+    try:  # the run's own types check the ranges; "auto" probes at 0.5
+        SimParams(eta=eta, omega_tau_abs=wtau,
+                  omega0_tau_abs=0.5 if area == "auto" else area,
+                  eta_sp_ratio=sp_ratio, resonance_window=window)
+        emission_quadrature(dim, pattern, polar_order=order)
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
 
-    n_atoms = _as_int(doc.get("atoms", 1), "atoms")
+    n_atoms = _as_int(n_atoms, "atoms")
     _require(n_atoms >= 1, "atoms must be >= 1")
-    n_traj = _as_int(doc.get("trajectories", 1), "trajectories")
+    n_traj = _as_int(n_traj, "trajectories")
     _require(n_traj >= 1, "trajectories must be >= 1")
-    seed = _as_int(doc.get("seed", 0), "seed")
+    seed = _as_int(seed, "seed")
     _require(seed >= 0, "seed must be >= 0")
 
-    ini = doc.get("initial", {"thermal_mean_shell": 6.0})
-    _check_section(ini, {"thermal_mean_shell", "point_level"}, "initial")
-    _require(len(ini) == 1,
+    mean, level = _take(ini, "initial", thermal_mean_shell=_ABSENT,
+                        point_level=_ABSENT)
+    _require((mean is _ABSENT) != (level is _ABSENT),
              "initial: exactly one of thermal_mean_shell/point_level")
-    if "thermal_mean_shell" in ini:
-        mean = _as_float(ini["thermal_mean_shell"], "initial.thermal_mean_shell")
+    if mean is not _ABSENT:
+        mean = _as_float(mean, "initial.thermal_mean_shell")
         _require(mean > 0, "initial.thermal_mean_shell must be > 0")
         initial = InitialStateConfig("thermal", mean_shell=mean)
     else:
-        level = _as_level(ini["point_level"], dim, "initial.point_level")
+        level = _as_level(level, dim, max_shell, "initial.point_level")
         initial = InitialStateConfig("point", level=level)
 
-    sc = doc.get("schedule")
     _require(isinstance(sc, dict), "schedule section is required")
-    _check_section(sc, {"figure", "pulses", "ramps", "total_cycles",
-                     "ramp_scale"}, "schedule")
-    figure = sc.get("figure")
-    _require((figure is None) != (sc.get("pulses") is None),
+    figure, pulses, ramps, total_cycles, ramp_scale = _take(
+        sc, "schedule", figure=None, pulses=None, ramps=_ABSENT,
+        total_cycles=None, ramp_scale=_ABSENT)
+    _require((figure is None) != (pulses is None),
              "schedule: exactly one of figure/pulses")
-    total_cycles = sc.get("total_cycles")
     if total_cycles is not None:
         total_cycles = _as_int(total_cycles, "schedule.total_cycles")
-        _require(total_cycles >= 1, "schedule.total_cycles must be >= 1")
-    ramp_scale = _as_float(sc.get("ramp_scale", 1.0), "schedule.ramp_scale")
-    _require("ramp_scale" not in sc or figure == "fig3",
+    _require(ramp_scale is _ABSENT or figure == "fig3",
              "schedule.ramp_scale is read by figure fig3 only")
-    _require("ramps" not in sc or figure is None,
+    _require(ramps is _ABSENT or figure is None,
              "schedule.ramps is read with schedule.pulses only")
     try:
         if figure is None:
-            schedule = _parse_pulses(sc, dim, total_cycles)
+            schedule = _parse_pulses(pulses, [] if ramps is _ABSENT else ramps,
+                                     dim, total_cycles)
         else:
             _require(figure in FIGURE_IDS,
                      f"schedule.figure must be one of {sorted(FIGURE_IDS)}")
             _require(dim == 3, "figure schedules require a 3D basis")
+            kw = ({} if ramp_scale is _ABSENT else
+                  {"ramp_scale": _as_float(ramp_scale, "schedule.ramp_scale")})
             schedule = figure_schedule(figure, eta=eta,
-                                       total_cycles=total_cycles,
-                                       ramp_scale=ramp_scale)
+                                       total_cycles=total_cycles, **kw)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
-    rec = doc.get("recorder", {})
-    _check_section(rec, {"stride", "events"}, "recorder")
-    stride = _as_int(rec.get("stride", 1), "recorder.stride")
+    stride, events = _take(rec, "recorder", stride=1, events=True)
+    stride = _as_int(stride, "recorder.stride")
     _require(stride >= 0, "recorder.stride must be >= 0")
-    events = rec.get("events", True)
     _require(isinstance(events, bool), "recorder.events must be a boolean")
     recorder = RecorderConfig(stride=stride, events=events)
 
-    watched = _as_levels(doc.get("watched", []), dim, "watched")
+    watched = _as_levels(watched, dim, max_shell, "watched")
 
-    out = doc.get("output", {})
-    _check_section(out, {"directory"}, "output")
-    out_dir = out.get("directory", "out")
+    out_dir, = _take(out, "output", directory="out")
     _require(isinstance(out_dir, str) and out_dir, "output.directory must be a path")
 
-    cache_dir = doc.get("cache_dir")
     _require(cache_dir is None or (isinstance(cache_dir, str) and cache_dir),
              "cache_dir must be a path")
 
-    crit = doc.get("criterion", {})
-    _check_section(crit, {"target"}, "criterion")
-    criterion_target = (None if "target" not in crit else
-                        _as_level(crit["target"], dim, "criterion.target"))
+    target, = _take(crit, "criterion", target=_ABSENT)
+    criterion_target = (None if target is _ABSENT else
+                        _as_level(target, dim, max_shell, "criterion.target"))
 
-    hys = doc.get("hysteresis", {})
-    _check_section(hys, {"threshold", "source", "targets"}, "hysteresis")
-    threshold = _as_float(hys.get("threshold", 0.5), "hysteresis.threshold")
+    threshold, source, targets = _take(hys, "hysteresis", threshold=0.5,
+                                       source=_ABSENT, targets=[])
+    threshold = _as_float(threshold, "hysteresis.threshold")
     _require(0 < threshold < 1, "hysteresis.threshold must lie in (0, 1)")
-    source = (None if "source" not in hys else
-              _as_level(hys["source"], dim, "hysteresis.source"))
-    targets = _as_levels(hys.get("targets", []), dim, "hysteresis.targets")
+    source = (None if source is _ABSENT else
+              _as_level(source, dim, max_shell, "hysteresis.source"))
+    targets = _as_levels(targets, dim, max_shell, "hysteresis.targets")
     hysteresis = HysteresisConfig(threshold=threshold, source=source,
                                   targets=targets)
 
-    cfg = RunConfig(dim=dim, max_shell=max_shell, eta=eta, schedule=schedule,
-                    omega_tau_abs=wtau, omega0_tau_abs=area,
-                    eta_sp_ratio=sp_ratio, resonance_window=window,
-                    emission_pattern=pattern, quadrature_order=order,
-                    n_atoms=n_atoms, n_traj=n_traj, seed=seed,
-                    initial=initial, recorder=recorder,
-                    watched=watched, out_dir=out_dir, cache_dir=cache_dir,
-                    criterion_target=criterion_target, hysteresis=hysteresis)
-
-    # level references must lie in the basis, which is not built here
-    refs = [("watched level", lv) for lv in cfg.watched]
-    refs += [("level", lv) for lv in (cfg.criterion_target, cfg.hysteresis.source,
-                                      *cfg.hysteresis.targets) if lv is not None]
-    if cfg.initial.kind == "point":
-        refs.append(("initial.point_level", cfg.initial.level))
-    for what, lv in refs:
-        _require(min(lv) >= 0 and sum(lv) <= max_shell,
-                 f"{what} {lv} outside the basis")
-    return cfg
+    return RunConfig(dim=dim, max_shell=max_shell, eta=eta, schedule=schedule,
+                     omega_tau_abs=wtau, omega0_tau_abs=area,
+                     eta_sp_ratio=sp_ratio, resonance_window=window,
+                     emission_pattern=pattern, quadrature_order=order,
+                     n_atoms=n_atoms, n_traj=n_traj, seed=seed,
+                     initial=initial, recorder=recorder,
+                     watched=watched, out_dir=out_dir, cache_dir=cache_dir,
+                     criterion_target=criterion_target, hysteresis=hysteresis)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """The run a YAML file describes, where ``overrides`` maps a key (dotted
+    in a section: ``"output.directory"``) to a value parsed in its place."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -336,5 +319,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if isinstance(doc, dict):  # any other root is refused by the parser
+        for dotted, value in (overrides or {}).items():
+            outer, _, key = dotted.rpartition(".")
+            section = doc.setdefault(outer, {}) if outer else doc
+            if isinstance(section, dict):
+                section[key] = value
     return config_from_dict(doc)
 

@@ -71,12 +71,13 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, combinations_with_replacement, islice
 
 import multiprocessing as mp
 import numpy as np
 
-from .basis import Basis, Configuration, SimParams, sample_initial_configuration
+from .basis import (Basis, Configuration, SimParams, _check_memory,
+                    sample_initial_configuration)
 from .cache import cache_filename, cache_load, cache_store
 from .rates import (AbsorptionStructure, EmissionMatrix, PhysicsValidityError,
                     PulseRates, absorption_fingerprint, absorption_structure,
@@ -820,24 +821,14 @@ def enumerate_configurations(n_atoms: int, n_levels: int,
     if count > max_configs:
         raise ValueError(f"{count} configurations exceed the exact-propagation "
                          f"bound of {max_configs}")
-    out = np.zeros((count, n_levels), dtype=np.int64)
-    row = 0
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        nonlocal row
-        if slots == 1:
-            out[row, :len(prefix)] = prefix
-            out[row, -1] = remaining
-            row += 1
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + [first], remaining - first, slots - 1)
-
-    if n_levels == 1:
-        out[0, 0] = n_atoms
-    else:
-        rec([], n_atoms, n_levels)
-    return out
+    # the sorted level multisets come in ascending order, so their
+    # occupation rows come in descending lexicographic order
+    levels = np.fromiter(chain.from_iterable(
+        combinations_with_replacement(range(n_levels), n_atoms)),
+        dtype=np.int64, count=count * n_atoms).reshape(count, n_atoms)
+    cells = levels + n_levels * np.arange(count)[:, None]
+    return np.bincount(cells.ravel(), minlength=count * n_levels).reshape(
+        count, n_levels)
 
 
 def exact_initial_state(basis: Basis, config: Configuration,
@@ -937,6 +928,10 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     of configurations, so it only suits small bases and atom numbers.
     Ramped schedules are supported but rebuild matrices per distinct pulse.
     """
+    n_configs = (initial.probs.size if isinstance(initial, ExactState)
+                 else math.comb(initial.n_atoms + basis.size - 1, initial.n_atoms))
+    _check_memory(f"exact propagation over {n_configs:,} configurations",
+                  8 * n_configs ** 2)  # one dense float64 pulse matrix
     provider = _provider_for(basis, params, provider)
     state = (initial if isinstance(initial, ExactState)
              else exact_initial_state(basis, initial, max_configs))

@@ -366,6 +366,9 @@ class EmissionQuadrature:
                 f"|order={self.polar_order}|n={self.directions.shape[0]}")
 
 
+_PATTERNS = ("isotropic", "dipole:x", "dipole:y", "dipole:z")
+
+
 def emission_quadrature(dim: int, pattern: str = "isotropic",
                         polar_order: int = 24,
                         azimuthal_count: int | None = None) -> EmissionQuadrature:
@@ -376,17 +379,21 @@ def emission_quadrature(dim: int, pattern: str = "isotropic",
     points in 1D, a uniform circle in 2D); only the isotropic pattern is
     defined there. ``pattern`` is "isotropic" or "dipole:x|y|z" for the
     linear-dipole lobe 3/(16 pi) (1 + cos^2) about the given axis.
+    ``polar_order`` is at least 2.
     """
+    if pattern not in _PATTERNS:
+        raise ValueError(f"unknown emission pattern {pattern!r}; choose "
+                         f"from {_PATTERNS}")
+    if pattern != "isotropic" and dim != 3:
+        raise ValueError("dipole emission patterns require a 3D basis")
+    if polar_order < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {polar_order}")
     n_phi = azimuthal_count if azimuthal_count is not None else 2 * polar_order
     if dim == 1:
-        if pattern != "isotropic":
-            raise ValueError("only the isotropic pattern is defined in 1D")
         dirs = np.array([[1.0], [-1.0]])
         w = np.array([0.5, 0.5])
         return EmissionQuadrature(dirs, w, pattern, polar_order)
     if dim == 2:
-        if pattern != "isotropic":
-            raise ValueError("only the isotropic pattern is defined in 2D")
         phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
         dirs = np.column_stack([np.cos(phi), np.sin(phi)])
         w = np.full(n_phi, 1.0 / n_phi)
@@ -405,14 +412,9 @@ def emission_quadrature(dim: int, pattern: str = "isotropic",
 
     if pattern == "isotropic":
         w = base_w
-    elif pattern.startswith("dipole:"):
-        axis = {"x": 0, "y": 1, "z": 2}.get(pattern.split(":", 1)[1])
-        if axis is None:
-            raise ValueError(f"unknown dipole axis in pattern {pattern!r}")
-        ca = dirs[:, axis]
-        w = base_w * 0.75 * (1.0 + ca * ca)  # 3/(16pi)(1+c^2) over 1/(4pi)
     else:
-        raise ValueError(f"unknown emission pattern {pattern!r}")
+        ca = dirs[:, "xyz".index(pattern[-1])]
+        w = base_w * 0.75 * (1.0 + ca * ca)  # 3/(16pi)(1+c^2) over 1/(4pi)
     return EmissionQuadrature(dirs, w, pattern, polar_order)
 
 

@@ -303,6 +303,8 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure_id {figure_id!r}; choose from {FIGURE_IDS}")
+    if total_cycles is None:  # fig3 has no default: its ramps fix its length
+        total_cycles = _DEFAULT_CYCLES.get(figure_id)
 
     conf_a = confinement_pulse(3, eta, 0)
     conf_b = confinement_pulse(3, eta, -1)
@@ -315,7 +317,7 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
                  conf_b, pseudo_b[0], pseudo_b[1],
                  sideband_pulse(3, -1))
         return Schedule(cycle=cycle, ramps=(),
-                        total_cycles=total_cycles or _DEFAULT_CYCLES["fig1"],
+                        total_cycles=total_cycles,
                         name="fig1")
 
     if figure_id == "fig2":
@@ -324,7 +326,7 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
                  sideband_pulse(3, -13), sideband_pulse(3, -7),
                  sideband_pulse(3, -4), sideband_pulse(3, -2))
         return Schedule(cycle=cycle, ramps=(),
-                        total_cycles=total_cycles or _DEFAULT_CYCLES["fig2"],
+                        total_cycles=total_cycles,
                         name="fig2")
 
     # fig3

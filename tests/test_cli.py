@@ -18,6 +18,7 @@ import pytest
 import yaml
 
 import bosecool
+from bosecool import basis as basis_module
 from bosecool import cli, emission_quadrature, enumerate_levels
 from bosecool.cli import CACHE_ENV, main
 from bosecool.basis import enumeration_bytes
@@ -204,6 +205,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_overrides_are_checked_as_the_keys_they_replace(tmp_path, capsys,
+                                                        monkeypatch):
+    # --out and --seed go through the config parser: an empty --out is
+    # refused like an empty output.directory, before anything is written
+    monkeypatch.chdir(tmp_path)
+    cfg = write_doc(tmp_path, sim_doc(str(tmp_path / "out")))
+    doc = sim_doc("")
+    bad = write_doc(tmp_path, doc, "empty_out.yaml")
+    for argv, message in (
+            (["--config", cfg, "--out", ""], "output.directory must be a path"),
+            (["--config", bad], "output.directory must be a path"),
+            (["--config", cfg, "--seed", "-1"], "seed must be >= 0")):
+        for command in ("simulate", "darkstates"):
+            assert run_cli([command, *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config:") and message in err
+    assert sorted(os.listdir(tmp_path)) == ["empty_out.yaml", "run.yaml"]
+    # a good override replaces the bad key it overrides
+    assert run_cli(["darkstates", "--config", bad, "--out", "alt"]) == 0
+    assert os.listdir(tmp_path / "alt") == ["darkstates.txt"]
+
+
 def test_beam_cross_fade_runs(tmp_path):
     # a_x fades 1 -> 0 while a_y fades 0 -> 1: each beam is off at one
     # end of the window, but some beam is on at every cycle
@@ -235,10 +258,10 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
                                  "end_cycle": 40}]
     doc["hysteresis"] = {"source": [5], "targets": [[0]]}
     cfg = write_doc(tmp_path, doc)
-    real = cli._physical_memory()
+    real = basis_module._physical_memory()
     assert real is None or real > 1 << 20
     need = emission_memory_bytes(enumerate_levels(1, 5), emission_quadrature(1))
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: need - 1)
     for command in ("simulate", "criterion", "hysteresis"):
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
@@ -253,7 +276,7 @@ def test_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
 
     # enough memory, or a platform that cannot say: the run goes ahead
     for probe in (lambda: need, lambda: None):
-        monkeypatch.setattr(cli, "_physical_memory", probe)
+        monkeypatch.setattr(basis_module, "_physical_memory", probe)
         assert run_cli(["criterion", "--config", cfg]) == 0
 
 
@@ -267,7 +290,7 @@ def test_oversized_basis_exits_2_before_enumeration(tmp_path, capsys,
         raise AssertionError("the basis was enumerated")
 
     monkeypatch.setattr(config, "enumerate_levels", unreachable)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 30)
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: 16 << 30)
     out = str(tmp_path / "out")
     doc = {
         "basis": {"dim": 3, "max_shell": 2000},
@@ -403,6 +426,15 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     cfg = write_doc(tmp_path, sim_doc(out))
     assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
     assert len(glob.glob(str(env_cache / "*.rates"))) == 3
+    # the variable wins over cache_dir, and an empty one is ignored
+    doc = sim_doc(out)
+    doc["cache_dir"] = str(tmp_path / "cfgcache")
+    cfg = write_doc(tmp_path, doc, "cached.yaml")
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    assert not (tmp_path / "cfgcache").exists()
+    monkeypatch.setenv(CACHE_ENV, "")
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    assert len(glob.glob(str(tmp_path / "cfgcache" / "*.rates"))) == 3
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],

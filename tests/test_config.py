@@ -109,6 +109,23 @@ def test_defaults_fill_in():
     assert cfg.cache_dir is None
     assert cfg.criterion_target is None
     assert cfg.hysteresis.threshold == 0.5
+    assert cfg.omega_tau_abs == 4.0
+    assert cfg.eta_sp_ratio == 1.0
+    assert cfg.resonance_window == 0
+    assert cfg.emission_pattern == "isotropic"
+    assert cfg.quadrature_order == 24
+    assert cfg.watched == ()
+    assert cfg.hysteresis.source is None
+    assert cfg.hysteresis.targets == ()
+    assert cfg.schedule.cycle == (PulseSpec(s=-1, amps=(1.0,)),)
+    doc["params"] = {"eta": 2.0}
+    assert config_from_dict(doc).omega0_tau_abs == "auto"
+    doc["basis"] = {"dim": 3, "max_shell": 3}
+    doc["schedule"] = {"pulses": [{"s": -1}], "total_cycles": 10}
+    assert config_from_dict(doc).schedule.cycle[0].amps == (1.0, 1.0, 1.0)
+    doc["schedule"] = {"figure": "fig3"}  # ramp_scale 1: 1,200 + 2 * 18,600
+    assert config_from_dict(doc).schedule == figure_schedule("fig3", eta=2.0)
+    assert config_from_dict(doc).schedule.total_cycles == 38_400
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -121,6 +138,15 @@ def test_defaults_fill_in():
      r"schedule.pulses\[0\]: unknown keys"),
     (lambda d: d["recorder"].update(step=3), "recorder: unknown keys"),
     (lambda d: d["output"].update(path="x"), "output: unknown keys"),
+    (lambda d: d["initial"].update(kind="point"),
+     r"initial: unknown keys \['kind'\]"),
+    (lambda d: d["schedule"].update(cycles=50),
+     r"schedule: unknown keys \['cycles'\]"),
+    (lambda d: d.update(criterion={"target": [0], "level": [1]}),
+     r"criterion: unknown keys \['level'\]"),
+    (lambda d: d.update(hysteresis={"source": [5], "targets": [[0]],
+                                    "thresh": 0.4}),
+     r"hysteresis: unknown keys \['thresh'\]"),
 ])
 def test_unknown_keys_rejected_per_section(mutate, fragment):
     doc = base_doc()
@@ -251,6 +277,37 @@ def test_area_must_lie_in_unit_interval():
     doc["params"]["omega0_tau_abs"] = 1.0
     with pytest.raises(ConfigError, match="omega0_tau_abs"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eta", -0.1, "params: eta must be >= 0"),
+    ("omega_tau_abs", 1.0, "params: omega_tau_abs must exceed 1"),
+    ("omega0_tau_abs", 0.0, "params: omega0_tau_abs must lie in (0, 1)"),
+    ("eta_sp_ratio", -1.0, "params: eta_sp_ratio must be >= 0"),
+    ("resonance_window", -1, "params: resonance_window must be >= 0"),
+    ("emission_pattern", "dipole:w", "params: unknown emission pattern"),
+    ("emission_pattern", 5, "params: unknown emission pattern 5"),
+    ("quadrature_order", 1, "params: quadrature order must be >= 2"),
+])
+def test_param_ranges_are_config_errors(key, value, message):
+    # the types that use each parameter check its range, at load
+    doc = base_doc()
+    doc["params"][key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(doc)
+
+
+def test_total_cycles_must_be_positive():
+    doc = base_doc()
+    doc["schedule"]["total_cycles"] = 0
+    with pytest.raises(ConfigError, match="schedule: total_cycles must be >= 1"):
+        config_from_dict(doc)
+    for figure in ("fig1", "fig2"):
+        doc = fig_doc()
+        doc["schedule"] = {"figure": figure, "total_cycles": 0}
+        with pytest.raises(ConfigError,
+                           match="schedule: total_cycles must be >= 1"):
+            config_from_dict(doc)
 
 
 def test_bad_pulse_amps_are_config_errors():

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
+import re
 import warnings
 import weakref
 
@@ -28,6 +30,7 @@ from bosecool import (Configuration, MatrixProvider, PhysicsValidityError,
                       find_dark_states, franck_condon_1d, pulse_step,
                       resolve_cycle,
                       run_ensemble, run_trajectory)
+from bosecool import basis as basis_module
 from bosecool.dynamics import PulseRates, _step
 from bosecool.rates import (REL_CUTOFF, EmissionMatrix, RateMatrix,
                             _kappa_table_cache)
@@ -440,6 +443,46 @@ def test_enumerate_configurations_layout():
     assert enumerate_configurations(3, 1).tolist() == [[3]]
     with pytest.raises(ValueError):
         enumerate_configurations(30, 30, max_configs=1000)
+    # rows run in descending lexicographic order of the occupations, the
+    # order ExactState.index and the exact propagator's matrices follow
+    assert confs.tolist() == [[2, 0, 0], [1, 1, 0], [1, 0, 1],
+                              [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+    for n_atoms, n_levels in ((1, 1), (0, 4), (1, 5), (4, 3), (3, 6), (6, 4)):
+        want = sorted((c for c in itertools.product(range(n_atoms + 1),
+                                                     repeat=n_levels)
+                       if sum(c) == n_atoms), reverse=True)
+        got = enumerate_configurations(n_atoms, n_levels)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(c) for c in want], (n_atoms, n_levels)
+
+
+def test_exact_propagation_refuses_what_memory_cannot_hold(monkeypatch):
+    # 5 atoms on 20 levels: 42,504 configurations, so each dense pulse
+    # matrix would take 8 * 42,504**2 bytes; nothing is enumerated
+    def unreachable(*args):
+        raise AssertionError("the configurations were enumerated")
+
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(dynamics, "enumerate_configurations", unreachable)
+    basis, params, schedule = make_1d_system(max_shell=19, pulses=(-1,),
+                                             cycles=1)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[19] = 5
+    need = 8 * 42_504 ** 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"exact propagation over 42,504 configurations needs about "
+            f"{need:,} bytes (13.5 GiB), more than the {8 << 30:,} bytes "
+            "(8.0 GiB) of physical memory")):
+        exact_propagate(basis, params, schedule, Configuration(occ))
+    # a small system goes ahead, and so does any platform that cannot say
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[1] = 1
+    monkeypatch.setattr(dynamics, "enumerate_configurations",
+                        enumerate_configurations)
+    for probe in (lambda: 8 * basis.size ** 2, lambda: None):
+        monkeypatch.setattr(basis_module, "_physical_memory", probe)
+        state = exact_propagate(basis, params, schedule, Configuration(occ))
+        assert_allclose(state.probs.sum(), 1.0, atol=1e-12)
 
 
 def test_exact_initial_state_is_point_mass():

@@ -316,6 +316,10 @@ def test_quadrature_validation():
         emission_quadrature(1, pattern="dipole:z")
     with pytest.raises(ValueError):
         emission_quadrature(2, pattern="dipole:x")
+    with pytest.raises(ValueError, match="unknown emission pattern None"):
+        emission_quadrature(3, pattern=None)
+    with pytest.raises(ValueError, match="quadrature order must be >= 2"):
+        emission_quadrature(3, polar_order=1)
 
 
 def test_emission_1d_poisson_column():

@@ -118,6 +118,9 @@ def test_fig3_scale():
 
 def test_figure_overrides():
     assert figure_schedule("fig1", total_cycles=100).total_cycles == 100
+    for figure in ("fig1", "fig2"):  # 0 is checked, not taken as unset
+        with pytest.raises(ValueError, match="total_cycles must be >= 1"):
+            figure_schedule(figure, total_cycles=0)
     with pytest.raises(ValueError):
         figure_schedule("fig9")
 
