@@ -15,9 +15,8 @@ from .rates import (EmissionMatrix, EmissionQuadrature, PhysicsValidityError,
                     RateMatrix, absorption_structure, build_spontaneous_rates,
                     emission_quadrature, franck_condon_1d, pulse_spectrum_sq)
 from .schedule import (PulseSpec, Ramp, Schedule, confinement_pulse,
-                       figure_schedule, interference_pulse,
-                       pseudo_confinement_pulses, resolve_cycle,
-                       sideband_pulse)
+                       figure_schedule, pseudo_confinement_pulses,
+                       resolve_cycle)
 from .dynamics import (EnsembleResult, ExactState, MatrixProvider,
                        PulseRates, PulseStepOutcome, RecorderSpec,
                        TrajectoryRecord, calibrate_pulse_area,
@@ -42,8 +41,7 @@ __all__ = [
     "RateMatrix", "absorption_structure", "build_spontaneous_rates",
     "emission_quadrature", "franck_condon_1d", "pulse_spectrum_sq",
     "PulseSpec", "Ramp", "Schedule", "confinement_pulse", "figure_schedule",
-    "interference_pulse", "pseudo_confinement_pulses", "resolve_cycle",
-    "sideband_pulse",
+    "pseudo_confinement_pulses", "resolve_cycle",
     "EnsembleResult", "ExactState", "MatrixProvider", "PulseRates",
     "PulseStepOutcome", "RecorderSpec", "TrajectoryRecord",
     "calibrate_pulse_area", "emission_counts", "enumerate_configurations",

@@ -229,7 +229,10 @@ class FanoResult:
     n_windows: int
 
 
-def fano_factor(counts, min_windows: int = 30) -> FanoResult:
+_MIN_WINDOWS = 30  # fewest windows fano_factor accepts
+
+
+def fano_factor(counts) -> FanoResult:
     """Variance-to-mean ratio of window counts with a jackknife error.
 
     1 for a Poisson process; 0 for constant counts. A zero mean leaves
@@ -237,8 +240,8 @@ def fano_factor(counts, min_windows: int = 30) -> FanoResult:
     """
     c = np.asarray(counts, dtype=np.float64)
     n = c.size
-    if n < min_windows:
-        raise ValueError(f"need at least {min_windows} windows, got {n}")
+    if n < _MIN_WINDOWS:
+        raise ValueError(f"need at least {_MIN_WINDOWS} windows, got {n}")
     mean = float(c.mean())
     if mean == 0.0:
         return FanoResult(fano=None, error=None, mean=0.0, n_windows=n)

@@ -57,12 +57,6 @@ class Basis:
     def fingerprint(self) -> str:
         return f"basis(dim={self.dim},max_shell={self.max_shell})"
 
-    def mean_shell(self, occupation: np.ndarray) -> float:
-        n = occupation.sum()
-        if n == 0:
-            return 0.0
-        return float((occupation * self.shells).sum() / n)
-
 
 def enumerate_levels(dim: int, max_shell: int) -> Basis:
     """Build the shell-major, lexicographically ordered level basis."""
@@ -142,16 +136,17 @@ class SimParams:
     resonance_window: int = 0
 
     def __post_init__(self):
-        if not self.eta >= 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not self.omega_tau_abs > 1:
-            raise ValueError("omega_tau_abs must exceed 1 (spectrally resolved pulses), "
-                             f"got {self.omega_tau_abs}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be >= 0 and finite, got {self.eta}")
+        if not 1 < self.omega_tau_abs < math.inf:
+            raise ValueError("omega_tau_abs must exceed 1 (spectrally resolved pulses) "
+                             f"and be finite, got {self.omega_tau_abs}")
         if not 0 < self.omega0_tau_abs < 1:
             raise ValueError("omega0_tau_abs must lie in (0, 1) (perturbative pulses), "
                              f"got {self.omega0_tau_abs}")
-        if not self.eta_sp_ratio >= 0:
-            raise ValueError(f"eta_sp_ratio must be >= 0, got {self.eta_sp_ratio}")
+        if not 0 <= self.eta_sp_ratio < math.inf:
+            raise ValueError("eta_sp_ratio must be >= 0 and finite, "
+                             f"got {self.eta_sp_ratio}")
         if self.resonance_window < 0:
             raise ValueError("resonance_window must be >= 0")
 

@@ -811,16 +811,15 @@ class ExactState:
     probs: np.ndarray
     index: dict = field(repr=False)
 
-    def marginal_occupancy(self) -> np.ndarray:
-        return self.configs.T.astype(np.float64) @ self.probs
 
-
-def enumerate_configurations(n_atoms: int, n_levels: int,
-                             max_configs: int = 200_000) -> np.ndarray:
+def enumerate_configurations(n_atoms: int, n_levels: int) -> np.ndarray:
+    """Every occupation row of ``n_atoms`` atoms on ``n_levels`` levels.
+    Refuses, before it allocates them, rows whose arrays cannot fit in
+    physical memory: per row, the level and cell indices (``n_atoms``
+    int64 each) and the occupations (``n_levels`` int64)."""
     count = math.comb(n_atoms + n_levels - 1, n_atoms)
-    if count > max_configs:
-        raise ValueError(f"{count} configurations exceed the exact-propagation "
-                         f"bound of {max_configs}")
+    _check_memory(f"{count:,} configurations of {n_atoms} atoms on "
+                  f"{n_levels} levels", 8 * count * (2 * n_atoms + n_levels))
     # the sorted level multisets come in ascending order, so their
     # occupation rows come in descending lexicographic order
     levels = np.fromiter(chain.from_iterable(
@@ -831,9 +830,8 @@ def enumerate_configurations(n_atoms: int, n_levels: int,
         count, n_levels)
 
 
-def exact_initial_state(basis: Basis, config: Configuration,
-                        max_configs: int = 200_000) -> ExactState:
-    configs = enumerate_configurations(config.n_atoms, basis.size, max_configs)
+def exact_initial_state(basis: Basis, config: Configuration) -> ExactState:
+    configs = enumerate_configurations(config.n_atoms, basis.size)
     index = {tuple(row): i for i, row in enumerate(configs)}
     probs = np.zeros(configs.shape[0])
     probs[index[tuple(config.occ)]] = 1.0
@@ -912,6 +910,9 @@ def _exact_pulse_matrix(state: ExactState, rates: PulseRates,
                 count_vectors(pos + 1, absorbed + [m] * k, weight * w)
 
         count_vectors(0, [], 1.0)
+    # each recursive closure holds itself and T: break those cycles, so T
+    # is freed when its caller drops it, not at the next garbage collection
+    del emit_chain, assign_channels, count_vectors
     colsum = T.sum(axis=0)
     if np.abs(colsum - 1.0).max() > 1e-12:
         raise AssertionError("exact pulse matrix columns do not sum to 1")
@@ -919,34 +920,34 @@ def _exact_pulse_matrix(state: ExactState, rates: PulseRates,
 
 
 def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
-                    initial: Configuration | ExactState,
-                    provider: MatrixProvider | None = None,
-                    max_configs: int = 200_000) -> ExactState:
+                    initial: Configuration,
+                    provider: MatrixProvider | None = None) -> ExactState:
     """Evolve the full configuration distribution through the schedule.
 
     Brute-force reference for the sampler: cost is quadratic in the number
     of configurations, so it only suits small bases and atom numbers.
-    Ramped schedules are supported but rebuild matrices per distinct pulse.
+    It holds one dense pulse matrix per pulse of the cycle, rebuilt when a
+    ramp changes that pulse, and refuses them before it enumerates a
+    configuration if they cannot fit in physical memory.
     """
-    n_configs = (initial.probs.size if isinstance(initial, ExactState)
-                 else math.comb(initial.n_atoms + basis.size - 1, initial.n_atoms))
+    n_configs = math.comb(initial.n_atoms + basis.size - 1, initial.n_atoms)
     _check_memory(f"exact propagation over {n_configs:,} configurations",
-                  8 * n_configs ** 2)  # one dense float64 pulse matrix
+                  schedule.n_pulses * 8 * n_configs ** 2)  # float64 matrices
     provider = _provider_for(basis, params, provider)
-    state = (initial if isinstance(initial, ExactState)
-             else exact_initial_state(basis, initial, max_configs))
+    state = exact_initial_state(basis, initial)
     sp_dense = provider.spontaneous_dense()
 
-    matrices: dict[PulseSpec, np.ndarray] = {}
-    probs = state.probs.copy()
+    held: list[PulseSpec | None] = [None] * schedule.n_pulses
+    matrices: list[np.ndarray | None] = [None] * schedule.n_pulses
+    probs = state.probs
     for c in range(schedule.total_cycles):
-        for pulse in resolve_cycle(schedule, c):
-            T = matrices.get(pulse)
-            if T is None:
-                T = _exact_pulse_matrix(state, provider.absorption(pulse),
-                                        sp_dense)
-                matrices[pulse] = T
-            probs = T @ probs
+        for i, pulse in enumerate(resolve_cycle(schedule, c)):
+            if pulse != held[i]:
+                matrices[i] = None  # freed before its successor is built
+                matrices[i] = _exact_pulse_matrix(
+                    state, provider.absorption(pulse), sp_dense)
+                held[i] = pulse
+            probs = matrices[i] @ probs
     return ExactState(configs=state.configs, probs=probs, index=state.index)
 
 

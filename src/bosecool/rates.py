@@ -370,13 +370,13 @@ _PATTERNS = ("isotropic", "dipole:x", "dipole:y", "dipole:z")
 
 
 def emission_quadrature(dim: int, pattern: str = "isotropic",
-                        polar_order: int = 24,
-                        azimuthal_count: int | None = None) -> EmissionQuadrature:
+                        polar_order: int = 24) -> EmissionQuadrature:
     """Angular quadrature for the emission pattern in ``dim`` dimensions.
 
     In 3D: product Gauss-Legendre in cos(theta) times a uniform midpoint
-    rule in phi. Lower-dimensional traps emit along their own axes (two
-    points in 1D, a uniform circle in 2D); only the isotropic pattern is
+    rule in phi at 2 * ``polar_order`` nodes. Lower-dimensional traps
+    emit along their own axes (two points in 1D, a uniform circle of
+    2 * ``polar_order`` nodes in 2D); only the isotropic pattern is
     defined there. ``pattern`` is "isotropic" or "dipole:x|y|z" for the
     linear-dipole lobe 3/(16 pi) (1 + cos^2) about the given axis.
     ``polar_order`` is at least 2.
@@ -388,7 +388,7 @@ def emission_quadrature(dim: int, pattern: str = "isotropic",
         raise ValueError("dipole emission patterns require a 3D basis")
     if polar_order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {polar_order}")
-    n_phi = azimuthal_count if azimuthal_count is not None else 2 * polar_order
+    n_phi = 2 * polar_order
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
         w = np.array([0.5, 0.5])

@@ -12,6 +12,7 @@ another fades in, but no cycle may leave a pulse with no beam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -38,17 +39,14 @@ class PulseSpec:
         object.__setattr__(self, "amps", tuple(float(a) for a in self.amps))
         if not self.amps:
             raise ValueError("a pulse needs at least one beam amplitude")
+        if not all(map(math.isfinite, self.amps)):
+            raise ValueError(f"beam amplitudes must be finite, got {self.amps}")
         if all(a == 0.0 for a in self.amps):
             raise ValueError("a pulse needs a nonzero beam amplitude")
-        if self.omega_tau_abs is not None and not self.omega_tau_abs > 1:
-            raise ValueError("omega_tau_abs must exceed 1")
+        if self.omega_tau_abs is not None and not 1 < self.omega_tau_abs < math.inf:
+            raise ValueError("omega_tau_abs must exceed 1 and be finite")
         if self.omega0_tau_abs is not None and not 0 < self.omega0_tau_abs < 1:
             raise ValueError("omega0_tau_abs must lie in (0, 1)")
-
-    def with_amp(self, axis: int, value: float) -> "PulseSpec":
-        amps = list(self.amps)
-        amps[axis] = float(value)
-        return replace(self, amps=tuple(amps))
 
     def field_value(self, name: str) -> float | None:
         axis = _AXES.get(name)
@@ -80,6 +78,9 @@ class Ramp:
                              f"(choose from {_RAMPABLE})")
         if self.end_cycle <= self.start_cycle:
             raise ValueError("ramp window must have end_cycle > start_cycle")
+        if not (math.isfinite(self.start_value) and math.isfinite(self.end_value)):
+            raise ValueError("ramp endpoints must be finite, got "
+                             f"{self.start_value} and {self.end_value}")
 
     def value_at(self, cycle: int) -> float:
         """Clamped linear interpolation, evaluated from the nearer endpoint.
@@ -110,7 +111,6 @@ class Schedule:
     cycle: tuple[PulseSpec, ...]
     total_cycles: int
     ramps: tuple[Ramp, ...] = ()
-    name: str = "custom"
 
     def __post_init__(self):
         if not self.cycle:
@@ -262,20 +262,6 @@ def pseudo_confinement_pulses(dim: int, eta: float,
             PulseSpec(s=s2, amps=(1.0,) * dim))
 
 
-def sideband_pulse(dim: int, s: int,
-                   amps: tuple[float, ...] | None = None) -> PulseSpec:
-    """Plain sideband pulse at shell target ``s`` (equal amplitudes by default)."""
-    if amps is None:
-        amps = (1.0,) * dim
-    return PulseSpec(s=s, amps=tuple(amps))
-
-
-def interference_pulse(amps: tuple[float, ...], s: int = 0) -> PulseSpec:
-    """Resonant pulse whose beam amplitudes set the destructive-interference
-    condition; levels with sum_j amps_j * d_j = 0 scatter nothing."""
-    return PulseSpec(s=s, amps=tuple(amps))
-
-
 # -------------------------------------------------------------- presets
 
 FIGURE_IDS = ("fig1", "fig2", "fig3")
@@ -312,22 +298,18 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
     pseudo_b = pseudo_confinement_pulses(3, eta, -1)
 
     if figure_id == "fig1":
+        # s = 0: the interference pulse; levels with sum_j A_j d_j = 0
+        # scatter nothing
         cycle = (conf_a, pseudo_a[0], pseudo_a[1],
-                 interference_pulse((1.0, 1.0, -2.0)),
+                 PulseSpec(s=0, amps=(1.0, 1.0, -2.0)),
                  conf_b, pseudo_b[0], pseudo_b[1],
-                 sideband_pulse(3, -1))
-        return Schedule(cycle=cycle, ramps=(),
-                        total_cycles=total_cycles,
-                        name="fig1")
+                 PulseSpec(s=-1, amps=(1.0, 1.0, 1.0)))
+        return Schedule(cycle=cycle, total_cycles=total_cycles)
 
     if figure_id == "fig2":
-        cycle = (sideband_pulse(3, -12), sideband_pulse(3, -6),
-                 sideband_pulse(3, -3), sideband_pulse(3, 3),
-                 sideband_pulse(3, -13), sideband_pulse(3, -7),
-                 sideband_pulse(3, -4), sideband_pulse(3, -2))
-        return Schedule(cycle=cycle, ramps=(),
-                        total_cycles=total_cycles,
-                        name="fig2")
+        cycle = tuple(PulseSpec(s=s, amps=(1.0, 1.0, 1.0))
+                      for s in (-12, -6, -3, 3, -13, -7, -4, -2))
+        return Schedule(cycle=cycle, total_cycles=total_cycles)
 
     # fig3
     if not 0 < ramp_scale <= 1:
@@ -339,11 +321,11 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
         raise ValueError(f"fig3 length is fixed by its ramps ({total} cycles "
                          f"at ramp_scale={ramp_scale}); drop total_cycles")
     cycle = (conf_a, pseudo_a[0], pseudo_a[1],
-             interference_pulse((1.0, 1.0, FIG3_AZ_NEAR_DARK)),
+             PulseSpec(s=0, amps=(1.0, 1.0, FIG3_AZ_NEAR_DARK)),
              conf_b, pseudo_b[0], pseudo_b[1],
-             sideband_pulse(3, -2))
+             PulseSpec(s=-2, amps=(1.0, 1.0, 1.0)))
     ramps = (
         Ramp(3, "a_z", FIG3_AZ_NEAR_DARK, FIG3_AZ_FAR, hold, hold + ramp),
         Ramp(3, "a_z", FIG3_AZ_FAR, FIG3_AZ_NEAR_DARK, hold + ramp, total),
     )
-    return Schedule(cycle=cycle, ramps=ramps, total_cycles=total, name="fig3")
+    return Schedule(cycle=cycle, ramps=ramps, total_cycles=total)

@@ -9,7 +9,42 @@ import math
 
 import numpy as np
 
-from bosecool.rates import REL_CUTOFF
+from bosecool.rates import REL_CUTOFF, EmissionQuadrature
+
+
+_EQUAL = (1.0, 1.0, 1.0)
+
+# the (s, amps) of each pulse of the preset schedules at eta = 2, written
+# out rather than built: confinement at -3 eta^2 and -3 eta^2 - 1,
+# pseudo-confinement at -3 eta^2 / 2 and -eta^2 (and one lower), the
+# interference pulse at s = 0 and the last sideband
+FIGURE_PULSES = {
+    "fig1": [(-12, _EQUAL), (-6, _EQUAL), (-4, _EQUAL), (0, (1.0, 1.0, -2.0)),
+             (-13, _EQUAL), (-7, _EQUAL), (-5, _EQUAL), (-1, _EQUAL)],
+    "fig2": [(-12, _EQUAL), (-6, _EQUAL), (-3, _EQUAL), (3, _EQUAL),
+             (-13, _EQUAL), (-7, _EQUAL), (-4, _EQUAL), (-2, _EQUAL)],
+    "fig3": [(-12, _EQUAL), (-6, _EQUAL), (-4, _EQUAL), (0, (1.0, 1.0, -1.94)),
+             (-13, _EQUAL), (-7, _EQUAL), (-5, _EQUAL), (-2, _EQUAL)],
+}
+
+
+def product_quadrature(pattern: str, polar_order: int,
+                       n_phi: int) -> EmissionQuadrature:
+    """The 3D product rule of ``emission_quadrature`` (Gauss-Legendre in
+    cos(theta), midpoint in phi) at any number ``n_phi`` of phi nodes; the
+    library always takes 2 * ``polar_order``, but the emission kernel
+    takes any quadrature."""
+    nodes, glw = np.polynomial.legendre.leggauss(polar_order)
+    phi = (np.arange(n_phi) + 0.5) * (2 * math.pi / n_phi)
+    ct = np.repeat(nodes, n_phi)
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+    dirs = np.column_stack([st * np.tile(np.cos(phi), polar_order),
+                            st * np.tile(np.sin(phi), polar_order), ct])
+    w = np.repeat(glw, n_phi) / (2.0 * n_phi)
+    if pattern != "isotropic":  # the dipole lobe about the named axis
+        ca = dirs[:, "xyz".index(pattern[-1])]
+        w = w * 0.75 * (1.0 + ca * ca)
+    return EmissionQuadrature(dirs, w, pattern, polar_order)
 
 
 def displacement_overlap_quad(n_out: int, n_in: int, kappa: float, order: int = 220) -> complex:

@@ -21,7 +21,7 @@ from bosecool import (Configuration, MatrixProvider, PulseSpec, RecorderSpec,
                       condensation_criterion, emission_counts,
                       enumerate_levels, exact_propagate, fano_factor,
                       figure_schedule, franck_condon_1d, hysteresis_extract,
-                      interference_pulse, run_ensemble, split_ramp_branches,
+                      run_ensemble, split_ramp_branches,
                       thermal_distribution)
 from bosecool.analysis import depletion_profile
 from bosecool.cli import main as cli_main
@@ -295,7 +295,7 @@ def test_criterion_8_emission_statistics(fig_system, rate_cache):
 
     # condensed steady state held by a slightly unbalanced dark pulse,
     # so the target keeps a small but nonzero scattering rate
-    schedule = Schedule(cycle=(interference_pulse((1.0, 1.0, -1.8)),),
+    schedule = Schedule(cycle=(PulseSpec(s=0, amps=(1.0, 1.0, -1.8)),),
                         total_cycles=4000)
     occ = np.zeros(basis.size, dtype=np.int64)
     occ[gid] = 500

@@ -10,8 +10,7 @@ from bosecool import (PulseSpec, SimParams, condensation_criterion,
                       cycles_to_seconds, depletion_profile, enumerate_levels,
                       fano_factor, figure_schedule, find_dark_states,
                       first_downward_crossing, franck_condon_1d,
-                      hysteresis_extract, interference_pulse,
-                      split_ramp_branches)
+                      hysteresis_extract, split_ramp_branches)
 
 
 def test_depletion_additive_over_pulses():
@@ -46,7 +45,7 @@ def dark_oracle(basis, amps, eta):
 def test_dark_states_match_interference_oracle():
     basis = enumerate_levels(3, 6)
     params = SimParams(eta=2.0, omega0_tau_abs=0.5)
-    found = {lvl for lvl, _ in find_dark_states([interference_pulse((1.0, 1.0, -2.0))],
+    found = {lvl for lvl, _ in find_dark_states([PulseSpec(s=0, amps=(1.0, 1.0, -2.0))],
                                                 basis, params)}
     assert found == dark_oracle(basis, (1.0, 1.0, -2.0), 2.0)
     for m in (0, 1, 2):
@@ -57,7 +56,7 @@ def test_dark_states_beam_ratio_pair():
     basis = enumerate_levels(3, 6)
     params = SimParams(eta=2.0, omega0_tau_abs=0.5)
     found = {lvl for lvl, _ in
-             find_dark_states([interference_pulse((1.0, 1.0, -2.0 / 3.0))], basis, params)}
+             find_dark_states([PulseSpec(s=0, amps=(1.0, 1.0, -2.0 / 3.0))], basis, params)}
     assert found == dark_oracle(basis, (1.0, 1.0, -2.0 / 3.0), 2.0)
     assert (1, 0, 1) in found and (0, 1, 1) in found
 
@@ -85,8 +84,8 @@ def test_dark_states_detuned_trap_is_leaky():
 def test_dark_states_amplitude_rescale_invariant():
     basis = enumerate_levels(3, 5)
     params = SimParams(eta=2.0, omega0_tau_abs=0.5)
-    a = find_dark_states([interference_pulse((1.0, 1.0, -2.0))], basis, params)
-    b = find_dark_states([interference_pulse((0.5, 0.5, -1.0))], basis, params)
+    a = find_dark_states([PulseSpec(s=0, amps=(1.0, 1.0, -2.0))], basis, params)
+    b = find_dark_states([PulseSpec(s=0, amps=(0.5, 0.5, -1.0))], basis, params)
     assert [lvl for lvl, _ in a] == [lvl for lvl, _ in b]
 
 
@@ -103,7 +102,7 @@ def test_criterion_condensing_reduces_to_depletion():
     # when the target is exactly dark the net drain is the bare depletion
     basis = enumerate_levels(3, 5)
     params = SimParams(eta=2.0, omega0_tau_abs=0.5)
-    pulses = [interference_pulse((1.0, 1.0, -2.0)),
+    pulses = [PulseSpec(s=0, amps=(1.0, 1.0, -2.0)),
               PulseSpec(s=-1, amps=(1.0, 1.0, 1.0))]
     rep = condensation_criterion(pulses, basis, params, (0, 0, 0))
     assert rep.verdict == "condensing"

@@ -66,13 +66,6 @@ def test_shells_column():
     assert basis.max_shell == 5
 
 
-def test_mean_shell():
-    basis = enumerate_levels(1, 3)
-    occ = np.array([1, 0, 0, 3], dtype=np.int64)
-    assert_allclose(basis.mean_shell(occ), 9.0 / 4.0)
-    assert basis.mean_shell(np.zeros(4, dtype=np.int64)) == 0.0
-
-
 def test_fingerprint_stability():
     basis = enumerate_levels(3, 20)
     assert basis.fingerprint() == enumerate_levels(3, 20).fingerprint()
@@ -172,7 +165,7 @@ def test_sampling_thermal_mean():
     var = float((p * basis.shells.astype(float) ** 2).sum()) - 36.0
     rng = np.random.Generator(np.random.Philox(13))
     cfg = sample_initial_configuration(basis, p, 500, rng)
-    got = basis.mean_shell(cfg.occ)
+    got = float(basis.shells @ cfg.occ) / 500
     assert abs(got - 6.0) < 3 * math.sqrt(var / 500)
 
 
@@ -224,3 +217,7 @@ def test_params_validation():
         SimParams(eta=1.0, eta_sp_ratio=-0.2)
     with pytest.raises(ValueError):
         SimParams(eta=1.0, resonance_window=-1)
+    for bad in (math.nan, math.inf):
+        for key in ("eta", "omega_tau_abs", "eta_sp_ratio"):
+            with pytest.raises(ValueError, match=f"{key} must .* finite"):
+                SimParams(**{"eta": 1.0, key: bad})

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 import yaml
@@ -355,9 +356,9 @@ def test_cache_reuse_and_corruption(tmp_path, capsys):
 
     files = sorted(glob.glob(str(tmp_path / "cache" / "*.rates")))
     assert len(files) == 3
-    raw = bytearray(open(files[0], "rb").read())
+    raw = bytearray(Path(files[0]).read_bytes())
     raw[-10] ^= 0xFF
-    open(files[0], "wb").write(bytes(raw))
+    Path(files[0]).write_bytes(raw)
     assert run_cli(["simulate", "--config", cfg, "--threads", "1",
                     "--out", str(tmp_path / "r3")]) == 4
     assert capsys.readouterr().err.startswith("error: io:")
@@ -501,6 +502,29 @@ def test_darkstates_needs_no_watched_level(tmp_path):
     assert run_cli(["darkstates", "--config", write_doc(tmp_path, doc)]) == 0
     assert read(str(tmp_path / "unwatched"), "darkstates.txt") == \
         read(str(tmp_path / "watched"), "darkstates.txt")
+
+
+def test_nan_beam_amplitude_exits_2(tmp_path, capsys):
+    # a NaN amplitude would excite nothing and the run would exit 0
+    doc = sim_doc(str(tmp_path / "out"))
+    doc["schedule"]["pulses"][0]["amps"] = [float("nan")]
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config: schedule.pulses[0]: beam amplitudes must be finite")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_infinite_eta_with_a_figure_schedule_exits_2(tmp_path, capsys):
+    # the figure's shell targets round eta^2, which cannot be done at inf
+    doc = {"basis": {"dim": 3, "max_shell": 4},
+           "params": {"eta": float("inf")}, "schedule": {"figure": "fig1"},
+           "output": {"directory": str(tmp_path / "out")}}
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config: params: eta must be >= 0 and finite, got inf")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_unattainable_thermal_start_exits_2_before_any_build(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import glob
+import math
 import os
 import re
 
@@ -12,6 +13,8 @@ import pytest
 from bosecool import PulseSpec, Ramp, figure_schedule
 from bosecool.config import (ConfigError, RunConfig, config_from_dict,
                              load_config)
+
+from oracles import FIGURE_PULSES
 
 
 def base_doc() -> dict:
@@ -61,7 +64,8 @@ def test_explicit_pulses_parse_to_schedule():
 def test_figure_preset_parses_to_schedule():
     cfg = config_from_dict(fig_doc())
     assert cfg.schedule == figure_schedule("fig1", eta=2.0)
-    assert cfg.schedule.name == "fig1"
+    assert cfg.schedule.cycle == tuple(
+        PulseSpec(s=s, amps=amps) for s, amps in FIGURE_PULSES["fig1"])
     assert cfg.criterion_target == (0, 0, 0)
 
 
@@ -281,9 +285,16 @@ def test_area_must_lie_in_unit_interval():
 
 @pytest.mark.parametrize("key, value, message", [
     ("eta", -0.1, "params: eta must be >= 0"),
+    ("eta", math.inf, "params: eta must be >= 0 and finite, got inf"),
+    ("eta", math.nan, "params: eta must be >= 0 and finite, got nan"),
     ("omega_tau_abs", 1.0, "params: omega_tau_abs must exceed 1"),
+    ("omega_tau_abs", math.inf, "params: omega_tau_abs must exceed 1 "
+     "(spectrally resolved pulses) and be finite, got inf"),
     ("omega0_tau_abs", 0.0, "params: omega0_tau_abs must lie in (0, 1)"),
+    ("omega0_tau_abs", math.nan, "params: omega0_tau_abs must lie in (0, 1)"),
     ("eta_sp_ratio", -1.0, "params: eta_sp_ratio must be >= 0"),
+    ("eta_sp_ratio", math.inf,
+     "params: eta_sp_ratio must be >= 0 and finite, got inf"),
     ("resonance_window", -1, "params: resonance_window must be >= 0"),
     ("emission_pattern", "dipole:w", "params: unknown emission pattern"),
     ("emission_pattern", 5, "params: unknown emission pattern 5"),
@@ -314,6 +325,33 @@ def test_bad_pulse_amps_are_config_errors():
     doc = base_doc()
     doc["schedule"]["pulses"] = [{"s": -1, "amps": [0.0]}]
     with pytest.raises(ConfigError, match=r"schedule.pulses\[0\]"):
+        config_from_dict(doc)
+
+
+_NON_FINITE_MESSAGES = {
+    "amps": "schedule.pulses[1]: beam amplitudes must be finite",
+    "omega_tau_abs": "schedule.pulses[1]: omega_tau_abs must exceed 1 and be "
+                     "finite",
+    "start": "schedule.ramps[0]: ramp endpoints must be finite",
+    "end": "schedule.ramps[0]: ramp endpoints must be finite",
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", list(_NON_FINITE_MESSAGES))
+def test_non_finite_schedule_numbers_are_config_errors(key, bad):
+    # a NaN amplitude would load and excite nothing; the pulse and ramp
+    # types refuse every non-finite value and the message names the key
+    doc = base_doc()
+    doc["schedule"]["ramps"] = [{"pulse": 1, "field": "a_x", "start": 1.0,
+                                 "end": 0.5, "start_cycle": 0,
+                                 "end_cycle": 10}]
+    if key in ("start", "end"):
+        doc["schedule"]["ramps"][0][key] = bad
+    else:
+        doc["schedule"]["pulses"][1][key] = [bad] if key == "amps" else bad
+    with pytest.raises(ConfigError,
+                       match=re.escape(_NON_FINITE_MESSAGES[key])):
         config_from_dict(doc)
 
 

@@ -317,7 +317,7 @@ def test_exact_single_atom_matches_hand_matrix():
     state = exact_propagate(basis, params, schedule, Configuration(occ),
                             provider=provider)
     # map configuration probabilities back to level probabilities
-    got = state.marginal_occupancy()
+    got = state.configs.T.astype(np.float64) @ state.probs
     want = T @ np.array([0.0, 0.0, 1.0])
     assert_allclose(got, want, atol=1e-12)
     assert_allclose(state.probs.sum(), 1.0, atol=1e-12)
@@ -352,24 +352,28 @@ def test_exact_matches_monte_carlo_small():
     assert tv < 0.03
 
 
-def test_exact_matches_monte_carlo_2d_ramp_through_dark():
-    # a 2D interference pulse ramped through a_y = -a_x, where (0, 0) is
-    # exactly dark, after a cooling pulse: the sampler's final configuration
-    # law must be the exact propagator's
+def ramp_2d_system():
+    """A 2D interference pulse ramped through a_y = -a_x, where (0, 0) is
+    exactly dark, after a cooling pulse; two atoms above the ground."""
     basis = enumerate_levels(2, 2)
     params = SimParams(eta=1.0, omega0_tau_abs=0.4, resonance_window=0)
     schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0, 1.0)),
                                PulseSpec(s=0, amps=(1.0, 0.0))),
                         total_cycles=10,
                         ramps=(Ramp(1, "a_y", 0.0, -2.0, 0, 8),))
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[basis.id_of((1, 1))] = 1
+    occ[basis.id_of((2, 0))] = 1
+    return basis, params, schedule, Configuration(occ)
+
+
+def test_exact_matches_monte_carlo_2d_ramp_through_dark():
+    # the sampler's final configuration law must be the exact propagator's
+    basis, params, schedule, init = ramp_2d_system()
     provider = MatrixProvider(basis, params)
     ground = basis.id_of((0, 0))
     dark = provider.absorption(resolve_cycle(schedule, 4)[1])
     assert dark.depletion[ground] == 0.0 < dark.depletion.max()
-    occ = np.zeros(basis.size, dtype=np.int64)
-    occ[basis.id_of((1, 1))] = 1
-    occ[basis.id_of((2, 0))] = 1
-    init = Configuration(occ)
 
     state = exact_propagate(basis, params, schedule, init, provider=provider)
     n_traj = 8_000
@@ -442,7 +446,7 @@ def test_enumerate_configurations_layout():
     assert len({tuple(r) for r in confs}) == 6
     assert enumerate_configurations(3, 1).tolist() == [[3]]
     with pytest.raises(ValueError):
-        enumerate_configurations(30, 30, max_configs=1000)
+        enumerate_configurations(30, 30)
     # rows run in descending lexicographic order of the occupations, the
     # order ExactState.index and the exact propagator's matrices follow
     assert confs.tolist() == [[2, 0, 0], [1, 1, 0], [1, 0, 1],
@@ -479,10 +483,79 @@ def test_exact_propagation_refuses_what_memory_cannot_hold(monkeypatch):
     occ[1] = 1
     monkeypatch.setattr(dynamics, "enumerate_configurations",
                         enumerate_configurations)
-    for probe in (lambda: 8 * basis.size ** 2, lambda: None):
+    # (one atom: the enumeration's rows of 2 + 20 int64 outweigh the one
+    # 20 x 20 pulse matrix)
+    for probe in (lambda: 8 * basis.size * (2 + basis.size), lambda: None):
         monkeypatch.setattr(basis_module, "_physical_memory", probe)
         state = exact_propagate(basis, params, schedule, Configuration(occ))
         assert_allclose(state.probs.sum(), 1.0, atol=1e-12)
+
+
+def test_exact_propagation_bounds_a_matrix_per_pulse(monkeypatch):
+    # 2 atoms on 20 levels: 210 configurations, so each pulse's dense
+    # matrix takes 8 * 210**2 bytes; room for one refuses two pulses
+    def unreachable(*args):
+        raise AssertionError("the configurations were enumerated")
+
+    basis, params, schedule = make_1d_system(max_shell=19, pulses=(-1, -2),
+                                             cycles=1)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[19] = 2
+    one = 8 * 210 ** 2
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: 2 * one - 1)
+    monkeypatch.setattr(dynamics, "enumerate_configurations", unreachable)
+    with pytest.raises(ValueError, match=re.escape(
+            f"exact propagation over 210 configurations needs about "
+            f"{2 * one:,} bytes")):
+        exact_propagate(basis, params, schedule, Configuration(occ))
+    monkeypatch.setattr(dynamics, "enumerate_configurations",
+                        enumerate_configurations)
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: 2 * one)
+    state = exact_propagate(basis, params, schedule, Configuration(occ))
+    assert_allclose(state.probs.sum(), 1.0, atol=1e-12)
+
+
+def test_exact_propagation_holds_one_matrix_per_pulse(monkeypatch):
+    # the ramped pulse takes 9 values: each replaces its predecessor, so
+    # no build finds more than the other pulse's matrix alive
+    basis, params, schedule, init = ramp_2d_system()
+    build, built, most = dynamics._exact_pulse_matrix, [], 0
+
+    def tracked(*args):
+        nonlocal most
+        alive = sum(ref() is not None for ref in built)
+        most = max(most, alive + 1)  # with the one about to be built
+        matrix = build(*args)
+        built.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(dynamics, "_exact_pulse_matrix", tracked)
+    state = exact_propagate(basis, params, schedule, init)
+    assert len(built) == 10
+    assert most == schedule.n_pulses
+    assert_allclose(state.probs.sum(), 1.0, atol=1e-12)
+
+
+def test_enumeration_refuses_what_memory_cannot_hold(monkeypatch):
+    # the bound is the bytes of the arrays, checked before any is made:
+    # per row, the level and cell indices (n_atoms int64 each) and the
+    # occupations (n_levels int64)
+    def unreachable(*args):
+        raise AssertionError("the configurations were enumerated")
+
+    monkeypatch.setattr(dynamics, "combinations_with_replacement", unreachable)
+    with pytest.raises(ValueError, match="physical memory"):
+        enumerate_configurations(30, 30)
+    need = 8 * 6 * (2 * 2 + 3)  # 2 atoms on 3 levels: 6 rows
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"6 configurations of 2 atoms on 3 levels needs about {need:,} "
+            "bytes")):
+        enumerate_configurations(2, 3)
+    monkeypatch.setattr(dynamics, "combinations_with_replacement",
+                        itertools.combinations_with_replacement)
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: need)
+    assert enumerate_configurations(2, 3).shape == (6, 3)
 
 
 def test_exact_initial_state_is_point_mass():
@@ -491,7 +564,8 @@ def test_exact_initial_state_is_point_mass():
     state = exact_initial_state(basis, Configuration(occ))
     assert_allclose(state.probs.sum(), 1.0)
     assert state.probs[state.index[(1, 0, 1)]] == 1.0
-    assert_allclose(state.marginal_occupancy(), occ.astype(float))
+    assert_allclose(state.configs.T.astype(np.float64) @ state.probs,
+                    occ.astype(float))
 
 
 def test_emission_counts_windows():
@@ -641,12 +715,12 @@ def test_provider_ramp_evaluations_share_structure():
     base = PulseSpec(s=-1, amps=(1.0,))
     provider = MatrixProvider(basis, params)
     for amp in (1.0, 0.9, 0.8, 0.7):
-        provider.absorption(base.with_amp(0, amp))
+        provider.absorption(dataclasses.replace(base, amps=(amp,)))
     assert provider.counters["structure_builds"] == 1
     assert provider.counters["abs_builds"] == 0  # evaluations are not builds
     # rates scale with the squared amplitude on a single-beam pulse
     full = provider.absorption(base)
-    half = provider.absorption(base.with_amp(0, 0.5))
+    half = provider.absorption(dataclasses.replace(base, amps=(0.5,)))
     assert_array_equal(half.chan_to, full.chan_to)
     assert_array_equal(half.chan_indptr, full.chan_indptr)
     assert_allclose(half.chan_rate, 0.25 * full.chan_rate, rtol=1e-13)
@@ -959,11 +1033,11 @@ def test_kept_draw_inputs_leave_the_stream_unchanged_3d_ramp(monkeypatch,
         [0.0, -2.0, -2.0, 0.0]
     provider = MatrixProvider(basis, params)
     ramped = schedule.cycle[1]
-    dark = provider.absorption(ramped.with_amp(2, -2.0))
+    dark = provider.absorption(dataclasses.replace(ramped, amps=(1.0, 1.0, -2.0)))
     assert dark.depletion[basis.id_of((0, 0, 0))] == 0.0
     src = np.repeat(np.arange(basis.size), np.diff(dark.chan_indptr))
     assert (dark.chan_to != src).any()  # shift channels
-    zero = provider.absorption(ramped.with_amp(2, 0.0))
+    zero = provider.absorption(dataclasses.replace(ramped, amps=(1.0, 1.0, 0.0)))
     assert zero.chan_to.size < dark.chan_to.size  # the z beam opens none
     rec = RecorderSpec(watched_ids=(0, 5), stride=7, record_events=True)
     monkeypatch.setattr(dynamics, "_SCALAR_DRAWS", scalar_draws)

@@ -24,7 +24,8 @@ from bosecool.rates import (PulseRates, RateMatrix, _kappa_table_cache,
                             absorption_structure, emission_memory_bytes,
                             fc_diag)
 
-from oracles import absorption_rates_reference, spontaneous_dense_3d_flat
+from oracles import (absorption_rates_reference, product_quadrature,
+                     spontaneous_dense_3d_flat)
 
 PREF = math.pi / 8.0
 
@@ -406,7 +407,7 @@ def test_quadrature_dim_mismatch():
         build_spontaneous_rates(basis, params, emission_quadrature(3))
 
 
-@pytest.mark.parametrize("max_shell,pattern,polar_order,azimuthal_count,ratio", [
+@pytest.mark.parametrize("max_shell,pattern,polar_order,n_phi,ratio", [
     (0, "isotropic", 24, None, 1.0),
     (1, "dipole:x", 24, None, 1.0),
     (3, "dipole:z", 7, None, 1.0),      # odd polar order: a z = 0 ring
@@ -419,11 +420,11 @@ def test_quadrature_dim_mismatch():
     (12, "dipole:x", 24, None, 1.0),
 ])
 def test_emission_kernel_matches_flat_gather_bitwise(max_shell, pattern,
-                                                     polar_order,
-                                                     azimuthal_count, ratio):
+                                                     polar_order, n_phi, ratio):
+    # n_phi None: the library's quadrature (2 * polar_order phi nodes)
     basis = enumerate_levels(3, max_shell)
-    quad = emission_quadrature(3, pattern, polar_order=polar_order,
-                               azimuthal_count=azimuthal_count)
+    quad = (emission_quadrature(3, pattern, polar_order=polar_order)
+            if n_phi is None else product_quadrature(pattern, polar_order, n_phi))
     eta_sp = SimParams(eta=2.0, omega0_tau_abs=0.4, eta_sp_ratio=ratio).eta_sp
     got = _spontaneous_dense_3d(basis, eta_sp, quad, _kappa_table_cache(max_shell))
     want = spontaneous_dense_3d_flat(basis, eta_sp, quad,
