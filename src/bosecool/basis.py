@@ -162,7 +162,10 @@ class Configuration:
     occ: np.ndarray
 
     def __post_init__(self):
-        self.occ = np.asarray(self.occ, dtype=np.int64)
+        occ = np.asarray(self.occ)
+        if not np.isfinite(occ).all() or (occ % 1).any():
+            raise ValueError("occupation numbers must be finite whole numbers")
+        self.occ = occ.astype(np.int64)
         if self.occ.ndim != 1:
             raise ValueError("occupation must be a flat vector")
         if (self.occ < 0).any():

@@ -69,6 +69,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
@@ -832,7 +833,7 @@ def enumerate_configurations(n_atoms: int, n_levels: int) -> np.ndarray:
 
 def exact_initial_state(basis: Basis, config: Configuration) -> ExactState:
     configs = enumerate_configurations(config.n_atoms, basis.size)
-    index = {tuple(row): i for i, row in enumerate(configs)}
+    index = {tuple(row): i for i, row in enumerate(configs.tolist())}
     probs = np.zeros(configs.shape[0])
     probs[index[tuple(config.occ)]] = 1.0
     return ExactState(configs=configs, probs=probs, index=index)
@@ -842,77 +843,57 @@ def _exact_pulse_matrix(state: ExactState, rates: PulseRates,
                         sp_dense: np.ndarray) -> np.ndarray:
     """Dense (to, from) transition matrix of one pulse over configurations.
 
-    Enumerates, per source configuration, every excitation-count vector
-    (independent per-atom binomials), every channel assignment, every
-    emission order and every destination chain. Cost explodes with atom
-    number; meant for the few-atom oracle regime.
+    A forward pass per source configuration over the probabilities of
+    (sorted excited levels, ground configuration) states, merged after
+    every step. Each atom of a coupled level m stays (1 - 2 Gamma_m) or
+    enters channel k (2 chan_rate[k]); then the next emitter is drawn
+    uniformly from the atoms still excited, and one from level l lands
+    on level n with weight Gamma_sp[n, l] (occ_n + 1).
     """
-    n_cfg, n_lvl = state.configs.shape
+    n_cfg = state.configs.shape[0]
     T = np.zeros((n_cfg, n_cfg))
     indptr, cto, crate = rates.chan_indptr, rates.chan_to, rates.chan_rate
     dep = rates.depletion
-
-    def emit_chain(excited: tuple, inter: np.ndarray, weight: float,
-                   ci: int) -> None:
-        if not excited:
-            T[state.index[tuple(inter)], ci] += weight
-            return
-        total = len(excited)
-        seen = set()
-        for j, l in enumerate(excited):
-            if l in seen:
-                continue
-            seen.add(l)
-            mult = excited.count(l)
-            rest = excited[:j] + excited[j + 1:]
-            bw = sp_dense[:, l] * (inter + 1.0)
-            bw = bw / bw.sum()
-            for n in np.flatnonzero(bw):
-                inter[n] += 1
-                emit_chain(rest, inter, weight * (mult / total) * bw[n], ci)
-                inter[n] -= 1
-
-    def assign_channels(absorbed: list, excited: tuple, inter: np.ndarray,
-                        weight: float, ci: int) -> None:
-        if not absorbed:
-            emit_chain(excited, inter, weight, ci)
-            return
-        m = absorbed[0]
-        lo, hi = indptr[m], indptr[m + 1]
-        for k in range(lo, hi):
-            assign_channels(absorbed[1:], excited + (int(cto[k]),), inter,
-                            weight * crate[k] / dep[m], ci)
-
-    for ci in range(n_cfg):
-        c = state.configs[ci]
-        ids = [m for m in np.flatnonzero(c) if dep[m] > 0.0]
-        qs = [2.0 * dep[m] for m in ids]
-        bad = [q for q in qs if q > P_HARD]
-        if bad:
+    for ci, c in enumerate(state.configs.tolist()):
+        ids = [m for m, n_m in enumerate(c) if n_m and dep[m] > 0.0]
+        worst = max((2.0 * dep[m] for m in ids), default=0.0)
+        if worst > P_HARD:
             raise PhysicsValidityError(
-                f"per-atom excitation probability {max(bad):.4f} > 1 in "
+                f"per-atom excitation probability {worst:.4f} > 1 in "
                 "exact propagation")
-
-        def count_vectors(pos: int, absorbed: list, weight: float) -> None:
-            if pos == len(ids):
-                if not absorbed:
-                    T[ci, ci] += weight
-                else:
-                    inter = c.copy()
-                    for m in absorbed:
-                        inter[m] -= 1
-                    assign_channels(absorbed, (), inter, weight, ci)
-                return
-            m, q = ids[pos], qs[pos]
-            n_m = int(c[m])
-            for k in range(n_m + 1):
-                w = math.comb(n_m, k) * q ** k * (1.0 - q) ** (n_m - k)
-                count_vectors(pos + 1, absorbed + [m] * k, weight * w)
-
-        count_vectors(0, [], 1.0)
-    # each recursive closure holds itself and T: break those cycles, so T
-    # is freed when its caller drops it, not at the next garbage collection
-    del emit_chain, assign_channels, count_vectors
+        states = {((), tuple(c)): 1.0}
+        for m in ids:
+            stay = 1.0 - 2.0 * dep[m]
+            chans = [(int(cto[k]), 2.0 * crate[k])
+                     for k in range(indptr[m], indptr[m + 1])]
+            for _ in range(c[m]):
+                after = defaultdict(float)
+                for (excited, ground), w in states.items():
+                    after[excited, ground] += w * stay
+                    left = ground[:m] + (ground[m] - 1,) + ground[m + 1:]
+                    for to, q in chans:
+                        after[tuple(sorted(excited + (to,))), left] += w * q
+                states = after
+        # an ended path adds straight into T, path by path like the tests'
+        # enumeration, so long propagations agree with it to rounding
+        T[ci, ci] += states.pop(((), tuple(c)))
+        while states:
+            after = defaultdict(float)
+            for (excited, ground), w in states.items():
+                bose = np.array(ground) + 1.0
+                for l in dict.fromkeys(excited):
+                    j = excited.index(l)
+                    rest = excited[:j] + excited[j + 1:]
+                    bw = sp_dense[:, l] * bose
+                    bw = bw / bw.sum()
+                    wl = w * (excited.count(l) / len(excited))
+                    for n in np.flatnonzero(bw).tolist():
+                        landed = ground[:n] + (ground[n] + 1,) + ground[n + 1:]
+                        if rest:
+                            after[rest, landed] += wl * bw[n]
+                        else:
+                            T[state.index[landed], ci] += wl * bw[n]
+            states = after
     colsum = T.sum(axis=0)
     if np.abs(colsum - 1.0).max() > 1e-12:
         raise AssertionError("exact pulse matrix columns do not sum to 1")
@@ -927,12 +908,20 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     Brute-force reference for the sampler: cost is quadratic in the number
     of configurations, so it only suits small bases and atom numbers.
     It holds one dense pulse matrix per pulse of the cycle, rebuilt when a
-    ramp changes that pulse, and refuses them before it enumerates a
-    configuration if they cannot fit in physical memory.
+    ramp changes that pulse, beside the configurations, their index and
+    the probabilities, and refuses all of them before it enumerates a
+    configuration if together they cannot fit in physical memory.
     """
+    if initial.occ.shape[0] != basis.size:
+        raise ValueError("initial configuration does not match the basis")
     n_configs = math.comb(initial.n_atoms + basis.size - 1, initial.n_atoms)
+    # a configuration's row of each float64 pulse matrix, its int64 row of
+    # configs, its index key of basis.size ints (under 160 bytes more with
+    # its dict slot and value, by tracemalloc) and its probability before
+    # and after a pulse
     _check_memory(f"exact propagation over {n_configs:,} configurations",
-                  schedule.n_pulses * 8 * n_configs ** 2)  # float64 matrices
+                  n_configs * (8 * schedule.n_pulses * n_configs
+                               + 8 * (2 * basis.size + 20) + 16))
     provider = _provider_for(basis, params, provider)
     state = exact_initial_state(basis, initial)
     sp_dense = provider.spontaneous_dense()

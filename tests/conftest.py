@@ -1,9 +1,17 @@
 """Shared pytest hooks: one summary line per acceptance criterion, with
-the time its test calls took."""
+the time its test calls took, and the one hypothesis profile of the
+suite."""
 
 from __future__ import annotations
 
 import re
+
+from hypothesis import settings
+
+# every property test draws the same examples on every run, and a slow
+# example is not a failure
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _TITLES = {
     1: "dark-state algebra",

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from bosecool.rates import REL_CUTOFF, EmissionQuadrature
+from bosecool.dynamics import P_HARD
+from bosecool.rates import REL_CUTOFF, EmissionQuadrature, PhysicsValidityError
 
 
 _EQUAL = (1.0, 1.0, 1.0)
@@ -150,3 +151,84 @@ def absorption_rates_reference(struct, amps, omega0_tau_abs: float):
         depletion[src] += r
     return (depletion, np.searchsorted(frm[order], np.arange(size + 1)),
             struct.chan_to[keep][order], rate[keep][order])
+
+
+def exact_pulse_matrix_reference(state, rates, sp_dense) -> np.ndarray:
+    """Dense (to, from) transition matrix of one pulse over configurations,
+    by brute-force enumeration.
+
+    Enumerates, per source configuration, every excitation-count vector
+    (independent per-atom binomials), every channel assignment, every
+    emission order and every destination chain. Cost explodes with atom
+    number; meant for the few-atom oracle regime.
+    """
+    n_cfg, n_lvl = state.configs.shape
+    T = np.zeros((n_cfg, n_cfg))
+    indptr, cto, crate = rates.chan_indptr, rates.chan_to, rates.chan_rate
+    dep = rates.depletion
+
+    def emit_chain(excited: tuple, inter: np.ndarray, weight: float,
+                   ci: int) -> None:
+        if not excited:
+            T[state.index[tuple(inter)], ci] += weight
+            return
+        total = len(excited)
+        seen = set()
+        for j, l in enumerate(excited):
+            if l in seen:
+                continue
+            seen.add(l)
+            mult = excited.count(l)
+            rest = excited[:j] + excited[j + 1:]
+            bw = sp_dense[:, l] * (inter + 1.0)
+            bw = bw / bw.sum()
+            for n in np.flatnonzero(bw):
+                inter[n] += 1
+                emit_chain(rest, inter, weight * (mult / total) * bw[n], ci)
+                inter[n] -= 1
+
+    def assign_channels(absorbed: list, excited: tuple, inter: np.ndarray,
+                        weight: float, ci: int) -> None:
+        if not absorbed:
+            emit_chain(excited, inter, weight, ci)
+            return
+        m = absorbed[0]
+        lo, hi = indptr[m], indptr[m + 1]
+        for k in range(lo, hi):
+            assign_channels(absorbed[1:], excited + (int(cto[k]),), inter,
+                            weight * crate[k] / dep[m], ci)
+
+    for ci in range(n_cfg):
+        c = state.configs[ci]
+        ids = [m for m in np.flatnonzero(c) if dep[m] > 0.0]
+        qs = [2.0 * dep[m] for m in ids]
+        bad = [q for q in qs if q > P_HARD]
+        if bad:
+            raise PhysicsValidityError(
+                f"per-atom excitation probability {max(bad):.4f} > 1 in "
+                "exact propagation")
+
+        def count_vectors(pos: int, absorbed: list, weight: float) -> None:
+            if pos == len(ids):
+                if not absorbed:
+                    T[ci, ci] += weight
+                else:
+                    inter = c.copy()
+                    for m in absorbed:
+                        inter[m] -= 1
+                    assign_channels(absorbed, (), inter, weight, ci)
+                return
+            m, q = ids[pos], qs[pos]
+            n_m = int(c[m])
+            for k in range(n_m + 1):
+                w = math.comb(n_m, k) * q ** k * (1.0 - q) ** (n_m - k)
+                count_vectors(pos + 1, absorbed + [m] * k, weight * w)
+
+        count_vectors(0, [], 1.0)
+    # each recursive closure holds itself and T: break those cycles, so T
+    # is freed when its caller drops it, not at the next garbage collection
+    del emit_chain, assign_channels, count_vectors
+    colsum = T.sum(axis=0)
+    if np.abs(colsum - 1.0).max() > 1e-12:
+        raise AssertionError("exact pulse matrix columns do not sum to 1")
+    return T

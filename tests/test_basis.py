@@ -201,6 +201,19 @@ def test_configuration_validation():
         Configuration(np.array([[1, 0], [0, 1]]))
 
 
+def test_configuration_refuses_occupations_that_are_not_whole_numbers():
+    for occ in ([1.5, 0.0], [np.nan, 1.0], [np.inf, 0.0], [2.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            Configuration(np.array(occ))
+    # whole numbers of any numeric type read as the same int64 occupations
+    for occ in ([2, 0, 1], np.array([2, 0, 1], dtype=np.uint8),
+                np.array([2.0, 0.0, 1.0]), [2.0, -0.0, 1.0]):
+        cfg = Configuration(occ)
+        assert cfg.occ.dtype == np.int64
+        assert cfg.occ.tolist() == [2, 0, 1]
+    assert Configuration(np.array([True, False])).occ.tolist() == [1, 0]
+
+
 def test_params_validation():
     p = SimParams(eta=2.0)
     assert p.eta_sp == 2.0

@@ -246,7 +246,7 @@ def test_evaluate_matches_reference_bitwise():
     # regroups where one is; both must be the plain evaluation, bit for bit
     outcomes = set()
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(rate_cases())
     def check(case):
         basis, params, s, width, amps, area = case

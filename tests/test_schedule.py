@@ -275,7 +275,7 @@ def brute_force(pulse, ramps, total):
     return out
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(ramped_schedules())
 def test_construction_accepts_exactly_the_schedules_legal_at_every_cycle(drawn):
     cycle, total, ramps = drawn
