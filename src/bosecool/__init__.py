@@ -14,9 +14,7 @@ from .cache import (CacheCorruptError, CacheError, CacheMismatchError,
 from .rates import (EmissionMatrix, EmissionQuadrature, PhysicsValidityError,
                     RateMatrix, absorption_structure, build_spontaneous_rates,
                     emission_quadrature, franck_condon_1d, pulse_spectrum_sq)
-from .schedule import (PulseSpec, Ramp, Schedule, confinement_pulse,
-                       figure_schedule, pseudo_confinement_pulses,
-                       resolve_cycle)
+from .schedule import PulseSpec, Ramp, Schedule, figure_schedule, resolve_cycle
 from .dynamics import (EnsembleResult, ExactState, MatrixProvider,
                        PulseRates, PulseStepOutcome, RecorderSpec,
                        TrajectoryRecord, calibrate_pulse_area,
@@ -40,8 +38,7 @@ __all__ = [
     "EmissionMatrix", "EmissionQuadrature", "PhysicsValidityError",
     "RateMatrix", "absorption_structure", "build_spontaneous_rates",
     "emission_quadrature", "franck_condon_1d", "pulse_spectrum_sq",
-    "PulseSpec", "Ramp", "Schedule", "confinement_pulse", "figure_schedule",
-    "pseudo_confinement_pulses", "resolve_cycle",
+    "PulseSpec", "Ramp", "Schedule", "figure_schedule", "resolve_cycle",
     "EnsembleResult", "ExactState", "MatrixProvider", "PulseRates",
     "PulseStepOutcome", "RecorderSpec", "TrajectoryRecord",
     "calibrate_pulse_area", "emission_counts", "enumerate_configurations",

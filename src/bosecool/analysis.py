@@ -260,16 +260,17 @@ def fano_factor(counts) -> FanoResult:
     return FanoResult(fano=fano, error=err, mean=mean, n_windows=n)
 
 
-def cycles_to_seconds(cycles: float, omega_hz: float = 1e4,
-                      n_pulses: int = 8, omega_tau_abs: float = 4.0,
-                      sp_ratio: float = 3.0) -> float:
+# the trap frequency in Hz, and the repump's length in absorption windows
+_TRAP_HZ, _REPUMP_RATIO = 1e4, 3.0
+
+
+def cycles_to_seconds(cycles: float, n_pulses: int = 8,
+                      omega_tau_abs: float = 4.0) -> float:
     """Wall-clock duration of a cycle count.
 
     One cycle is n_pulses chunks of absorption plus repump; the repump
-    lasts sp_ratio times the absorption window. omega_hz is the trap
-    frequency in Hz.
+    lasts ``_REPUMP_RATIO`` times the absorption window, in a trap of
+    ``_TRAP_HZ``.
     """
-    if omega_hz <= 0:
-        raise ValueError("omega_hz must be positive")
-    tau_abs = omega_tau_abs / (2.0 * math.pi * omega_hz)
-    return cycles * n_pulses * tau_abs * (1.0 + sp_ratio)
+    tau_abs = omega_tau_abs / (2.0 * math.pi * _TRAP_HZ)
+    return cycles * n_pulses * tau_abs * (1.0 + _REPUMP_RATIO)

@@ -9,6 +9,7 @@ rename), so an interrupted run never leaves truncated results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import sys
@@ -21,8 +22,8 @@ from .analysis import (condensation_criterion, find_dark_states,
 from .basis import _check_memory as _check_basis_memory, enumeration_bytes
 from .cache import CacheError, atomic_write
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import (EnsembleResult, MatrixProvider, RecorderSpec,
-                       calibrate_pulse_area, run_ensemble)
+from .dynamics import (EnsembleResult, MatrixProvider, calibrate_pulse_area,
+                       run_ensemble, trajectory_bytes)
 from .rates import (PhysicsValidityError, emission_memory_bytes,
                     emission_quadrature)
 from .schedule import resolve_cycle
@@ -60,12 +61,13 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _check_memory(what: str, need: int) -> None:
-    """``basis._check_memory``, refused as a config error."""
+def _check_memory(what: str, need: int, key: str = "basis.max_shell") -> None:
+    """``basis._check_memory``, refused as a config error that names the
+    ``key`` to lower."""
     try:
         _check_basis_memory(what, need)
     except ValueError as exc:
-        raise ConfigError(f"{exc}; lower basis.max_shell") from exc
+        raise ConfigError(f"{exc}; lower {key}") from exc
 
 
 def _watched(cfg: RunConfig, extra=()) -> list:
@@ -103,12 +105,14 @@ def _prepare(cfg: RunConfig, emission: bool = True) -> MatrixProvider:
 def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,
          threads: int) -> tuple[EnsembleResult, float]:
     """The ensemble and its wall time; matrices load or build untimed,
-    after the initial state is checked."""
+    after the initial state and the trajectories' memory are checked."""
     basis = provider.basis
     initial = cfg.initial_distribution(basis)
-    recorder = RecorderSpec(watched_ids=tuple(basis.id_of(lv) for lv in watched),
-                            stride=cfg.recorder.stride,
-                            record_events=cfg.recorder.events)
+    recorder = dataclasses.replace(
+        cfg.recorder, watched_ids=tuple(basis.id_of(lv) for lv in watched))
+    _check_memory(f"{cfg.n_traj:,} trajectories on {basis.fingerprint()}",
+                  cfg.n_traj * trajectory_bytes(basis.size, cfg.schedule,
+                                                recorder), "trajectories")
     provider.prepare(cfg.schedule)
     start = time.monotonic()
     result = run_ensemble(basis, provider.params, cfg.schedule, initial,
@@ -171,7 +175,7 @@ def _summary_text(cfg: RunConfig, provider: MatrixProvider, watched: list,
         f"p_max: {_fmt(result.p_max)}",
         f"pulses_above_p_0.5: {result.n_warn_pulses}",
         "events_total: " + (str(sum(ev.shape[0] for ev in result.events))
-                            if cfg.recorder.events else "not recorded"),
+                            if cfg.recorder.record_events else "not recorded"),
         f"abs_builds: {counters['abs_builds']}",
         f"sp_builds: {counters['sp_builds']}",
         f"structure_builds: {counters['structure_builds']}",

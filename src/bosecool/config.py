@@ -15,6 +15,7 @@ import numpy as np
 import yaml
 
 from .basis import Basis, SimParams, enumerate_levels, thermal_distribution
+from .dynamics import RecorderSpec
 from .rates import emission_quadrature
 from .schedule import (FIGURE_IDS, PulseSpec, Ramp, Schedule, figure_schedule)
 
@@ -68,12 +69,6 @@ class InitialStateConfig:
 
 
 @dataclass(frozen=True)
-class RecorderConfig:
-    stride: int
-    events: bool
-
-
-@dataclass(frozen=True)
 class HysteresisConfig:
     threshold: float
     source: tuple | None
@@ -96,7 +91,7 @@ class RunConfig:
     n_traj: int
     seed: int
     initial: InitialStateConfig
-    recorder: RecorderConfig
+    recorder: RecorderSpec       # watched_ids (), filled in by the run
     watched: tuple
     out_dir: str
     cache_dir: str | None
@@ -273,9 +268,12 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     stride, events = _take(rec, "recorder", stride=1, events=True)
     stride = _as_int(stride, "recorder.stride")
-    _require(stride >= 0, "recorder.stride must be >= 0")
     _require(isinstance(events, bool), "recorder.events must be a boolean")
-    recorder = RecorderConfig(stride=stride, events=events)
+    try:
+        recorder = RecorderSpec(watched_ids=(), stride=stride,
+                                record_events=events)
+    except ValueError as exc:
+        raise ConfigError(f"recorder: {exc}") from exc
 
     watched = _as_levels(watched, dim, max_shell, "watched")
 

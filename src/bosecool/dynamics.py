@@ -71,7 +71,7 @@ import os
 import warnings
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations_with_replacement, islice
 
 import multiprocessing as mp
@@ -149,48 +149,44 @@ class MatrixProvider:
     def _evaluate(self, pulse: PulseSpec) -> PulseRates:
         return self.structure(pulse).evaluate(pulse.amps, pulse.omega0_tau_abs)
 
-    def _load_or_build(self, pulse: PulseSpec) -> PulseRates:
-        fp = absorption_fingerprint(self.basis, pulse.s, self.params.eta,
-                                    pulse.amps, pulse.omega0_tau_abs,
-                                    pulse.omega_tau_abs, self.params.resonance_window)
+    def _load_or_build(self, fp: str, build, counter: str):
+        """The record of fingerprint ``fp``: loaded from ``cache_dir`` if
+        stored there, else ``build()``, counted in ``counters[counter]``
+        and stored."""
         path = (os.path.join(self.cache_dir, cache_filename(fp))
                 if self.cache_dir is not None else None)
         if path is not None and os.path.exists(path):
-            rates = PulseRates.from_matrix(cache_load(path, fp))
+            record = cache_load(path, fp)
             self.counters["disk_loads"] += 1
-            return rates
-        rates = self._evaluate(pulse)
-        self.counters["abs_builds"] += 1
+            return record
+        record = build()
+        self.counters[counter] += 1
         if path is not None:
-            record = rates.matrix
-            record.fingerprint = fp
             cache_store(record, path)
-        return rates
+        return record
 
     def absorption(self, pulse: PulseSpec, persist: bool = False) -> PulseRates:
         pulse = pulse.resolved(self.params)
         if not persist:
             return self._evaluate(pulse)
         if pulse not in self._static:
-            self._static[pulse] = self._load_or_build(pulse)
+            fp = absorption_fingerprint(self.basis, pulse.s, self.params.eta,
+                                        pulse.amps, pulse.omega0_tau_abs,
+                                        pulse.omega_tau_abs, self.params.resonance_window)
+            self._static[pulse] = PulseRates.from_matrix(self._load_or_build(
+                fp, lambda: replace(self._evaluate(pulse).matrix, fingerprint=fp),
+                "abs_builds"))
         return self._static[pulse]
 
     # -- spontaneous ---------------------------------------------------
 
     def spontaneous(self) -> EmissionMatrix:
         if self._sp is None:
-            fp = spontaneous_fingerprint(self.basis, self.params, self.quadrature)
-            path = (os.path.join(self.cache_dir, cache_filename(fp))
-                    if self.cache_dir is not None else None)
-            if path is not None and os.path.exists(path):
-                self._sp = cache_load(path, fp)
-                self.counters["disk_loads"] += 1
-            else:
-                self._sp = build_spontaneous_rates(
-                    self.basis, self.params, self.quadrature)
-                self.counters["sp_builds"] += 1
-                if path is not None:
-                    cache_store(self._sp, path)
+            self._sp = self._load_or_build(
+                spontaneous_fingerprint(self.basis, self.params, self.quadrature),
+                lambda: build_spontaneous_rates(self.basis, self.params,
+                                                self.quadrature),
+                "sp_builds")
         return self._sp
 
     def spontaneous_dense(self) -> np.ndarray:
@@ -483,7 +479,6 @@ class TrajectoryRecord:
     final_occ: np.ndarray
     p_max: float
     n_warn_pulses: int
-    seed_key: tuple
 
 
 def _provider_for(basis: Basis, params: SimParams,
@@ -545,7 +540,7 @@ class _Trajectory:
     """One trajectory's state between windows."""
 
     def __init__(self, run: _Run, seed_key: tuple):
-        self.run, self.seed_key = run, seed_key
+        self.run = run
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed_key)))
         if isinstance(run.initial, Configuration):
@@ -660,10 +655,6 @@ class _Trajectory:
                 p_max = p
             if p > P_WARN:
                 n_warn += 1
-                if n_warn == 1:  # once per trajectory
-                    warnings.warn("per-atom excitation probability exceeded "
-                                  "0.5; rates are near the edge of the "
-                                  "perturbative regime", stacklevel=3)
             if pulse_events:
                 net = {}  # level -> change of its count
                 for m, _, n in pulse_events:
@@ -690,7 +681,16 @@ class _Trajectory:
                 len(done), len(self.run.schedule.ramp_fields)),
             events=np.asarray(self.events, dtype=np.int64).reshape(-1, 5),
             final_occ=self.occ.copy(), p_max=self.p_max,
-            n_warn_pulses=self.n_warn, seed_key=self.seed_key)
+            n_warn_pulses=self.n_warn)
+
+
+def _warn_above_half(n_warn_pulses: int) -> None:
+    """Warn once per run, in the calling process, where a pulse took a
+    per-atom excitation probability above P_WARN."""
+    if n_warn_pulses:
+        warnings.warn("per-atom excitation probability exceeded 0.5; rates "
+                      "are near the edge of the perturbative regime",
+                      stacklevel=3)
 
 
 def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
@@ -705,6 +705,7 @@ def run_trajectory(basis: Basis, params: SimParams, schedule: Schedule,
     """
     run = _Run(basis, params, schedule, initial, n_atoms, recorder, provider)
     records, _ = run.block([seed if isinstance(seed, tuple) else (seed,)])
+    _warn_above_half(records[0].n_warn_pulses)
     return records[0]
 
 
@@ -734,6 +735,21 @@ class EnsembleResult:
 
     def watched_fraction_se(self) -> np.ndarray:
         return self.watched_std / (self.n_atoms * math.sqrt(self.n_traj))
+
+
+def trajectory_bytes(size: int, schedule: Schedule,
+                     recorder: RecorderSpec) -> int:
+    """An upper bound on the bytes one trajectory of an ensemble on
+    ``size`` levels holds at the run's peak, its event log aside: 4 KiB
+    of generator and state, 20 a level (its occupations, the record's
+    copy and the stacked copy) and, per recorded row, 320 (the row as
+    Python objects, then as record arrays) plus 24 a watched level and 16
+    a ramped field. tracemalloc peaks of in-process runs read 1.1 to 1.3
+    times less (README)."""
+    stride = recorder.stride
+    rows = 1 + (-(-schedule.total_cycles // stride) if stride else 1)
+    return 4096 + 20 * size + rows * (320 + 24 * len(recorder.watched_ids)
+                                      + 16 * len(schedule.ramp_fields))
 
 
 _POOL_RUN: _Run | None = None  # set in each pool worker by its initializer
@@ -778,6 +794,8 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
                 keys[w * n_traj // workers:(w + 1) * n_traj // workers]
                 for w in range(workers)]))
     records = [r for block, _ in blocks for r in block]
+    n_warn = sum(r.n_warn_pulses for r in records)
+    _warn_above_half(n_warn)
 
     watched = np.stack([r.watched_occ for r in records]).astype(np.float64)
     shells = np.stack([r.mean_shell for r in records])
@@ -797,7 +815,7 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
         n_traj=n_traj,
         seed=seed,
         p_max=max(r.p_max for r in records),
-        n_warn_pulses=sum(r.n_warn_pulses for r in records),
+        n_warn_pulses=n_warn,
         ramp_evals=sum(evals for _, evals in blocks))
 
 
@@ -832,6 +850,8 @@ def enumerate_configurations(n_atoms: int, n_levels: int) -> np.ndarray:
 
 
 def exact_initial_state(basis: Basis, config: Configuration) -> ExactState:
+    if config.occ.shape[0] != basis.size:
+        raise ValueError("initial configuration does not match the basis")
     configs = enumerate_configurations(config.n_atoms, basis.size)
     index = {tuple(row): i for i, row in enumerate(configs.tolist())}
     probs = np.zeros(configs.shape[0])
@@ -912,8 +932,6 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     the probabilities, and refuses all of them before it enumerates a
     configuration if together they cannot fit in physical memory.
     """
-    if initial.occ.shape[0] != basis.size:
-        raise ValueError("initial configuration does not match the basis")
     n_configs = math.comb(initial.n_atoms + basis.size - 1, initial.n_atoms)
     # a configuration's row of each float64 pulse matrix, its int64 row of
     # configs, its index key of basis.size ints (under 160 bytes more with
@@ -966,14 +984,14 @@ def emission_counts(events: np.ndarray, window: int, total_cycles: int,
 # ---------------------------------------------------------- calibration
 
 
-# calibrate_pulse_area's bounds, described there
-_AREA_CAP, _OCCUPANCY_FLOOR, _HARD_MARGIN = 0.9, 0.5, 0.98
+# calibrate_pulse_area's target and bounds, described there
+_TARGET, _AREA_CAP, _OCCUPANCY_FLOOR, _HARD_MARGIN = 0.5, 0.9, 0.5, 0.98
 
 
 def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
-                         expected_occ: np.ndarray, target: float = 0.5) -> float:
+                         expected_occ: np.ndarray) -> float:
     """Pulse area such that the worst per-atom excitation probability,
-    over levels the initial state actually populates, is ``target``.
+    over levels the initial state actually populates, is ``_TARGET``.
     Only cycle-0 pulses without an area of their own (ramped or set per
     pulse) take the calibrated one, so only they enter both bounds.
 
@@ -987,8 +1005,6 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
     (the step law itself needs omega0 tau < 1). The absorption
     structures it builds are dropped when it returns.
     """
-    if not 0 < target <= 1:
-        raise ValueError("target must lie in (0, 1]")
     if not float(expected_occ.sum()) > 0:
         raise ValueError("expected occupancy is empty")
     populated = expected_occ >= _OCCUPANCY_FLOOR
@@ -1008,6 +1024,6 @@ def calibrate_pulse_area(basis: Basis, params: SimParams, schedule: Schedule,
         raise PhysicsValidityError(
             "cycle 0 drives no excitation at the initial state; "
             "pulse-area calibration is impossible")
-    area = 0.5 * math.sqrt(target / worst_pop)
+    area = 0.5 * math.sqrt(_TARGET / worst_pop)
     guard = 0.5 * math.sqrt(_HARD_MARGIN / worst_any)
     return min(_AREA_CAP, area, guard)

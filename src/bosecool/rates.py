@@ -38,6 +38,7 @@ import numpy as np
 from .basis import Basis, SimParams, enumerate_levels
 
 REL_CUTOFF = 1e-12  # entries below this fraction of the max are dropped
+_COMPLETENESS_WARN = 0.01  # branching a column may lose to truncation unreported
 
 
 class PhysicsValidityError(RuntimeError):
@@ -451,15 +452,14 @@ def _block_cols(size: int) -> int:
 
 
 def build_spontaneous_rates(basis: Basis, params: SimParams,
-                            quadrature: EmissionQuadrature,
-                            completeness_warn: float = 0.01) -> EmissionMatrix:
+                            quadrature: EmissionQuadrature) -> EmissionMatrix:
     """Angle-averaged emission branching matrix, in linewidth units.
 
     Entry (n, l) integrates the product of per-axis recoil overlaps
     |<n_j|exp(i k_sp u_j x_j)|l_j>|^2 over photon directions u; entries
     below ``REL_CUTOFF`` of the maximum are zeroed in place, a block of
     columns at a time. Columns sum to 1 up to truncation loss; a single
-    warning reports columns losing more than ``completeness_warn``. A 1D
+    warning reports columns losing more than ``_COMPLETENESS_WARN``. A 1D
     matrix is built in the buffer of its recoil table and a 3D one in its
     output, so the build holds the matrix plus a few blocks
     (``emission_memory_bytes``).
@@ -497,11 +497,11 @@ def build_spontaneous_rates(basis: Basis, params: SimParams,
         np.copyto(block, 0.0, where=block < cut)
 
     lost = 1.0 - dense.sum(axis=0)
-    bad = int((lost > completeness_warn).sum())
+    bad = int((lost > _COMPLETENESS_WARN).sum())
     if bad:
         warnings.warn(
             f"{bad} of {size} spontaneous columns lose more than "
-            f"{completeness_warn:.0%} of their branching to truncation "
+            f"{_COMPLETENESS_WARN:.0%} of their branching to truncation "
             f"(worst {lost.max():.3f}); raise max_shell if the dynamics "
             "populates the top of the band", stacklevel=2)
     return EmissionMatrix(dense, spontaneous_fingerprint(basis, params,

@@ -1,4 +1,4 @@
-"""Pulse schedules: named pulse constructors, ramps, bundled presets.
+"""Pulse schedules: pulses, ramps, bundled presets.
 
 A schedule is a fixed per-cycle pulse list plus optional linear ramps on
 float-valued pulse fields. Ramps activate at their start cycle, clamp at
@@ -150,10 +150,6 @@ class Schedule:
                                      f"{problem} at cycle {c}")
 
     @property
-    def dim(self) -> int:
-        return len(self.cycle[0].amps)
-
-    @property
     def n_pulses(self) -> int:
         return len(self.cycle)
 
@@ -230,7 +226,7 @@ def resolve_cycle(schedule: Schedule, cycle_index: int) -> list[PulseSpec]:
     return pulses
 
 
-# ----------------------------------------------------- named constructors
+# -------------------------------------------------------------- presets
 
 
 def _near_int(x: float, what: str) -> int:
@@ -241,28 +237,6 @@ def _near_int(x: float, what: str) -> int:
                       f"rounding to {n}", stacklevel=3)
     return int(n)
 
-
-def confinement_pulse(dim: int, eta: float, offset: int = 0) -> PulseSpec:
-    """Deep cooling pulse targeting s = -dim * eta^2 (+ offset).
-
-    Drives the strongest red sideband each beam supports at this
-    Lamb-Dicke parameter, which caps the energy an atom can keep.
-    """
-    s = -dim * _near_int(eta * eta, "dim*eta^2 confinement target") + offset
-    return PulseSpec(s=s, amps=(1.0,) * dim)
-
-
-def pseudo_confinement_pulses(dim: int, eta: float,
-                              offset: int = 0) -> tuple[PulseSpec, PulseSpec]:
-    """Mid-band cooling pair at s = -3 eta^2 / 2 and s = -eta^2 (+ offset)."""
-    e2 = eta * eta
-    s1 = -_near_int(1.5 * e2, "3*eta^2/2 pseudo-confinement target") + offset
-    s2 = -_near_int(e2, "eta^2 pseudo-confinement target") + offset
-    return (PulseSpec(s=s1, amps=(1.0,) * dim),
-            PulseSpec(s=s2, amps=(1.0,) * dim))
-
-
-# -------------------------------------------------------------- presets
 
 FIGURE_IDS = ("fig1", "fig2", "fig3")
 _DEFAULT_CYCLES = {"fig1": 2000, "fig2": 4000}
@@ -292,23 +266,27 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
     if total_cycles is None:  # fig3 has no default: its ramps fix its length
         total_cycles = _DEFAULT_CYCLES.get(figure_id)
 
-    conf_a = confinement_pulse(3, eta, 0)
-    conf_b = confinement_pulse(3, eta, -1)
-    pseudo_a = pseudo_confinement_pulses(3, eta, 0)
-    pseudo_b = pseudo_confinement_pulses(3, eta, -1)
+    if figure_id == "fig2":
+        cycle = tuple(PulseSpec(s=s, amps=(1.0, 1.0, 1.0))
+                      for s in (-12, -6, -3, 3, -13, -7, -4, -2))
+        return Schedule(cycle=cycle, total_cycles=total_cycles)
+
+    # fig1 and fig3 open both halves of the cycle with the confining pulse
+    # at s = -3 eta^2, the strongest red sideband each beam supports, which
+    # caps the energy an atom can keep, then the pseudo-confining pair at
+    # s = -3 eta^2 / 2 and -eta^2; the second half is offset by -1
+    e2 = eta * eta
+    targets = (-3 * _near_int(e2, "dim*eta^2 confinement target"),
+               -_near_int(1.5 * e2, "3*eta^2/2 pseudo-confinement target"),
+               -_near_int(e2, "eta^2 pseudo-confinement target"))
+    first, second = ([PulseSpec(s=s + offset, amps=(1.0, 1.0, 1.0))
+                      for s in targets] for offset in (0, -1))
 
     if figure_id == "fig1":
         # s = 0: the interference pulse; levels with sum_j A_j d_j = 0
         # scatter nothing
-        cycle = (conf_a, pseudo_a[0], pseudo_a[1],
-                 PulseSpec(s=0, amps=(1.0, 1.0, -2.0)),
-                 conf_b, pseudo_b[0], pseudo_b[1],
-                 PulseSpec(s=-1, amps=(1.0, 1.0, 1.0)))
-        return Schedule(cycle=cycle, total_cycles=total_cycles)
-
-    if figure_id == "fig2":
-        cycle = tuple(PulseSpec(s=s, amps=(1.0, 1.0, 1.0))
-                      for s in (-12, -6, -3, 3, -13, -7, -4, -2))
+        cycle = (*first, PulseSpec(s=0, amps=(1.0, 1.0, -2.0)),
+                 *second, PulseSpec(s=-1, amps=(1.0, 1.0, 1.0)))
         return Schedule(cycle=cycle, total_cycles=total_cycles)
 
     # fig3
@@ -320,10 +298,8 @@ def figure_schedule(figure_id: str, eta: float = 2.0,
     if total_cycles is not None and total_cycles != total:
         raise ValueError(f"fig3 length is fixed by its ramps ({total} cycles "
                          f"at ramp_scale={ramp_scale}); drop total_cycles")
-    cycle = (conf_a, pseudo_a[0], pseudo_a[1],
-             PulseSpec(s=0, amps=(1.0, 1.0, FIG3_AZ_NEAR_DARK)),
-             conf_b, pseudo_b[0], pseudo_b[1],
-             PulseSpec(s=-2, amps=(1.0, 1.0, 1.0)))
+    cycle = (*first, PulseSpec(s=0, amps=(1.0, 1.0, FIG3_AZ_NEAR_DARK)),
+             *second, PulseSpec(s=-2, amps=(1.0, 1.0, 1.0)))
     ramps = (
         Ramp(3, "a_z", FIG3_AZ_NEAR_DARK, FIG3_AZ_FAR, hold, hold + ramp),
         Ramp(3, "a_z", FIG3_AZ_FAR, FIG3_AZ_NEAR_DARK, hold + ramp, total),

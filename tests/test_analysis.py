@@ -259,5 +259,3 @@ def test_cycles_to_seconds_formula():
     assert cycles_to_seconds(0) == 0.0
     assert_allclose(cycles_to_seconds(500), got / 2)
     assert_allclose(cycles_to_seconds(1000, n_pulses=2), got / 4)
-    with pytest.raises(ValueError):
-        cycles_to_seconds(10, omega_hz=0.0)

@@ -568,10 +568,8 @@ def test_preset_pulse_areas_are_pinned():
     configs = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                            "configs")
     for name, area in want.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # fig2_eta205 rounds its target
-            cfg = load_config(os.path.join(configs, f"{name}.yaml"))
-            provider = cli._prepare(cfg, emission=False)
+        cfg = load_config(os.path.join(configs, f"{name}.yaml"))
+        provider = cli._prepare(cfg, emission=False)
         assert cfg.omega0_tau_abs == "auto"
         assert provider.params.omega0_tau_abs == area, name
 
@@ -727,3 +725,69 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_p_above_half_warns_once_per_run(tmp_path):
+    # 3 atoms at p ~ 0.79 (the amplified self-coupling of
+    # test_trajectory_warns_above_half): each forked worker counts its
+    # pulses above 0.5, and only the calling process warns, once
+    doc = {
+        "basis": {"dim": 1, "max_shell": 2},
+        "params": {"eta": 0.9, "omega0_tau_abs": 0.75},
+        "atoms": 3,
+        "trajectories": 6,
+        "initial": {"point_level": [0]},
+        "schedule": {"pulses": [{"s": 0, "amps": [-2.0]}], "total_cycles": 4},
+        "recorder": {"stride": 1, "events": False},
+        "watched": [[0]],
+    }
+    counts = set()
+    for threads in ("1", "3"):
+        out = tmp_path / f"out{threads}"
+        doc["output"] = {"directory": str(out)}
+        cfg = write_doc(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosecool", "simulate", "--config", cfg,
+             "--threads", threads],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("exceeded 0.5") == 1, proc.stderr
+        counts.update(line for line in (out / "summary.txt").read_text()
+                      .splitlines() if line.startswith("pulses_above_p_0.5"))
+    assert len(counts) == 1 and counts != {"pulses_above_p_0.5: 0"}
+
+
+def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
+    # sim_doc: 30 trajectories on 6 levels, 17 rows (80 cycles at stride
+    # 5), 2 watched levels; the hysteresis run watches a third level and
+    # ramps one field. Each trajectory is bounded by 4,096 bytes, 20 a
+    # level and per row 320, 24 a watched level and 16 a ramped field
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    doc = sim_doc(str(tmp_path / "simulate"))
+    sim = write_doc(tmp_path, doc, "sim.yaml")
+    doc["output"] = {"directory": str(tmp_path / "hysteresis")}
+    doc["schedule"]["ramps"] = [{"pulse": 0, "field": "a_x", "start": 1.0,
+                                 "end": 0.5, "start_cycle": 0,
+                                 "end_cycle": 40}]
+    doc["hysteresis"] = {"source": [5], "targets": [[0]]}
+    hys = write_doc(tmp_path, doc, "hys.yaml")
+    for command, cfg, need in (
+            ("simulate", sim, 30 * (4096 + 20 * 6 + 17 * (320 + 24 * 2))),
+            ("hysteresis", hys,
+             30 * (4096 + 20 * 6 + 17 * (320 + 24 * 3 + 16)))):
+        monkeypatch.setattr(cli, "run_ensemble", unreachable)
+        monkeypatch.setattr(basis_module, "_physical_memory", lambda: need - 1)
+        assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config: 30 trajectories on "
+                       f"basis(dim=1,max_shell=5) needs about {need:,} bytes "
+                       f"(0.0 GiB), more than the {need - 1:,} bytes (0.0 GiB) "
+                       "of physical memory; lower trajectories\n")
+        assert not os.path.exists(tmp_path / command)
+        # enough memory, or a platform that cannot say: the run goes ahead
+        monkeypatch.setattr(cli, "run_ensemble", bosecool.run_ensemble)
+        for probe in (lambda: need, lambda: None):
+            monkeypatch.setattr(basis_module, "_physical_memory", probe)
+            assert run_cli([command, "--config", cfg, "--threads", "1"]) == 0

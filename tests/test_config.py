@@ -108,7 +108,8 @@ def test_defaults_fill_in():
     assert cfg.initial.kind == "thermal"
     assert cfg.initial.mean_shell == 6.0
     assert cfg.recorder.stride == 1
-    assert cfg.recorder.events is True
+    assert cfg.recorder.record_events is True
+    assert cfg.recorder.watched_ids == ()
     assert cfg.out_dir == "out"
     assert cfg.cache_dir is None
     assert cfg.criterion_target is None
@@ -267,6 +268,13 @@ def test_dipole_pattern_needs_3d_basis():
     doc3 = fig_doc()
     doc3["params"]["emission_pattern"] = "dipole:z"
     assert config_from_dict(doc3).emission_pattern == "dipole:z"
+
+
+def test_negative_stride_is_refused_by_the_recorder():
+    doc = base_doc()
+    doc["recorder"]["stride"] = -1
+    with pytest.raises(ConfigError, match="recorder: stride must be >= 0"):
+        config_from_dict(doc)
 
 
 def test_booleans_are_not_integers():

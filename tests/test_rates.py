@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bosecool import rates as rates_module
 from bosecool import (MatrixProvider, PulseSpec, SimParams,
                       build_spontaneous_rates, cache_filename, cache_store,
                       emission_quadrature, enumerate_levels, franck_condon_1d,
@@ -241,29 +242,32 @@ def rate_cases(draw):
             draw(st.sampled_from((0.3, 0.9))))
 
 
+@settings(max_examples=300)
+@given(rate_cases())
+def _evaluate_matches_reference(outcomes, case):
+    """One drawn case of ``test_evaluate_matches_reference_bitwise``; adds
+    the layout its evaluation took to ``outcomes``. At module level, so
+    hypothesis keys its draws on this body and not on its decorators."""
+    basis, params, s, width, amps, area = case
+    struct = absorption_structure(basis, params, s, width)
+    got = struct.evaluate(amps, area)
+    assert_same_rates(got, PulseRates(*absorption_rates_reference(
+        struct, amps, area)))
+    shared = got.chan_to is struct.chan_to
+    assert shared == (got.chan_indptr is struct.indptr)
+    outcomes.add("grouped" if not shared
+                 else "diagonal" if got.depletion is got.chan_rate
+                 else "shared")
+    # a shared layout cannot be written through
+    assert not (struct.indptr.flags.writeable
+                or struct.chan_to.flags.writeable)
+
+
 def test_evaluate_matches_reference_bitwise():
     # evaluate shares the structure's layout where no channel is cut and
     # regroups where one is; both must be the plain evaluation, bit for bit
     outcomes = set()
-
-    @settings(max_examples=300)
-    @given(rate_cases())
-    def check(case):
-        basis, params, s, width, amps, area = case
-        struct = absorption_structure(basis, params, s, width)
-        got = struct.evaluate(amps, area)
-        assert_same_rates(got, PulseRates(*absorption_rates_reference(
-            struct, amps, area)))
-        shared = got.chan_to is struct.chan_to
-        assert shared == (got.chan_indptr is struct.indptr)
-        outcomes.add("grouped" if not shared
-                     else "diagonal" if got.depletion is got.chan_rate
-                     else "shared")
-        # a shared layout cannot be written through
-        assert not (struct.indptr.flags.writeable
-                    or struct.chan_to.flags.writeable)
-
-    check()
+    _evaluate_matches_reference(outcomes)
     assert outcomes == {"grouped", "shared", "diagonal"}
 
 
@@ -389,15 +393,16 @@ def test_emission_without_recoil_is_identity():
     assert_allclose(sp.dense, np.eye(basis.size), atol=1e-15)
 
 
-def test_truncation_warning_threshold():
+def test_truncation_warning_threshold(monkeypatch):
     params = SimParams(eta=2.0, omega0_tau_abs=0.4)
     basis = enumerate_levels(3, 4)
     with pytest.warns(UserWarning, match="lose more than"):
         build_spontaneous_rates(basis, params, emission_quadrature(3))
     # a generous threshold stays quiet on the same matrix
+    monkeypatch.setattr(rates_module, "_COMPLETENESS_WARN", 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_spontaneous_rates(basis, params, emission_quadrature(3), completeness_warn=2.0)
+        build_spontaneous_rates(basis, params, emission_quadrature(3))
 
 
 def test_quadrature_dim_mismatch():

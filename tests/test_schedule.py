@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bosecool import (PulseSpec, Ramp, Schedule, confinement_pulse,
-                      figure_schedule, pseudo_confinement_pulses,
-                      resolve_cycle)
+from bosecool import PulseSpec, Ramp, Schedule, figure_schedule, resolve_cycle
 
 from oracles import FIGURE_PULSES
 
@@ -33,27 +31,30 @@ def test_pulse_spec_validation():
 
 
 def test_confinement_targets():
-    # eta^2 = 4: a 3D shell costs 3*4 = 12 quanta
-    assert confinement_pulse(3, 2.0).s == -12
-    assert confinement_pulse(3, 2.0, offset=-1).s == -13
-    assert confinement_pulse(1, 1.0).s == -1
-    assert confinement_pulse(3, 2.0).amps == (1.0, 1.0, 1.0)
+    # eta^2 = 4: a 3D shell costs 3*4 = 12 quanta; the confining pulse
+    # opens each half of the fig1 and fig3 cycles, offset 0 then -1
+    for figure in ("fig1", "fig3"):
+        cycle = figure_schedule(figure, eta=2.0).cycle
+        assert cycle[0].s == -12
+        assert cycle[4].s == -13
+        assert cycle[0].amps == (1.0, 1.0, 1.0)
 
 
 def test_pseudo_confinement_targets():
-    a, b = pseudo_confinement_pulses(3, 2.0)
-    assert (a.s, b.s) == (-6, -4)
-    a, b = pseudo_confinement_pulses(3, 2.0, offset=-1)
-    assert (a.s, b.s) == (-7, -5)
-    a, b = pseudo_confinement_pulses(3, math.sqrt(2.0))
-    assert (a.s, b.s) == (-3, -2)
+    # the pseudo-confining pair follows the confining pulse in each half
+    for figure in ("fig1", "fig3"):
+        cycle = figure_schedule(figure, eta=2.0).cycle
+        assert (cycle[1].s, cycle[2].s) == (-6, -4)
+        assert (cycle[5].s, cycle[6].s) == (-7, -5)
+        cycle = figure_schedule(figure, eta=math.sqrt(2.0)).cycle
+        assert (cycle[1].s, cycle[2].s) == (-3, -2)
 
 
 def test_non_integer_target_warns():
-    with pytest.warns(UserWarning):
-        confinement_pulse(3, 1.1)  # 3*1.21 is far from integer
-    with pytest.warns(UserWarning):
-        pseudo_confinement_pulses(3, 1.3)
+    with pytest.warns(UserWarning, match=r"dim\*eta\^2 confinement target"):
+        figure_schedule("fig1", eta=1.1)  # 3*1.21 is far from integer
+    with pytest.warns(UserWarning, match="pseudo-confinement target"):
+        figure_schedule("fig1", eta=1.3)
 
 
 def test_presets_are_these_pulses():
@@ -75,7 +76,7 @@ def test_fig1_cycle_layout():
     for i, p in enumerate(sch.cycle):
         assert p.amps == ((1.0, 1.0, -2.0) if i == 3 else (1.0, 1.0, 1.0))
     assert sch.ramps == ()
-    assert sch.dim == 3 and sch.n_pulses == 8
+    assert sch.n_pulses == 8
 
 
 def test_fig2_cycle_layout():
