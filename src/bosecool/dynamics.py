@@ -215,8 +215,8 @@ class MatrixProvider:
         self._prepared = schedule
 
     def cycle_rates(self, schedule: Schedule):
-        """Each cycle's (ramped field values, rates per pulse) of a prepared,
-        resolved ``schedule``. A ramped pulse is evaluated (counted in
+        """Each cycle's rates per pulse of a prepared, resolved
+        ``schedule``. A ramped pulse is evaluated (counted in
         ``counters["ramp_evals"]``) at cycle 0 and where its fields change;
         other cycles reuse its ``PulseRates``, and the list if none moved."""
         ramped = {i: self.structure(p) for i, p in enumerate(schedule.cycle)
@@ -234,7 +234,7 @@ class MatrixProvider:
                         driven[i] = pulse
                         rates[i] = structure.evaluate(*pulse)
                         self.counters["ramp_evals"] += 1
-            yield values, rates
+            yield rates
 
 
 # ------------------------------------------------------------- stepping
@@ -469,12 +469,18 @@ class RecorderSpec:
             raise ValueError("stride must be >= 0")
 
 
+def _row_cycles(total: int, stride: int) -> np.ndarray:
+    """The cycles of a trajectory's rows: the multiples of ``stride``
+    below ``total``, then ``total`` (0 and ``total`` alone at stride 0)."""
+    return np.append(np.arange(0, total, stride or total), total)
+
+
 @dataclass
 class TrajectoryRecord:
     cycles: np.ndarray          # completed-cycle counts, first row is 0
     watched_occ: np.ndarray     # (rows, n_watched)
     mean_shell: np.ndarray      # (rows,)
-    ramp_values: np.ndarray     # (rows, n_ramp_fields)
+    ramp_values: np.ndarray     # (rows, n_ramp_fields), of each row's last cycle
     events: np.ndarray          # (n_events, 5): cycle, pulse, from, excited, to
     final_occ: np.ndarray
     p_max: float
@@ -517,6 +523,11 @@ class _Run:
         self.sp_dense = self.provider.spontaneous_dense()
         self.shells_f = basis.shells.astype(np.float64)
         self.watched = np.asarray(recorder.watched_ids, dtype=np.int64)
+        self.cycles = _row_cycles(self.schedule.total_cycles, recorder.stride)
+        self.ramp_values = np.empty((self.cycles.size,
+                                     len(self.schedule.ramp_fields)))
+        for k, d in enumerate(self.cycles.tolist()):
+            self.ramp_values[k] = self.schedule.field_values(max(d - 1, 0))
 
     def block(self, seed_keys) -> tuple[list[TrajectoryRecord], int]:
         """One record per seed key, and the ramped-pulse evaluations made."""
@@ -524,12 +535,12 @@ class _Run:
         trajectories = [_Trajectory(self, key) for key in seed_keys]
         cycles = self.provider.cycle_rates(self.schedule)
         for start in range(0, self.schedule.total_cycles, _WINDOW):
-            stretches = []  # [values, rates, cycles] of cycles sharing rates
-            for values, rates in islice(cycles, _WINDOW):
-                if stretches and stretches[-1][1] is rates:
-                    stretches[-1][2] += 1
+            stretches = []  # [rates, cycles] of cycles sharing rates
+            for rates in islice(cycles, _WINDOW):
+                if stretches and stretches[-1][0] is rates:
+                    stretches[-1][1] += 1
                 else:
-                    stretches.append([values, rates, 1])
+                    stretches.append([rates, 1])
             for t in trajectories:
                 t.advance(start, stretches)
         return ([t.record() for t in trajectories],
@@ -557,20 +568,28 @@ class _Trajectory:
         self.inputs = self.rates.copy()
         # _plan() of the kept inputs; None once they change
         self.plan = None
-        self.rows: list[tuple] = []  # (done, watched occ, mean shell, values)
-        self._row(0, run.schedule.field_values(0))
+        # the rows of run.cycles, of which the first n_rows are recorded
+        self.watched_occ = np.empty((run.cycles.size, run.watched.size),
+                                    dtype=np.int64)
+        self.mean_shell = np.empty(run.cycles.size)
+        self.n_rows = 0
+        self._rows(0)
         self.events: list[tuple[int, int, int, int, int]] = []
         self.p_max, self.n_warn = 0.0, 0
 
-    def _row(self, done: int, values: tuple) -> None:
-        self.rows.append((done, self.occ[self.run.watched].copy(),
-                          float(self.run.shells_f @ self.occ / self.n_total),
-                          values))
+    def _rows(self, done: int) -> None:
+        """Record the rows due once ``done`` cycles are done."""
+        due = int(self.run.cycles.searchsorted(done, "right"))
+        if due > self.n_rows:
+            self.watched_occ[self.n_rows:due] = self.occ[self.run.watched]
+            self.mean_shell[self.n_rows:due] = (self.run.shells_f @ self.occ
+                                                / self.n_total)
+            self.n_rows = due
 
     def advance(self, c: int, stretches) -> None:
         """Run cycles ``c``, ``c + 1``, ... through ``stretches``, each
-        (values, rates, cycles) of cycles that share one rates list."""
-        for values, rates, cycles in stretches:
+        (rates, cycles) of cycles that share one rates list."""
+        for rates, cycles in stretches:
             if rates is not self.rates:
                 for i, r in enumerate(rates):
                     if r is not self.rates[i]:
@@ -582,10 +601,10 @@ class _Trajectory:
                     if self.plan is None:
                         self.plan = self._plan()
                     if self.plan:
-                        c += self._quiet(c, end - c, values)
+                        c += self._quiet(c, end - c)
                         if c == end:
                             break
-                self._cycle(c, values, rates)
+                self._cycle(c, rates)
                 c += 1
 
     def _inputs(self, i: int):
@@ -625,24 +644,17 @@ class _Trajectory:
             worst = max(worst, p)
         return (np.array(qn), worst) if qn else (None, 0.0)
 
-    def _quiet(self, c: int, cycles: int, values: tuple) -> int:
+    def _quiet(self, c: int, cycles: int) -> int:
         """Run the quiet cycles among ``c``, ``c + 1``, ... of a stretch
         of ``cycles`` as a block; returns how many there were."""
         qn, worst = self.plan
         quiet = cycles if qn is None else _quiet_cycles(self.rng, qn, cycles)
         if quiet:
             self.p_max = max(self.p_max, worst)
-            self._rows(c, c + quiet, values)
+            self._rows(c + quiet)
         return quiet
 
-    def _rows(self, c: int, done: int, values: tuple) -> None:
-        """Record the rows due once cycles ``c`` to ``done - 1`` are done."""
-        stride, total = self.run.recorder.stride, self.run.schedule.total_cycles
-        for d in range(c + 1, done + 1):
-            if d == total or stride and d % stride == 0:
-                self._row(d, values)
-
-    def _cycle(self, c: int, values: tuple, rates: list) -> None:
+    def _cycle(self, c: int, rates: list) -> None:
         """Run cycle ``c`` on ``rates`` pulse by pulse."""
         run, occ, rng = self.run, self.occ, self.rng
         inputs, p_max, n_warn = self.inputs, self.p_max, self.n_warn
@@ -669,19 +681,14 @@ class _Trajectory:
                 if run.recorder.record_events:
                     self.events.extend((c, i) + ev for ev in pulse_events)
         self.p_max, self.n_warn = p_max, n_warn
-        self._rows(c, c + 1, values)
+        self._rows(c + 1)
 
     def record(self) -> TrajectoryRecord:
-        done, watched, shell, values = zip(*self.rows)
         return TrajectoryRecord(
-            cycles=np.asarray(done, dtype=np.int64),
-            watched_occ=np.asarray(watched, dtype=np.int64),
-            mean_shell=np.asarray(shell),
-            ramp_values=np.asarray(values, dtype=np.float64).reshape(
-                len(done), len(self.run.schedule.ramp_fields)),
+            cycles=self.run.cycles, watched_occ=self.watched_occ,
+            mean_shell=self.mean_shell, ramp_values=self.run.ramp_values,
             events=np.asarray(self.events, dtype=np.int64).reshape(-1, 5),
-            final_occ=self.occ.copy(), p_max=self.p_max,
-            n_warn_pulses=self.n_warn)
+            final_occ=self.occ, p_max=self.p_max, n_warn_pulses=self.n_warn)
 
 
 def _warn_above_half(n_warn_pulses: int) -> None:
@@ -717,7 +724,6 @@ class EnsembleResult:
     cycles: np.ndarray
     ramp_fields: list[tuple[int, str]]
     ramp_values: np.ndarray          # (rows, n_fields)
-    watched_ids: tuple[int, ...]
     watched_mean: np.ndarray         # (rows, n_watched), occupancies
     watched_std: np.ndarray
     mean_shell_mean: np.ndarray
@@ -725,7 +731,6 @@ class EnsembleResult:
     events: list[np.ndarray]
     n_atoms: int
     n_traj: int
-    seed: int
     p_max: float
     n_warn_pulses: int
     ramp_evals: int                  # ramped-pulse evaluations, summed over workers
@@ -740,16 +745,14 @@ class EnsembleResult:
 def trajectory_bytes(size: int, schedule: Schedule,
                      recorder: RecorderSpec) -> int:
     """An upper bound on the bytes one trajectory of an ensemble on
-    ``size`` levels holds at the run's peak, its event log aside: 4 KiB
-    of generator and state, 20 a level (its occupations, the record's
-    copy and the stacked copy) and, per recorded row, 320 (the row as
-    Python objects, then as record arrays) plus 24 a watched level and 16
-    a ramped field. tracemalloc peaks of in-process runs read 1.1 to 1.3
-    times less (README)."""
-    stride = recorder.stride
-    rows = 1 + (-(-schedule.total_cycles // stride) if stride else 1)
-    return 4096 + 20 * size + rows * (320 + 24 * len(recorder.watched_ids)
-                                      + 16 * len(schedule.ramp_fields))
+    ``size`` levels holds at the run's peak, its event log aside: 3.5 KiB
+    of generator and state, 18 a level (its occupations and their stacked
+    copy) and, per recorded row, 24 plus 32 a watched level (the mean
+    shell and watched counts, then their stacked float copies as the
+    ensemble reduces them). tracemalloc peaks of in-process runs read 1.1
+    to 1.5 times less (README)."""
+    rows = len(_row_cycles(schedule.total_cycles, recorder.stride))
+    return 3584 + 18 * size + rows * (24 + 32 * len(recorder.watched_ids))
 
 
 _POOL_RUN: _Run | None = None  # set in each pool worker by its initializer
@@ -778,9 +781,11 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     run = _Run(basis, params, schedule, initial, n_atoms, recorder, provider)
     keys = [(seed, k) for k in range(n_traj)]
-    workers = max(1, min(threads, n_traj))
+    workers = min(threads, n_traj)
     if workers == 1:
         blocks = [run.block(keys)]
     else:
@@ -802,10 +807,9 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
     ddof = min(1, n_traj - 1)  # one trajectory: a zero spread
 
     return EnsembleResult(
-        cycles=records[0].cycles,
+        cycles=run.cycles,
         ramp_fields=run.schedule.ramp_fields,
-        ramp_values=records[0].ramp_values,
-        watched_ids=recorder.watched_ids,
+        ramp_values=run.ramp_values,
         watched_mean=watched.mean(axis=0),
         watched_std=watched.std(axis=0, ddof=ddof),
         mean_shell_mean=shells.mean(axis=0),
@@ -813,7 +817,6 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
         events=[r.events for r in records],
         n_atoms=run.n_atoms,
         n_traj=n_traj,
-        seed=seed,
         p_max=max(r.p_max for r in records),
         n_warn_pulses=n_warn,
         ramp_evals=sum(evals for _, evals in blocks))

@@ -760,8 +760,8 @@ def test_p_above_half_warns_once_per_run(tmp_path):
 def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     # sim_doc: 30 trajectories on 6 levels, 17 rows (80 cycles at stride
     # 5), 2 watched levels; the hysteresis run watches a third level and
-    # ramps one field. Each trajectory is bounded by 4,096 bytes, 20 a
-    # level and per row 320, 24 a watched level and 16 a ramped field
+    # ramps one field. Each trajectory is bounded by 3,584 bytes, 18 a
+    # level and per row 24 and 32 a watched level
     def unreachable(*args, **kwargs):
         raise AssertionError("a trajectory ran")
 
@@ -774,9 +774,8 @@ def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     doc["hysteresis"] = {"source": [5], "targets": [[0]]}
     hys = write_doc(tmp_path, doc, "hys.yaml")
     for command, cfg, need in (
-            ("simulate", sim, 30 * (4096 + 20 * 6 + 17 * (320 + 24 * 2))),
-            ("hysteresis", hys,
-             30 * (4096 + 20 * 6 + 17 * (320 + 24 * 3 + 16)))):
+            ("simulate", sim, 30 * (3584 + 18 * 6 + 17 * (24 + 32 * 2))),
+            ("hysteresis", hys, 30 * (3584 + 18 * 6 + 17 * (24 + 32 * 3)))):
         monkeypatch.setattr(cli, "run_ensemble", unreachable)
         monkeypatch.setattr(basis_module, "_physical_memory", lambda: need - 1)
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2

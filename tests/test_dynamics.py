@@ -12,6 +12,7 @@ import gc
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -209,6 +210,60 @@ def test_trajectory_recording_grid():
         RecorderSpec(watched_ids=(0,), stride=-1)
 
 
+def test_row_cycles_follow_the_recording_rule():
+    # rows at 0, then at every d in 1..total with d == total or a stride
+    # multiple; trajectory_bytes charges the same count, one row at a time
+    basis, params, _ = make_1d_system()
+    provider = MatrixProvider(basis, params)
+
+    def bound(total, stride):
+        return dynamics.trajectory_bytes(
+            basis.size, Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),),
+                                 total_cycles=total),
+            RecorderSpec(watched_ids=(0,), stride=stride))
+
+    per_row = bound(2, 1) - bound(1, 1)  # 3 rows against 2
+    for total in range(1, 41):
+        schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),),
+                            total_cycles=total)
+        for stride in range(total + 2):
+            want = [0] + [d for d in range(1, total + 1)
+                          if d == total or stride and d % stride == 0]
+            assert dynamics._row_cycles(total, stride).tolist() == want
+            run = dynamics._Run(basis, params, schedule,
+                                Configuration([0, 0, 0, 1]), None,
+                                RecorderSpec(watched_ids=(0,), stride=stride),
+                                provider)
+            assert run.cycles.tolist() == want
+            assert bound(total, stride) == bound(1, 1) + (len(want) - 2) * per_row
+
+
+def test_trajectory_memory_stays_below_its_bound():
+    # stride 1 over 2,000 cycles, a ramp and 2 watched levels: the rows
+    # dominate what each trajectory holds
+    basis, params, _ = make_1d_system(max_shell=5, eta=0.7, area=0.4)
+    schedule = Schedule(
+        cycle=(PulseSpec(s=-1, amps=(1.0,)), PulseSpec(s=-2, amps=(1.0,))),
+        total_cycles=2000, ramps=(Ramp(0, "a_x", 1.0, 0.5, 0, 2000),))
+    rec = RecorderSpec(watched_ids=(0, 1), stride=1, record_events=False)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[5] = 2
+    provider = MatrixProvider(basis, params)
+    # one untraced trajectory first, so that one-time costs such as
+    # numpy.random's lazy imports are not charged to the traced ones
+    run_ensemble(basis, params, schedule, Configuration(occ), None, 1, 11, rec,
+                 provider)
+    n_traj = 20
+    tracemalloc.start()
+    try:
+        run_ensemble(basis, params, schedule, Configuration(occ), None, n_traj,
+                     11, rec, provider)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_traj < dynamics.trajectory_bytes(basis.size, schedule, rec)
+
+
 def test_trajectory_event_log_schema():
     basis, params, schedule = make_1d_system(cycles=15)
     occ = np.zeros(basis.size, dtype=np.int64)
@@ -289,6 +344,16 @@ def test_ensemble_threads_bitwise_equal():
     for ev_a, ev_b in zip(one.events, par.events):
         assert_array_equal(ev_a, ev_b)
     assert one.p_max == par.p_max
+
+
+def test_ensemble_refuses_fewer_than_one_thread():
+    basis, params, schedule = make_1d_system(cycles=3)
+    occ = np.zeros(basis.size, dtype=np.int64)
+    occ[3] = 1
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_ensemble(basis, params, schedule, Configuration(occ), None, 2, 1,
+                         RecorderSpec(watched_ids=(0,)), threads=threads)
 
 
 def test_ensemble_standard_error_definition():
@@ -1342,8 +1407,8 @@ def test_blocks_reach_their_edge_for_any_window(monkeypatch, case):
     quiet, threshold = dynamics._Trajectory._quiet, dynamics._threshold
     blocks, regime = [], []  # (cycle, cycles left, quiet cycles, dark)
 
-    def logged_quiet(self, c, cycles, values):
-        n = quiet(self, c, cycles, values)
+    def logged_quiet(self, c, cycles):
+        n = quiet(self, c, cycles)
         blocks.append((c, cycles, n, self.plan[0] is None))
         return n
 
@@ -1533,7 +1598,7 @@ def test_events_drop_only_the_inputs_that_couple_a_moved_level():
     for c in range(schedule.total_cycles):
         before = [t._inputs(i) if kept is None else kept
                   for i, kept in enumerate(t.inputs)]
-        t._cycle(c, (), rates)
+        t._cycle(c, rates)
         if t.events:
             break
     assert {ev[2] for ev in t.events} | {ev[4] for ev in t.events} <= {0, 1}
@@ -1560,7 +1625,7 @@ def test_events_drop_only_the_inputs_that_couple_a_moved_level():
         before = [t._inputs(i) if k is None else k for i, k in enumerate(t.inputs)]
         t.plan = plan = t._plan()
         occupied, counts, done = t.occupied, t.occ.copy(), len(t.events)
-        t._cycle(c, (), rates)
+        t._cycle(c, rates)
         if len(t.events) == done:
             continue
         assert t.inputs[1] is before[1]
