@@ -110,10 +110,11 @@ def _check_memory(what: str, need: int) -> None:
     cannot fit in physical memory."""
     have = _physical_memory()
     if have is not None and need > have:
+        amount = (f"about {need:,} bytes ({need / 2**30:.1f} GiB)"
+                  if need < 2**64 else "over 2**64 bytes")
         raise ValueError(
-            f"{what} needs about {need:,} bytes ({need / 2**30:.1f} GiB), "
-            f"more than the {have:,} bytes ({have / 2**30:.1f} GiB) of "
-            "physical memory")
+            f"{what} needs {amount}, more than the {have:,} bytes "
+            f"({have / 2**30:.1f} GiB) of physical memory")
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,13 @@ def _run(cfg: RunConfig, provider: MatrixProvider, watched: list,
     initial = cfg.initial_distribution(basis)
     recorder = dataclasses.replace(
         cfg.recorder, watched_ids=tuple(basis.id_of(lv) for lv in watched))
-    _check_memory(f"{cfg.n_traj:,} trajectories on {basis.fingerprint()}",
-                  cfg.n_traj * trajectory_bytes(basis.size, cfg.schedule,
-                                                recorder), "trajectories")
+    held = cfg.n_traj * trajectory_bytes(basis.size, cfg.schedule, recorder)
+    # a worker draws one trajectory's atoms at a time, and rng.choice holds
+    # 16 bytes an atom and a level while it draws (tracemalloc)
+    draw = min(threads, cfg.n_traj) * 16 * (cfg.n_atoms + basis.size)
+    _check_memory(f"{cfg.n_traj:,} trajectories of {cfg.n_atoms:,} atoms on "
+                  f"{basis.fingerprint()}", held + draw,
+                  "atoms" if draw > held else "trajectories")
     provider.prepare(cfg.schedule)
     start = time.monotonic()
     result = run_ensemble(basis, provider.params, cfg.schedule, initial,

@@ -38,7 +38,11 @@ def _as_int(value, where: str) -> int:
 def _as_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: a {len(str(abs(value)))}-digit integer "
+                          "is beyond a float") from None
 
 
 def _as_level(value, dim: int, max_shell: int, where: str) -> tuple:
@@ -221,7 +225,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"params: {exc}") from exc
 
     n_atoms = _as_int(n_atoms, "atoms")
-    _require(n_atoms >= 1, "atoms must be >= 1")
+    _require(1 <= n_atoms < 2**63, "atoms must be >= 1 and below 2**63")
     n_traj = _as_int(n_traj, "trajectories")
     _require(n_traj >= 1, "trajectories must be >= 1")
     seed = _as_int(seed, "seed")
@@ -315,7 +319,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: over 4,300 digits
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if isinstance(doc, dict):  # any other root is refused by the parser
         for dotted, value in (overrides or {}).items():

@@ -130,7 +130,8 @@ class MatrixProvider:
         self._structures: dict[tuple, AbsorptionStructure] = {}
         self._static: dict[PulseSpec, PulseRates] = {}
         self._sp: EmissionMatrix | None = None
-        self._prepared: Schedule | None = None
+        self._prepared = self._resolved = None  # the schedule prepared last
+        self._pulses: list = []  # its PulseRates or AbsorptionStructure per pulse
         self.counters = {"abs_builds": 0, "sp_builds": 0, "disk_loads": 0,
                          "structure_builds": 0, "ramp_evals": 0}
 
@@ -194,45 +195,44 @@ class MatrixProvider:
         draw reads is contiguous."""
         return self.spontaneous().dense
 
-    def prepare(self, schedule: Schedule) -> None:
-        """Build everything a run needs up front (parent process side).
+    def prepare(self, schedule: Schedule) -> Schedule:
+        """Build everything a run needs up front (parent process side) and
+        return ``schedule`` resolved against the params.
 
-        Static pulses are served from memory from then on, so only the
-        ramped pulses' structures are kept. Preparing the schedule
-        prepared last again does nothing, so a caller can prepare outside
-        its timing and hand the provider to ``run_ensemble``.
+        Keeps, per pulse index, a static pulse's rates or a ramped pulse's
+        structure, and of the structures only the ramped pulses'. Preparing
+        the schedule prepared last, or its resolved form, again does
+        nothing, so a caller can prepare outside its timing and hand the
+        provider to ``run_ensemble``.
         """
-        if schedule is self._prepared:
-            return
-        self.spontaneous_dense()
-        pulses = [p.resolved(self.params) for p in schedule.cycle]
-        for i, pulse in enumerate(pulses):
-            if not schedule.is_ramped(i):
-                self.absorption(pulse, persist=True)
-        # amplitudes change, so a ramped pulse keeps its structure, not a matrix
-        self._structures = {(p.s, p.omega_tau_abs): self.structure(p)
-                            for i, p in enumerate(pulses) if schedule.is_ramped(i)}
-        self._prepared = schedule
+        if schedule is not self._prepared and schedule is not self._resolved:
+            self.spontaneous_dense()
+            resolved = schedule.resolved(self.params)
+            self._pulses = [self.structure(p) if resolved.is_ramped(i)
+                            else self.absorption(p, persist=True)
+                            for i, p in enumerate(resolved.cycle)]
+            # amplitudes change, so a ramped pulse keeps its structure
+            self._structures = {(p.s, p.omega_tau_abs): st for p, st in zip(
+                resolved.cycle, self._pulses) if isinstance(st, AbsorptionStructure)}
+            self._prepared, self._resolved = schedule, resolved
+        return self._resolved
 
     def cycle_rates(self, schedule: Schedule):
-        """Each cycle's rates per pulse of a prepared, resolved
-        ``schedule``. A ramped pulse is evaluated (counted in
-        ``counters["ramp_evals"]``) at cycle 0 and where its fields change;
-        other cycles reuse its ``PulseRates``, and the list if none moved."""
-        ramped = {i: self.structure(p) for i, p in enumerate(schedule.cycle)
-                  if schedule.is_ramped(i)}
-        rates = [None if i in ramped else self.absorption(p, persist=True)
-                 for i, p in enumerate(schedule.cycle)]
-        driven, values = dict.fromkeys(ramped), None
+        """Each cycle's rates per pulse of ``schedule``, prepared first. A
+        ramped pulse is evaluated (counted in ``counters["ramp_evals"]``)
+        at cycle 0 and where its fields change; other cycles reuse its
+        ``PulseRates``, and the list if none moved."""
+        schedule = self.prepare(schedule)
+        rates, driven, values = self._pulses, {}, None
         for c in range(schedule.total_cycles):
             now = schedule.field_values(c)
             if now != values:
                 values, rates = now, list(rates)
-                for i, structure in ramped.items():
+                for i in filter(schedule.is_ramped, range(schedule.n_pulses)):
                     pulse = schedule.driven(i, now)
-                    if pulse != driven[i]:
+                    if pulse != driven.get(i):
                         driven[i] = pulse
-                        rates[i] = structure.evaluate(*pulse)
+                        rates[i] = self._pulses[i].evaluate(*pulse)
                         self.counters["ramp_evals"] += 1
             yield rates
 
@@ -469,10 +469,17 @@ class RecorderSpec:
             raise ValueError("stride must be >= 0")
 
 
+def _row_count(total: int, stride: int) -> int:
+    """How many rows a trajectory records: one per multiple of ``stride``
+    below ``total``, then one at ``total`` (two in all at stride 0)."""
+    return -(-total // (stride or total)) + 1
+
+
 def _row_cycles(total: int, stride: int) -> np.ndarray:
-    """The cycles of a trajectory's rows: the multiples of ``stride``
-    below ``total``, then ``total`` (0 and ``total`` alone at stride 0)."""
-    return np.append(np.arange(0, total, stride or total), total)
+    """The int64 cycles of a trajectory's ``_row_count`` rows."""
+    cycles = np.arange(_row_count(total, stride), dtype=np.int64) * (stride or total)
+    cycles[-1] = total
+    return cycles
 
 
 @dataclass
@@ -517,9 +524,8 @@ class _Run:
         elif n_atoms is None:
             raise ValueError("n_atoms is required when sampling the initial state")
         self.provider = _provider_for(basis, params, provider)
-        self.provider.prepare(schedule)
+        self.schedule, self.recorder = self.provider.prepare(schedule), recorder
         self.basis, self.initial, self.n_atoms = basis, initial, n_atoms
-        self.schedule, self.recorder = schedule.resolved(params), recorder
         self.sp_dense = self.provider.spontaneous_dense()
         self.shells_f = basis.shells.astype(np.float64)
         self.watched = np.asarray(recorder.watched_ids, dtype=np.int64)
@@ -727,7 +733,7 @@ class EnsembleResult:
     watched_mean: np.ndarray         # (rows, n_watched), occupancies
     watched_std: np.ndarray
     mean_shell_mean: np.ndarray
-    final_occ: np.ndarray            # (n_traj, size)
+    final_occ: list[np.ndarray]      # each trajectory's record's own
     events: list[np.ndarray]
     n_atoms: int
     n_traj: int
@@ -746,13 +752,13 @@ def trajectory_bytes(size: int, schedule: Schedule,
                      recorder: RecorderSpec) -> int:
     """An upper bound on the bytes one trajectory of an ensemble on
     ``size`` levels holds at the run's peak, its event log aside: 3.5 KiB
-    of generator and state, 18 a level (its occupations and their stacked
-    copy) and, per recorded row, 24 plus 32 a watched level (the mean
+    of generator and state, 10 a level (its occupations, which its record
+    keeps) and, per recorded row, 24 plus 32 a watched level (the mean
     shell and watched counts, then their stacked float copies as the
-    ensemble reduces them). tracemalloc peaks of in-process runs read 1.1
-    to 1.5 times less (README)."""
-    rows = len(_row_cycles(schedule.total_cycles, recorder.stride))
-    return 3584 + 18 * size + rows * (24 + 32 * len(recorder.watched_ids))
+    ensemble reduces them). tracemalloc peaks of in-process runs read 1.2
+    to 1.4 times less (README)."""
+    rows = _row_count(schedule.total_cycles, recorder.stride)
+    return 3584 + 10 * size + rows * (24 + 32 * len(recorder.watched_ids))
 
 
 _POOL_RUN: _Run | None = None  # set in each pool worker by its initializer
@@ -813,7 +819,7 @@ def run_ensemble(basis: Basis, params: SimParams, schedule: Schedule,
         watched_mean=watched.mean(axis=0),
         watched_std=watched.std(axis=0, ddof=ddof),
         mean_shell_mean=shells.mean(axis=0),
-        final_occ=np.stack([r.final_occ for r in records]),
+        final_occ=[r.final_occ for r in records],
         events=[r.events for r in records],
         n_atoms=run.n_atoms,
         n_traj=n_traj,
@@ -947,17 +953,15 @@ def exact_propagate(basis: Basis, params: SimParams, schedule: Schedule,
     state = exact_initial_state(basis, initial)
     sp_dense = provider.spontaneous_dense()
 
-    held: list[PulseSpec | None] = [None] * schedule.n_pulses
-    matrices: list[np.ndarray | None] = [None] * schedule.n_pulses
+    held, matrices = [None] * schedule.n_pulses, [None] * schedule.n_pulses
     probs = state.probs
-    for c in range(schedule.total_cycles):
-        for i, pulse in enumerate(resolve_cycle(schedule, c)):
-            if pulse != held[i]:
+    for rates in provider.cycle_rates(schedule):
+        for i, r in enumerate(rates):
+            if r is not held[i]:
                 matrices[i] = None  # freed before its successor is built
-                matrices[i] = _exact_pulse_matrix(
-                    state, provider.absorption(pulse), sp_dense)
-                held[i] = pulse
+                matrices[i] = _exact_pulse_matrix(state, r, sp_dense)
             probs = matrices[i] @ probs
+        held = rates
     return ExactState(configs=state.configs, probs=probs, index=state.index)
 
 

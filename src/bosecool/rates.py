@@ -321,7 +321,9 @@ def absorption_structure(basis: Basis, params: SimParams, s: int,
     # resonance, then one block per (axis, delta)
     ids = np.arange(n if on_diag else 0)
     chans = [(ids, ids, np.full(ids.size, basis.dim), np.zeros(ids.size))]
-    deltas = [d for d in range(s - window, s + window + 1) if d != 0]
+    # no level changes its shell by more than nq, so no wider shift has a channel
+    deltas = [d for d in range(max(s - window, -nq), min(s + window, nq) + 1)
+              if d != 0]
     for axis in range(basis.dim):
         q = basis.levels[:, axis]
         for delta in deltas:

@@ -130,24 +130,29 @@ class Schedule:
             if not (0 <= r.start_cycle < self.total_cycles
                     and r.end_cycle <= self.total_cycles):
                 raise ValueError("ramp window must lie within the run")
-        # a pulse's fields change only inside its ramps' windows, so scan
-        # those cycles, unless a beam no ramp drives stays on and every
-        # area ramp's endpoints (which bound its values) lie in (0, 1)
-        for i, slots in self._slots.items():
-            ramps = [r for r in self.ramps if r.pulse_index == i]
-            lit = any(a and axis not in {x for _, x in slots}
-                      for axis, a in enumerate(self.cycle[i].amps))
-            if lit and all(0 < v < 1 for r in ramps if r.field == "omega0_tau_abs"
-                           for v in (r.start_value, r.end_value)):
-                continue
-            for c in sorted({c for r in ramps for c in range(
-                    r.start_cycle, min(r.end_cycle + 1, self.total_cycles))}):
-                amps, area = self.driven(i, self.field_values(c))
-                if not any(amps) or area is not None and not 0 < area < 1:
-                    problem = ("no nonzero beam amplitude" if not any(amps)
-                               else f"omega0_tau_abs {area} outside (0, 1)")
-                    raise ValueError(f"the ramps leave pulse {i} with "
-                                     f"{problem} at cycle {c}")
+        # cut at each ramp's start and end and around its midpoint m, where
+        # value_at switches form: between cuts each field is constant or one
+        # monotone half of one ramp, so a piece is legal if at both ends some
+        # beam keeps one strict sign and the area lies in (0, 1); only the
+        # other pieces are walked, cycle by cycle
+        for i in self._slots:
+            cuts = sorted({0, self.total_cycles} | {
+                c for r in self.ramps if r.pulse_index == i
+                for m in [(r.start_cycle + r.end_cycle) // 2]
+                for c in (r.start_cycle, m, m + 1, r.end_cycle)})
+            for lo, hi in zip(cuts, cuts[1:]):
+                (a, x), (b, y) = (self.driven(i, self.field_values(c))
+                                  for c in (lo, hi - 1))
+                if any(u * v > 0 for u, v in zip(a, b)) and (
+                        x is None or 0 < min(x, y) and max(x, y) < 1):
+                    continue
+                for c in range(lo, hi):
+                    amps, area = self.driven(i, self.field_values(c))
+                    if not any(amps) or area is not None and not 0 < area < 1:
+                        problem = ("no nonzero beam amplitude" if not any(amps)
+                                   else f"omega0_tau_abs {area} outside (0, 1)")
+                        raise ValueError(f"the ramps leave pulse {i} with "
+                                         f"{problem} at cycle {c}")
 
     @property
     def n_pulses(self) -> int:

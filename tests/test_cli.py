@@ -758,10 +758,11 @@ def test_p_above_half_warns_once_per_run(tmp_path):
 
 
 def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
-    # sim_doc: 30 trajectories on 6 levels, 17 rows (80 cycles at stride
-    # 5), 2 watched levels; the hysteresis run watches a third level and
-    # ramps one field. Each trajectory is bounded by 3,584 bytes, 18 a
-    # level and per row 24 and 32 a watched level
+    # sim_doc: 30 trajectories of 2 atoms on 6 levels, 17 rows (80 cycles
+    # at stride 5), 2 watched levels; the hysteresis run watches a third
+    # level and ramps one field. Each trajectory is bounded by 3,584 bytes,
+    # 10 a level and per row 24 and 32 a watched level, and the one worker
+    # draws with 16 bytes an atom and a level
     def unreachable(*args, **kwargs):
         raise AssertionError("a trajectory ran")
 
@@ -774,13 +775,15 @@ def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
     doc["hysteresis"] = {"source": [5], "targets": [[0]]}
     hys = write_doc(tmp_path, doc, "hys.yaml")
     for command, cfg, need in (
-            ("simulate", sim, 30 * (3584 + 18 * 6 + 17 * (24 + 32 * 2))),
-            ("hysteresis", hys, 30 * (3584 + 18 * 6 + 17 * (24 + 32 * 3)))):
+            ("simulate", sim,
+             30 * (3584 + 10 * 6 + 17 * (24 + 32 * 2)) + 16 * (2 + 6)),
+            ("hysteresis", hys,
+             30 * (3584 + 10 * 6 + 17 * (24 + 32 * 3)) + 16 * (2 + 6))):
         monkeypatch.setattr(cli, "run_ensemble", unreachable)
         monkeypatch.setattr(basis_module, "_physical_memory", lambda: need - 1)
         assert run_cli([command, "--config", cfg, "--threads", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: config: 30 trajectories on "
+        assert err == (f"error: config: 30 trajectories of 2 atoms on "
                        f"basis(dim=1,max_shell=5) needs about {need:,} bytes "
                        f"(0.0 GiB), more than the {need - 1:,} bytes (0.0 GiB) "
                        "of physical memory; lower trajectories\n")
@@ -790,3 +793,89 @@ def test_trajectory_memory_preflight_exits_2(tmp_path, capsys, monkeypatch):
         for probe in (lambda: need, lambda: None):
             monkeypatch.setattr(basis_module, "_physical_memory", probe)
             assert run_cli([command, "--config", cfg, "--threads", "1"]) == 0
+
+
+_HUGE = 10 ** 400  # a YAML integer that no float holds
+
+
+@pytest.mark.parametrize("key,named", [
+    ("params.eta", "params.eta"),
+    ("amps", "schedule.pulses[0].amps"),
+    ("hysteresis.threshold", "hysteresis.threshold"),
+    ("initial.thermal_mean_shell", "initial.thermal_mean_shell"),
+    ("basis.max_shell", "lower basis.max_shell"),
+    ("trajectories", "lower trajectories")])
+def test_huge_numbers_in_a_config_exit_2(tmp_path, capsys, monkeypatch, key,
+                                         named):
+    # float() of the first four overflows; the last two ask for more bytes
+    # than a float can count, so the memory refusal must still name them
+    doc = sim_doc(str(tmp_path / "out"))
+    if key == "amps":
+        doc["schedule"]["pulses"][0]["amps"] = [_HUGE]
+    elif key == "initial.thermal_mean_shell":
+        doc["initial"] = {"thermal_mean_shell": _HUGE}
+    elif "." in key:
+        section, name = key.split(".")
+        doc.setdefault(section, {})[name] = _HUGE
+    else:
+        doc[key] = _HUGE
+    monkeypatch.setattr(cli, "run_ensemble", None)  # no trajectory may run
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: 8 << 30)
+    assert run_cli(["simulate", "--config", write_doc(tmp_path, doc),
+                    "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_preflight_counts_the_initial_draw_and_every_row(tmp_path, capsys,
+                                                         monkeypatch):
+    # each worker's initial draw holds 16 bytes an atom and a level, so 10**9
+    # atoms ask 16 GB of each; a huge total_cycles is counted row by row
+    # without building the rows; an atom count no int64 holds is refused at
+    # load. Nothing here may run or allocate what it refuses
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(cli, "run_ensemble", unreachable)
+    have = 8 << 30
+    monkeypatch.setattr(basis_module, "_physical_memory", lambda: have)
+    rows = 17 * (24 + 32 * 2)
+    for key, value, threads, need, named in (
+            ("atoms", 10 ** 9, 1, 16 * (10 ** 9 + 6), "lower atoms"),
+            ("atoms", 10 ** 9 // 3, 3, 3 * 16 * (10 ** 9 // 3 + 6),
+             "lower atoms"),
+            ("total_cycles", _HUGE, 1, None, "lower trajectories"),
+            ("atoms", 2 ** 63, 1, None, "atoms must be >= 1 and below 2**63"),
+            ("atoms", _HUGE, 1, None, "atoms must be >= 1 and below 2**63")):
+        doc = sim_doc(str(tmp_path / "out"))
+        if key == "total_cycles":
+            doc["schedule"]["total_cycles"] = value
+        else:
+            doc[key] = value
+        argv = ["simulate", "--config", write_doc(tmp_path, doc), "--threads",
+                str(threads)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        if need is not None:
+            need += 30 * (3584 + 10 * 6 + rows)
+            assert f"needs about {need:,} bytes" in err
+        elif key == "total_cycles":
+            assert "needs over 2**64 bytes" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_huge_shell_target_is_a_dark_pulse(tmp_path, sign):
+    # no shift of a huge target reaches the basis, so no channel is listed
+    doc = sim_doc(str(tmp_path / "out"))
+    doc["schedule"]["pulses"].append({"s": sign * _HUGE})
+    doc["cache_dir"] = str(tmp_path / "cache")
+    cfg = write_doc(tmp_path, doc)
+    assert run_cli(["darkstates", "--config", cfg]) == 0
+    assert run_cli(["simulate", "--config", cfg, "--threads", "1"]) == 0
+    provider = cli._prepare(load_config(cfg))
+    rates = provider.absorption(load_config(cfg).schedule.cycle[-1],
+                                persist=True)
+    assert not rates.depletion.any() and rates.chan_to.size == 0

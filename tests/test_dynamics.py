@@ -264,6 +264,21 @@ def test_trajectory_memory_stays_below_its_bound():
     assert peak / n_traj < dynamics.trajectory_bytes(basis.size, schedule, rec)
 
 
+def test_trajectory_bytes_counts_rows_without_building_them():
+    # 10**8 rows would take 0.8 GB as an array of their cycles
+    schedule = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),),
+                        total_cycles=10 ** 8)
+    rec = RecorderSpec(watched_ids=(0,), stride=1)
+    tracemalloc.start()
+    try:
+        need = dynamics.trajectory_bytes(6, schedule, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need == 3584 + 10 * 6 + (10 ** 8 + 1) * (24 + 32)
+    assert peak < 10_000
+
+
 def test_trajectory_event_log_schema():
     basis, params, schedule = make_1d_system(cycles=15)
     occ = np.zeros(basis.size, dtype=np.int64)
@@ -1544,7 +1559,7 @@ def test_ensemble_is_the_same_for_any_window(monkeypatch):
             if isinstance(x, np.ndarray):
                 assert (x.dtype, x.shape, x.tobytes()) == \
                     (y.dtype, y.shape, y.tobytes()), f.name
-            elif f.name == "events":
+            elif f.name in ("events", "final_occ"):
                 assert [e.tobytes() for e in x] == [e.tobytes() for e in y]
             else:
                 assert x == y, f.name

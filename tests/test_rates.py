@@ -511,3 +511,27 @@ def test_emission_memory_estimate(tmp_path):
             tracemalloc.stop()
     assert provider.counters["disk_loads"] == 1
     assert 0.5 * est <= max(peaks) <= 1.02 * est, (peaks, est)
+
+
+@pytest.mark.parametrize("dim,max_shell", [(1, 4), (2, 3), (3, 2)])
+def test_structure_skips_shifts_no_level_can_make(dim, max_shell):
+    # no level changes its shell by more than max_shell, so a window of
+    # 2 max_shell already reaches every channel of a target in the basis
+    # and a window of 10**9 adds none (nor lists its shifts); a target no
+    # shift can reach from the basis lists no channel at all
+    basis = enumerate_levels(dim, max_shell)
+    fields = ("diag_amp", "indptr", "chan_from", "chan_to", "chan_axis",
+              "chan_fc2s")
+    for s in range(-max_shell, max_shell + 1):
+        a, b = (absorption_structure(
+            basis, SimParams(eta=0.9, resonance_window=w), s, 4.0)
+            for w in (2 * max_shell, 10 ** 9))
+        assert a.diag_spectrum == b.diag_spectrum
+        for name in fields:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), name
+    for s in (10 ** 400, -10 ** 400):
+        st_ = absorption_structure(basis, SimParams(eta=0.9), s, 4.0)
+        assert st_.diag_amp is None and st_.chan_from.size == 0
+        assert not st_.evaluate((1.0,) * dim, 0.5).depletion.any()

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bosecool import PulseSpec, Ramp, Schedule, figure_schedule, resolve_cycle
+from bosecool import (PulseSpec, Ramp, Schedule, SimParams, figure_schedule,
+                      resolve_cycle)
 
 from oracles import FIGURE_PULSES
 
@@ -295,3 +297,23 @@ def test_construction_accepts_exactly_the_schedules_legal_at_every_cycle(drawn):
         assert static == cycle[0]
         assert ramped.amps == amps and ramped.omega0_tau_abs == area
         assert ramped.s == 0 and ramped.omega_tau_abs is None
+
+
+def test_a_long_monotone_ramp_is_checked_by_its_pieces():
+    # the only beam ramps 1 -> 0.5 over 200,000 cycles: every piece keeps
+    # its sign at both ends, so construction and resolution walk no cycle;
+    # one that crosses zero is still named at its first dark cycle
+    tracemalloc.start()
+    try:
+        sch = Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),),
+                       total_cycles=200_000,
+                       ramps=(Ramp(0, "a_x", 1.0, 0.5, 0, 200_000),))
+        sch.resolved(SimParams(eta=0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="no nonzero beam amplitude at "
+                                         "cycle 150$"):
+        Schedule(cycle=(PulseSpec(s=-1, amps=(1.0,)),), total_cycles=200,
+                 ramps=(Ramp(0, "a_x", 1.0, -1.0, 100, 200),))
